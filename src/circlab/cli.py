@@ -18,13 +18,9 @@ from . import models as mod
 from . import theory as th
 from .errors import CapabilityError, CirclabError, ConfigError
 
-_MODEL_CHOICES = list(th.MODELS)
-_DETECTOR_CHOICES = ["interval", "coherence", "rayleigh", "variance",
-                     "known-theta"]
-
 
 def _add_model_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=_MODEL_CHOICES)
+    parser.add_argument("--model", choices=list(th.MODELS))
     parser.add_argument("--N", type=int)
     parser.add_argument("--K", type=int)
     parser.add_argument("--n", type=int)
@@ -48,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run one detector on a dataset file")
     p.add_argument("--data", required=True)
-    p.add_argument("--test", required=True, choices=_DETECTOR_CHOICES)
+    p.add_argument("--test", required=True, choices=list(lab.DETECTORS))
     p.add_argument("--tau", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--kappa", type=float)
@@ -63,9 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--c-n", dest="c_n", type=float)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--B", type=int, default=8)
     p.add_argument("--sigma2", type=float)
-    p.add_argument("--detector", choices=_DETECTOR_CHOICES, default="interval")
+    p.add_argument("--detector", choices=list(lab.DETECTORS), default="interval")
 
     p = sub.add_parser("classify", help="classify a parameter point")
     _add_model_params(p)
@@ -89,35 +84,22 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ConfigError(f"missing required flags: {', '.join('--' + m for m in missing)}")
+def _model_config(args, **fields) -> lab.ExperimentConfig:
+    """Config from the shared model flags, checked to have the model's parameters."""
+    config = lab.ExperimentConfig(model=args.model, N=args.N, K=args.K, n=args.n,
+                                  k=args.k, tau=args.tau, kappa=args.kappa,
+                                  **fields)
+    config.validate_complete()
+    return config
 
 
 def _cmd_gen(args) -> int:
-    _require(args, "model")
-    if args.model.startswith("flat"):
-        _require(args, "N", "K")
-    else:
-        _require(args, "n", "k")
-    if args.model.endswith("hard"):
-        _require(args, "tau")
-        signal = mod.HardCluster(tau=args.tau)
-    else:
-        _require(args, "kappa")
-        signal = mod.VonMises(kappa=args.kappa)
-    rng = mod.rng_for(args.seed, 7)
-    if args.model.startswith("flat"):
-        sample = mod.gen_flat(args.N, args.K, signal, args.h1, rng)
-        subset_size = args.K
-    else:
-        sample = mod.gen_community(args.n, args.k, signal, args.h1, rng)
-        subset_size = args.k
+    config = _model_config(args)
+    sample = lab._gen_sample(config, args.h1, mod.rng_for(args.seed, 7))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        mod.write_dataset(fh, sample, signal=signal, seed=args.seed,
-                          K=subset_size if args.model.startswith("flat") else None,
-                          k=subset_size if args.model.startswith("comm") else None,
+        mod.write_dataset(fh, sample, signal=config.signal, seed=args.seed,
+                          K=config.K if config.is_flat else None,
+                          k=None if config.is_flat else config.k,
                           reveal_truth=args.reveal_truth)
     print(f"wrote {args.out}")
     return 0
@@ -138,58 +120,16 @@ def _cmd_detect(args) -> int:
             sample, meta = mod.read_dataset(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {args.data!r}: {exc}") from exc
-    is_flat = isinstance(sample, mod.FlatSample)
+    flat = isinstance(sample, mod.FlatSample)
     k = args.k if args.k is not None else \
         (int(meta["k"]) if "k" in meta else None)
-    K = int(meta["K"]) if "K" in meta else k
-    if args.test in ("interval", "known-theta") and args.tau is None:
-        raise ConfigError("--tau is required for interval and known-theta tests")
-    if args.test == "interval":
-        if is_flat:
-            policy_spec = args.policy or ("fixed:%g" % args.gamma
-                                          if args.gamma is not None else "a1")
-            if policy_spec == "a1":
-                if K is None:
-                    raise ConfigError("policy a1 needs --k or a K header")
-                policy: det.ThresholdPolicy = det.Fixed(value=float(K))
-            elif policy_spec == "a2":
-                policy = det.FlatHardA2()
-            elif policy_spec == "vm":
-                policy = det.FlatVM()
-            elif policy_spec.startswith(("fixed:", "custom:")):
-                kind, _, val = policy_spec.partition(":")
-                cls = det.Fixed if kind == "fixed" else det.Custom
-                policy = cls(value=float(val))
-            else:
-                raise ConfigError(f"unknown policy {policy_spec!r}")
-            report = det.interval_test_flat(sample, args.tau, policy, K=K,
-                                            kappa=args.kappa)
-        else:
-            if k is None:
-                raise ConfigError("community interval test needs --k")
-            report = det.interval_test_community(sample, k, args.tau)
-    elif args.test == "known-theta":
-        if args.gamma is None:
-            raise ConfigError("known-theta test needs --gamma")
-        report = det.known_theta_test_flat(sample, args.tau, args.gamma,
-                                           theta=args.theta)
-    elif args.test == "coherence":
-        _require(args, "kappa")
-        if k is None:
-            raise ConfigError("coherence test needs --k")
-        report = det.coherence_test(sample, k, args.kappa, epsilon=args.epsilon)
-    elif args.test == "rayleigh":
-        _require(args, "kappa")
-        if k is None:
-            raise ConfigError("rayleigh test needs --k")
-        report = det.rayleigh_test(sample, k, args.kappa)
-    else:
-        if args.sigma2 is None:
-            raise ConfigError("variance test needs --sigma2")
-        if k is None:
-            raise ConfigError("variance test needs --k")
-        report = det.variance_test(sample, k, args.sigma2)
-    print(_report_line(report))
+    test = lab._make_test(
+        args.test, flat, N=sample.n_points if flat else None,
+        subset=int(meta["K"]) if flat and "K" in meta else k,
+        tau=args.tau, kappa=args.kappa, policy=args.policy or None,
+        gamma=args.gamma, sigma2=args.sigma2, epsilon=args.epsilon,
+        theta=args.theta)
+    print(_report_line(test(sample)))
     return 0
 
 
@@ -199,59 +139,19 @@ def _print_bound(prefix: str, name: str, bound: th.BoundValue) -> None:
 
 
 def _cmd_bounds(args) -> int:
-    _require(args, "model")
-    model = args.model
-    if model == "flat-hard":
-        _require(args, "N", "K", "tau")
-        if args.detector == "known-theta":
-            gamma = args.gamma if args.gamma is not None else \
-                det.resolve_flat_threshold(det.FlatHardA2(c_n=args.c_n),
-                                           args.N, args.tau, K=args.K)[0]
-            bounds = th.known_theta_bounds(args.N, args.K, args.tau, gamma)
-        else:
-            gamma = args.gamma if args.gamma is not None else float(args.K)
-            bounds = th.flat_hard_bounds(args.N, args.K, args.tau, gamma)
-            print(f"gamma={gamma:.17g}")
-    elif model == "flat-vm":
-        _require(args, "N", "K", "tau", "kappa")
-        bounds = th.flat_vm_bounds(args.N, args.K, args.kappa, args.tau,
-                                   c_n=args.c_n, gamma=args.gamma)
-    elif model == "comm-hard":
-        _require(args, "n", "k", "tau")
-        if args.detector == "variance":
-            _require(args, "sigma2")
-            bounds = th.comm_variance_bounds(args.n, args.k, args.sigma2,
-                                             tau=args.tau, B=args.B)
-        else:
-            bounds = th.comm_interval_bounds(args.n, args.k, args.tau)
-    else:
-        _require(args, "n", "k", "kappa")
-        if args.detector == "coherence":
-            bounds = th.comm_coherence_bounds(args.n, args.k, args.kappa,
-                                              args.epsilon, B=args.B)
-        elif args.detector == "rayleigh":
-            bounds = th.rayleigh_bounds(args.n, args.k, args.kappa)
-        elif args.detector == "variance":
-            _require(args, "sigma2")
-            bounds = th.comm_variance_bounds(args.n, args.k, args.sigma2,
-                                             kappa=args.kappa, B=args.B)
-        else:
-            _require(args, "tau")
-            bounds = th.comm_interval_bounds(args.n, args.k, args.tau,
-                                             kappa=args.kappa)
+    # No --policy here: --gamma fixes the threshold; without it flat-hard
+    # uses gamma = K and flat-vm its recipe threshold.
+    config = _model_config(
+        args, detector=args.detector, gamma=args.gamma, sigma2=args.sigma2,
+        epsilon=args.epsilon, c_n=args.c_n,
+        policy="vm" if args.model == "flat-vm" and args.gamma is None else None)
+    bounds = lab._cell_bounds(config)
+    if config.model == "flat-hard" and config.detector == "interval":
+        print(f"gamma={lab._scan_gamma(config):.17g}")
     for name, bound in bounds.items():
         _print_bound("", name, bound)
-    params = {}
-    for key in ("N", "K", "n", "k", "tau", "kappa"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
     try:
-        fns = th.impossibility_functionals(model, **{
-            key: params[key] for key in params
-            if key in ("N", "K", "n", "k", "tau", "kappa")
-            and (key != "tau" or model.endswith("hard"))
-            and (key != "kappa" or model.endswith("vm"))})
+        fns = th.impossibility_functionals(config.model, **config.model_params())
         for name, bound in fns.items():
             _print_bound("impossibility_", name, bound)
     except CirclabError:
@@ -260,23 +160,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _require(args, "model")
-    model = args.model
-    params = {}
-    if model.startswith("flat"):
-        _require(args, "N", "K")
-        params.update(N=args.N, K=args.K)
-    else:
-        _require(args, "n", "k")
-        params.update(n=args.n, k=args.k)
-    if model.endswith("hard"):
-        _require(args, "tau")
-        params["tau"] = args.tau
-    else:
-        _require(args, "kappa")
-        params["kappa"] = args.kappa
+    config = _model_config(args)
     tun = th.RegimeTunables(eps=args.eps, eps_n=args.eps_n, slack=args.slack)
-    verdict = th.regime_classify(model, params, tun)
+    verdict = th.regime_classify(config.model, config.model_params(), tun)
     for key, value in sorted(verdict.condition_values.items()):
         if isinstance(value, float):
             print(f"{key}={value:.17g}")

@@ -164,10 +164,15 @@ def resolve_flat_threshold(policy: ThresholdPolicy, N: int, tau: float,
                            kappa: Optional[float] = None) -> tuple[float, dict]:
     """Resolve a policy into a count threshold for the flat interval test.
 
-    Returns (gamma, conditions); conditions records the feasibility check
-    gamma >= 1 + (N-1) tau for the recipe-based policies. An infeasible
-    recipe is flagged, not rejected: the test still runs at the computed
-    gamma.
+    Returns (gamma, conditions). For the recipe-based policies, conditions
+    records ``feasible``: gamma >= 1 + (N-1) tau, the null mean count of a
+    single window. It does not compare gamma with the null distribution of
+    the scan maximum over all windows, which sits higher, so a feasible
+    gamma can still alarm often: at N=2000, K=21, tau=0.00967 the a2
+    threshold 32.9 is flagged feasible (single-window mean 20.3) while the
+    null median of the scan maximum is 34 and the false-alarm rate is 0.87.
+    An infeasible recipe is flagged, not rejected: the test still runs at
+    the computed gamma.
     """
     conditions: dict = {}
     if isinstance(policy, (Fixed, Custom)):

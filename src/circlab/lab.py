@@ -24,7 +24,7 @@ from . import detectors as det
 from . import models as mod
 from . import specfun as sf
 from . import theory as th
-from .errors import CapabilityError, ConfigError, ParameterError
+from .errors import CapabilityError, ConfigError, DomainError, ParameterError
 
 __all__ = [
     "ExperimentConfig",
@@ -57,20 +57,29 @@ _STREAM_SECOND_MOMENT = 202
 
 Z_95 = 1.959963984540054
 
+# Errors that mark one cell failed instead of aborting a sweep.
+_CELL_ERRORS = (CapabilityError, DomainError, ParameterError)
+
+
+DETECTORS = ("interval", "coherence", "rayleigh", "variance", "known-theta")
+_FLAT_DETECTORS = ("interval", "known-theta")
+_INT_AXES = ("N", "K", "n", "k")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell: model, parameters, detector, trials, seed."""
 
     model: str                      # flat-hard | flat-vm | comm-hard | comm-vm
-    detector: str                   # interval | coherence | rayleigh | variance | known-theta
+    detector: str = "interval"      # one of DETECTORS
     N: Optional[int] = None
     K: Optional[int] = None
     n: Optional[int] = None
     k: Optional[int] = None
     tau: Optional[float] = None     # signal arc fraction and/or test window
     kappa: Optional[float] = None
-    policy: str = "a1"              # a1 | a2 | vm | fixed:<v> | custom:<v>
+    # a1 | a2 | vm | fixed:<v> | custom:<v>; None is fixed at gamma, else a1
+    policy: Optional[str] = "a1"
     gamma: Optional[float] = None
     sigma2: Optional[float] = None
     epsilon: float = 0.5
@@ -83,17 +92,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in th.MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.detector not in ("interval", "coherence", "rayleigh",
-                                 "variance", "known-theta"):
-            raise ConfigError(f"unknown detector {self.detector!r}")
+        _check_detector(self.detector, self.is_flat)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.is_flat:
-            if not self.detector in ("interval", "known-theta"):
-                raise ConfigError(
-                    f"detector {self.detector!r} is undefined for flat models")
-        elif self.detector == "known-theta":
-            raise ConfigError("known-theta is a flat-model detector")
 
     def validate_complete(self) -> None:
         """Check that every parameter the model needs is present.
@@ -182,16 +183,43 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
-def _resolve_policy(config: ExperimentConfig) -> det.ThresholdPolicy:
-    policy = config.policy
-    if policy == "a1":
-        if config.K is None:
+def _check_detector(detector: str, flat: bool) -> None:
+    """Reject a detector that is unknown or undefined for the sample kind."""
+    if detector not in DETECTORS:
+        raise ConfigError(f"unknown detector {detector!r}")
+    if flat and detector not in _FLAT_DETECTORS:
+        raise ConfigError(f"detector {detector!r} is undefined for flat models")
+    if not flat and detector == "known-theta":
+        raise ConfigError("known-theta is a flat-model detector")
+
+
+def _check_detector_params(detector: str, flat: bool, subset, tau, kappa,
+                           sigma2) -> None:
+    """Reject a detector call that lacks a parameter its test needs."""
+    _check_detector(detector, flat)
+    if not flat and subset is None:
+        raise ConfigError(f"{detector} test needs k")
+    if detector in ("interval", "known-theta") and tau is None:
+        raise ConfigError(f"{detector} test needs tau (window fraction)")
+    if detector in ("coherence", "rayleigh") and kappa is None:
+        raise ConfigError(f"{detector} test needs kappa for its threshold")
+    if detector == "variance" and sigma2 is None:
+        raise ConfigError("variance test needs sigma2")
+
+
+def _resolve_policy(policy: Optional[str], gamma: Optional[float],
+                    K: Optional[int], c_n: Optional[float]) -> det.ThresholdPolicy:
+    """Flat scan threshold policy; no policy means fixed at gamma, else a1."""
+    if policy is None and gamma is not None:
+        return det.Fixed(value=float(gamma))
+    if policy is None or policy == "a1":
+        if K is None:
             raise ConfigError("policy a1 needs K")
-        return det.Fixed(value=float(config.K))
+        return det.Fixed(value=float(K))
     if policy == "a2":
-        return det.FlatHardA2(c_n=config.c_n)
+        return det.FlatHardA2(c_n=c_n)
     if policy == "vm":
-        return det.FlatVM(c_n=config.c_n)
+        return det.FlatVM(c_n=c_n)
     if policy.startswith("fixed:"):
         return det.Fixed(value=float(policy.split(":", 1)[1]))
     if policy.startswith("custom:"):
@@ -199,64 +227,71 @@ def _resolve_policy(config: ExperimentConfig) -> det.ThresholdPolicy:
     raise ConfigError(f"unknown policy {policy!r}")
 
 
-def _known_theta_gamma(config: ExperimentConfig) -> float:
-    if config.gamma is not None:
-        return float(config.gamma)
-    # Same threshold construction as the scan recipe.
+def _scan_gamma(config: ExperimentConfig) -> float:
+    """Count threshold of the flat scan test under the configured policy."""
+    c = config
     gamma, _ = det.resolve_flat_threshold(
-        det.FlatHardA2(c_n=config.c_n), config.N, config.tau, K=config.K)
+        _resolve_policy(c.policy, c.gamma, c.K, c.c_n), c.N, c.tau, K=c.K,
+        kappa=c.kappa)
     return gamma
 
 
+def _known_theta_gamma(gamma: Optional[float], N: int, K: Optional[int],
+                       tau: float, c_n: Optional[float]) -> float:
+    if gamma is not None:
+        return float(gamma)
+    # Same threshold construction as the scan recipe.
+    gamma, _ = det.resolve_flat_threshold(det.FlatHardA2(c_n=c_n), N, tau, K=K)
+    return gamma
+
+
+def _make_test(detector: str, flat: bool, *, N: Optional[int],
+               subset: Optional[int], tau: Optional[float],
+               kappa: Optional[float], policy: Optional[str],
+               gamma: Optional[float], sigma2: Optional[float],
+               epsilon: float, theta: float,
+               c_n: Optional[float] = None) -> Callable:
+    """Build the sample -> TestReport call of one detector on one sample kind.
+
+    ``subset`` is K for flat samples and k for edge samples. Thresholds are
+    resolved here, once, not per sample. The known-theta call also takes the
+    phase to test at (default ``theta``). Detectors are looked up on their
+    module at call time, so a tracer that rebinds them sees every call.
+    """
+    _check_detector_params(detector, flat, subset, tau, kappa, sigma2)
+    if detector == "interval" and flat:
+        threshold = _resolve_policy(policy, gamma, subset, c_n)
+        return lambda sample: det.interval_test_flat(
+            sample, tau, threshold, K=subset, kappa=kappa)
+    if detector == "interval":
+        return lambda sample: det.interval_test_community(sample, subset, tau)
+    if detector == "known-theta":
+        count_gamma = _known_theta_gamma(gamma, N, subset, tau, c_n)
+        return lambda sample, phase=theta: det.known_theta_test_flat(
+            sample, tau, count_gamma, theta=phase)
+    if detector == "coherence":
+        return lambda sample: det.coherence_test(sample, subset, kappa,
+                                                 epsilon=epsilon)
+    if detector == "rayleigh":
+        return lambda sample: det.rayleigh_test(sample, subset, kappa)
+    return lambda sample: det.variance_test(sample, subset, sigma2)
+
+
 def _make_runner(config: ExperimentConfig) -> Callable:
-    """Build sample -> rejected closure for the configured detector."""
-    if config.detector == "interval":
-        if config.is_flat:
-            if config.tau is None:
-                raise ConfigError("interval test needs tau (window fraction)")
-            policy = _resolve_policy(config)
+    """Build sample -> rejected closure for the configured detector.
 
-            def run(sample):
-                return det.interval_test_flat(
-                    sample, config.tau, policy,
-                    K=config.K, kappa=config.kappa).rejected
-        else:
-            if config.tau is None:
-                raise ConfigError("community interval test needs tau")
-
-            def run(sample):
-                return det.interval_test_community(
-                    sample, config.k, config.tau).rejected
-    elif config.detector == "known-theta":
-        gamma = _known_theta_gamma(config)
-
-        def run(sample):
-            theta = sample.truth.theta_star if sample.truth is not None \
-                else config.theta
-            return det.known_theta_test_flat(
-                sample, config.tau, gamma, theta=theta).rejected
-    elif config.detector == "coherence":
-        if config.kappa is None:
-            raise ConfigError("coherence test needs kappa for its threshold")
-
-        def run(sample):
-            return det.coherence_test(
-                sample, config.k, config.kappa, epsilon=config.epsilon).rejected
-    elif config.detector == "rayleigh":
-        if config.kappa is None:
-            raise ConfigError("rayleigh test needs kappa for its threshold")
-
-        def run(sample):
-            return det.rayleigh_test(sample, config.k, config.kappa).rejected
-    elif config.detector == "variance":
-        if config.sigma2 is None:
-            raise ConfigError("variance test needs sigma2")
-
-        def run(sample):
-            return det.variance_test(sample, config.k, config.sigma2).rejected
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown detector {config.detector!r}")
-    return run
+    Known-theta trials test at the planted phase when the sample has one.
+    """
+    c = config
+    test = _make_test(c.detector, c.is_flat, N=c.N, subset=c.subset_label,
+                      tau=c.tau, kappa=c.kappa, policy=c.policy, gamma=c.gamma,
+                      sigma2=c.sigma2, epsilon=c.epsilon, theta=c.theta,
+                      c_n=c.c_n)
+    if c.detector == "known-theta":
+        return lambda sample: test(
+            sample, c.theta if sample.truth is None
+            else sample.truth.theta_star).rejected
+    return lambda sample: test(sample).rejected
 
 
 def _gen_sample(config: ExperimentConfig, under_h1: bool, rng):
@@ -268,20 +303,20 @@ def _gen_sample(config: ExperimentConfig, under_h1: bool, rng):
 def _cell_bounds(config: ExperimentConfig) -> dict:
     """Analytic bound report matching the configured detector and threshold."""
     c = config
+    _check_detector_params(c.detector, c.is_flat, c.subset_label, c.tau,
+                           c.kappa, c.sigma2)
     if c.detector == "interval" and c.model == "flat-hard":
-        gamma, _ = det.resolve_flat_threshold(
-            _resolve_policy(c), c.N, c.tau, K=c.K, kappa=c.kappa)
-        return th.flat_hard_bounds(c.N, c.K, c.tau, gamma)
+        return th.flat_hard_bounds(c.N, c.K, c.tau, _scan_gamma(c))
     if c.detector == "interval" and c.model == "flat-vm":
-        policy = _resolve_policy(c)
-        if isinstance(policy, det.FlatVM):
-            return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n)
-        gamma, _ = det.resolve_flat_threshold(policy, c.N, c.tau, K=c.K, kappa=c.kappa)
-        return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n, gamma=gamma)
+        # Without a gamma, flat_vm_bounds evaluates the vm recipe threshold.
+        gamma = None if c.policy == "vm" else _scan_gamma(c)
+        return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n,
+                                 gamma=gamma)
     if c.detector == "known-theta":
         if c.model != "flat-hard":
             return {}
-        return th.known_theta_bounds(c.N, c.K, c.tau, _known_theta_gamma(c))
+        return th.known_theta_bounds(
+            c.N, c.K, c.tau, _known_theta_gamma(c.gamma, c.N, c.K, c.tau, c.c_n))
     if c.detector == "interval":
         kappa = c.kappa if c.model == "comm-vm" else None
         return th.comm_interval_bounds(c.n, c.k, c.tau, kappa=kappa)
@@ -295,11 +330,9 @@ def _cell_bounds(config: ExperimentConfig) -> dict:
         if c.model != "comm-vm":
             bounds.pop("pmiss", None)
         return bounds
-    if c.detector == "variance":
-        if c.model == "comm-vm":
-            return th.comm_variance_bounds(c.n, c.k, c.sigma2, kappa=c.kappa)
-        return th.comm_variance_bounds(c.n, c.k, c.sigma2, tau=c.tau)
-    return {}
+    if c.model == "comm-vm":
+        return th.comm_variance_bounds(c.n, c.k, c.sigma2, kappa=c.kappa)
+    return th.comm_variance_bounds(c.n, c.k, c.sigma2, tau=c.tau)
 
 
 def _bound_digest(bounds: dict) -> tuple[float, float]:
@@ -333,7 +366,8 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     Runs ``trials`` datasets under each hypothesis. Identical (config, seed)
     give identical results for any thread count: per-trial generators are
     derived from (seed, cell, hypothesis, trial) and counts reduce by sums.
-    Detector capability errors mark the point failed instead of raising.
+    Capability, domain and parameter errors mark the point failed instead
+    of raising; a ConfigError still raises.
     """
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
@@ -359,7 +393,7 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
         point.pmiss_hat = (trials - results[1]) / trials
         point.pfa_lo, point.pfa_hi = wilson_interval(results[0], trials)
         point.pmiss_lo, point.pmiss_hi = wilson_interval(trials - results[1], trials)
-    except CapabilityError as exc:
+    except _CELL_ERRORS as exc:
         point.failed = str(exc)
         return point
     try:
@@ -377,7 +411,7 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
             "consistent_with_impossibility":
                 functionals["var_exact"].value < 0.05,
         }
-    except (CapabilityError, OverflowError) as exc:
+    except (*_CELL_ERRORS, OverflowError) as exc:
         point.analytics.setdefault("annotation_error", str(exc))
     return point
 
@@ -414,7 +448,7 @@ def _point_row(point: PhasePoint) -> list:
     if point.failed is not None:
         verdict, citation = "failed", point.failed.replace(",", ";")
     return [
-        c.model, c.detector, c.policy, _fmt(c.size_label), _fmt(c.subset_label),
+        c.model, c.detector, _fmt(c.policy), _fmt(c.size_label), _fmt(c.subset_label),
         _fmt(c.tau), _fmt(c.kappa), _fmt(c.trials), _fmt(point.pfa_hat),
         _fmt(point.pfa_lo), _fmt(point.pfa_hi), _fmt(point.pmiss_hat),
         _fmt(point.pmiss_lo), _fmt(point.pmiss_hi),
@@ -441,6 +475,8 @@ def _grid_cells(grid: Sequence[tuple]) -> list:
             raise ConfigError(f"cannot sweep over {name!r}")
         if len(values) == 0:
             raise ConfigError(f"axis {name!r} is empty")
+        if name in _INT_AXES and not all(float(v).is_integer() for v in values):
+            raise ConfigError(f"axis {name!r} needs integer values, got {values}")
         cells = [dict(c, **{name: v}) for c in cells for v in values]
     return cells
 
@@ -452,13 +488,13 @@ def sweep(grid: Sequence[tuple], base: ExperimentConfig,
 
     ``grid`` is a list of (parameter name, values); cells enumerate the
     cross product with the last axis fastest. Per-cell trial streams are
-    derived from (master seed, cell index). Capability failures mark cells
-    failed without aborting the sweep.
+    derived from (master seed, cell index). The whole grid is checked before
+    any cell runs; a cell that raises a capability, domain or parameter error
+    is marked failed without aborting the sweep.
     """
-    int_params = {"N", "K", "n", "k"}
     points = []
     for idx, overrides in enumerate(_grid_cells(grid)):
-        cast = {name: (int(v) if name in int_params else float(v))
+        cast = {name: (int(v) if name in _INT_AXES else float(v))
                 for name, v in overrides.items()}
         config = replace(base, **cast)
         points.append(estimate_errors(config, cell_index=idx, threads=threads,
@@ -480,7 +516,7 @@ def _boundary_rows(grid: Sequence[tuple], base: ExperimentConfig,
         for x in xs:
             def params_at(y: float) -> dict:
                 p = dict(base.model_params())
-                p[x_name] = int(x) if x_name in ("N", "K", "n", "k") else float(x)
+                p[x_name] = int(x) if x_name in _INT_AXES else float(x)
                 p[y_name] = float(y)
                 return p
 

@@ -38,7 +38,6 @@ __all__ = [
     "PlantedCommunity",
     "FlatSample",
     "EdgeSample",
-    "Seed",
     "splitmix64",
     "derive_seed",
     "rng_for",
@@ -196,16 +195,6 @@ class EdgeSample:
         return int(self.edge_angles.size)
 
 
-@dataclass(frozen=True)
-class Seed:
-    """64-bit master seed for an experiment."""
-
-    master: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "master", int(self.master) & 0xFFFFFFFFFFFFFFFF)
-
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 
@@ -226,10 +215,9 @@ def derive_seed(master: int, *tags: int) -> int:
     return h
 
 
-def rng_for(seed: Union[int, Seed], *tags: int) -> np.random.Generator:
+def rng_for(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic per-stream generator for (master seed, tags)."""
-    master = seed.master if isinstance(seed, Seed) else int(seed)
-    return np.random.Generator(np.random.PCG64(derive_seed(master, *tags)))
+    return np.random.Generator(np.random.PCG64(derive_seed(seed, *tags)))
 
 
 def _von_mises_centered(rng: np.random.Generator, kappa: float, size: int) -> np.ndarray:

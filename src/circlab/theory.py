@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .detectors import default_c_schedule
 from .errors import DomainError, NumericError, ParameterError
 from .specfun import (arc_prob, bessel_i0_scaled, log_bessel_i0, log_ratio_R,
                       mean_resultant, ratio_R)
@@ -50,7 +51,6 @@ __all__ = [
     "second_moment_exact_flat_vm",
     "second_moment_exact_comm_hard",
     "second_moment_exact_comm_vm",
-    "second_moment_exact",
     "tv_bound",
     "impossibility_functionals",
     "RegimeTunables",
@@ -154,7 +154,7 @@ def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
     if not (0.0 < tau < 1.0):
         raise DomainError(f"tau must be in (0, 1), got {tau!r}")
     if c_n is None:
-        c_n = math.log(N) ** 0.25
+        c_n = default_c_schedule(N)
     g = K * (arc_prob(kappa, tau) - tau)
     mean1 = N * tau + g
     if gamma is None:
@@ -516,19 +516,6 @@ def second_moment_exact_flat_vm(N: int, K: int, kappa: float) -> float:
     law = OverlapLaw(N, K)
     total = _log_mean_rho_power(kappa, lambda s: s, K, law)
     return max(1.0, _safe_exp(total))
-
-
-def second_moment_exact(model: str, **params) -> float:
-    """Dispatch the exact second moment by model id."""
-    if model == "flat-hard":
-        return second_moment_exact_flat_hard(params["N"], params["K"], params["tau"])
-    if model == "flat-vm":
-        return second_moment_exact_flat_vm(params["N"], params["K"], params["kappa"])
-    if model == "comm-hard":
-        return second_moment_exact_comm_hard(params["n"], params["k"], params["tau"])
-    if model == "comm-vm":
-        return second_moment_exact_comm_vm(params["n"], params["k"], params["kappa"])
-    raise ParameterError(f"unknown model {model!r}")
 
 
 def tv_bound(second_moment: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlab import lab, models as mod, theory as th
+from circlab import cli, detectors as det, lab, models as mod, theory as th
 from circlab.errors import CapabilityError, ConfigError
 from circlab.lab import ExperimentConfig
 
@@ -108,6 +108,26 @@ class TestSweep:
                                kappa=1.0, n=34, trials=5, seed=14)
         points = lab.sweep([("k", [3, 17])], big)
         assert points[0].failed is None and points[1].failed is not None
+        # A domain error (tau > 1) fails its cell; the CSV is still written.
+        flat = ExperimentConfig(model="flat-hard", detector="interval",
+                                N=30, K=3, trials=5, seed=14)
+        out = tmp_path / "d.csv"
+        points = lab.sweep([("tau", [0.01, 1.5])], flat, out=str(out))
+        assert points[0].failed is None and "tau" in points[1].failed
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_non_integer_size_axis_rejected_before_any_cell(self, tmp_path,
+                                                           monkeypatch):
+        ran = []
+        monkeypatch.setattr(lab, "estimate_errors",
+                            lambda config, **kw: ran.append(config))
+        base = ExperimentConfig(model="flat-hard", detector="interval",
+                                K=3, tau=0.05, trials=5, seed=15)
+        out = tmp_path / "n.csv"
+        with pytest.raises(ConfigError):
+            lab.sweep([("tau", [0.05]), ("N", [20.0, 20.7])], base,
+                      out=str(out))
+        assert ran == [] and not out.exists()
 
 
 class TestEmpiricalSecondMoment:
@@ -293,3 +313,78 @@ class TestCLI:
                 "--reveal-truth")
         assert "truth" not in open(hidden).read()
         assert "truth_subset" in open(shown).read()
+
+
+def _bound_names(out):
+    return [ln.split("=")[0] for ln in out.splitlines()
+            if not ln.startswith("impossibility_")]
+
+
+class TestCLIDispatch:
+    """In-process checks of detect and bounds through the lab's dispatch."""
+
+    @pytest.fixture
+    def flat_file(self, tmp_path):
+        path = str(tmp_path / "flat.txt")
+        assert cli.main(["gen", "--model", "flat-hard", "--N", "200",
+                         "--K", "8", "--tau", "0.02", "--h1", "--seed", "3",
+                         "--out", path]) == 0
+        return path
+
+    def test_detect_gamma_is_exact_threshold(self, flat_file, capsys):
+        capsys.readouterr()
+        base = ["detect", "--data", flat_file, "--test", "interval",
+                "--tau", "0.02"]
+        assert cli.main(base + ["--gamma", "7.123456789"]) == 0
+        by_gamma = capsys.readouterr().out
+        assert " threshold=7.1234567889999996 " in by_gamma
+        assert cli.main(base + ["--policy", "fixed:7.123456789"]) == 0
+        assert capsys.readouterr().out == by_gamma
+
+    def test_detect_known_theta_default_gamma_is_a2_recipe(self, flat_file,
+                                                           capsys):
+        capsys.readouterr()
+        assert cli.main(["detect", "--data", flat_file, "--test",
+                         "known-theta", "--tau", "0.02"]) == 0
+        gamma, _ = det.resolve_flat_threshold(det.FlatHardA2(), 200, 0.02, K=8)
+        assert f" threshold={gamma:.17g} " in capsys.readouterr().out
+
+    def test_detect_edge_detector_on_flat_data_is_usage_error(self, flat_file):
+        assert cli.main(["detect", "--data", flat_file, "--test", "rayleigh",
+                         "--kappa", "2", "--k", "3"]) == 2
+
+    def test_bounds_comm_hard_coherence(self, capsys):
+        assert cli.main(["bounds", "--model", "comm-hard", "--detector",
+                         "coherence", "--n", "12", "--k", "10", "--tau", "0.05",
+                         "--kappa", "20"]) == 0
+        out = capsys.readouterr().out
+        assert _bound_names(out) == ["pfa"]
+        pfa = th.comm_coherence_bounds(12, 10, 20.0, 0.5)["pfa"].value
+        assert out.startswith(f"pfa={pfa:.17g} applicable=true\n")
+
+    def test_bounds_comm_hard_rayleigh(self, capsys):
+        assert cli.main(["bounds", "--model", "comm-hard", "--detector",
+                         "rayleigh", "--n", "12", "--k", "10", "--tau", "0.05",
+                         "--kappa", "20"]) == 0
+        out = capsys.readouterr().out
+        assert _bound_names(out) == ["pfa", "total_default"]
+        pfa = th.rayleigh_bounds(12, 10, 20.0)["pfa"].value
+        assert out.startswith(f"pfa={pfa:.17g} applicable=true\n")
+
+    def test_bounds_flat_vm_known_theta_has_no_scan_bounds(self, capsys):
+        assert cli.main(["bounds", "--model", "flat-vm", "--detector",
+                         "known-theta", "--N", "60", "--K", "5", "--kappa", "5",
+                         "--tau", "0.2"]) == 0
+        assert _bound_names(capsys.readouterr().out) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "flat-hard", "--detector", "coherence", "--N", "200",
+         "--K", "8", "--tau", "0.01", "--kappa", "2"],
+        ["--model", "flat-vm", "--detector", "rayleigh", "--N", "60",
+         "--K", "5", "--kappa", "5", "--tau", "0.2"],
+        ["--model", "comm-vm", "--detector", "known-theta", "--n", "16",
+         "--k", "5", "--kappa", "40", "--tau", "0.1"],
+    ], ids=["flat-hard-coherence", "flat-vm-rayleigh", "comm-vm-known-theta"])
+    def test_bounds_undefined_pair_is_usage_error(self, argv, capsys):
+        assert cli.main(["bounds", *argv]) == 2
+        assert capsys.readouterr().out == ""
