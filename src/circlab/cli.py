@@ -121,11 +121,11 @@ def _cmd_detect(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {args.data!r}: {exc}") from exc
     flat = isinstance(sample, mod.FlatSample)
+    header = meta.get("K" if flat else "k")
     k = args.k if args.k is not None else \
-        (int(meta["k"]) if "k" in meta else None)
+        (int(header) if header is not None else None)
     test = lab._make_test(
-        args.test, flat, N=sample.n_points if flat else None,
-        subset=int(meta["K"]) if flat and "K" in meta else k,
+        args.test, flat, N=sample.n_points if flat else None, subset=k,
         tau=args.tau, kappa=args.kappa, policy=args.policy or None,
         gamma=args.gamma, sigma2=args.sigma2, epsilon=args.epsilon,
         theta=args.theta)
@@ -147,7 +147,7 @@ def _cmd_bounds(args) -> int:
         policy="vm" if args.model == "flat-vm" and args.gamma is None else None)
     bounds = lab._cell_bounds(config)
     if config.model == "flat-hard" and config.detector == "interval":
-        print(f"gamma={lab._scan_gamma(config):.17g}")
+        print(f"gamma={lab._flat_gamma(config):.17g}")
     for name, bound in bounds.items():
         _print_bound("", name, bound)
     try:

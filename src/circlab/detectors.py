@@ -24,28 +24,24 @@ All functions are pure; independent calls may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ParameterError
+from .errors import CapabilityError, ConfigError, DomainError, ParameterError
 from .models import TWO_PI, EdgeSample, FlatSample, canonical_angle, edge_pairs
 from .specfun import arc_prob, mean_resultant
 
 __all__ = [
     "Decision",
     "TestReport",
-    "Fixed",
-    "Custom",
-    "FlatHardA2",
-    "FlatVM",
-    "CoherencePaper",
-    "ThresholdPolicy",
     "default_c_schedule",
     "resolve_flat_threshold",
+    "coherence_threshold",
+    "rayleigh_threshold",
     "interval_stat_flat",
     "interval_test_flat",
     "known_theta_test_flat",
@@ -78,9 +74,8 @@ class TestReport:
     """Outcome of one detector run.
 
     ``decision`` is REJECT_H0 exactly when ``statistic`` compares against
-    ``threshold`` per ``comparison`` ("ge" or "le"). ``conditions`` carries
-    named side conditions (e.g. threshold feasibility) evaluated during the
-    run; ``work_counter`` counts candidate windows/subsets examined.
+    ``threshold`` per ``comparison`` ("ge" or "le"); ``work_counter``
+    counts candidate windows/subsets examined.
     """
 
     statistic: float
@@ -90,7 +85,6 @@ class TestReport:
     witness_theta: Optional[float] = None
     witness_subset: Optional[tuple] = None
     work_counter: int = 0
-    conditions: dict = field(default_factory=dict)
 
     @property
     def rejected(self) -> bool:
@@ -108,7 +102,7 @@ def _decide(statistic: float, threshold: float, comparison: str) -> Decision:
 
 
 # ---------------------------------------------------------------------------
-# Threshold policies
+# Threshold recipes
 # ---------------------------------------------------------------------------
 
 
@@ -117,85 +111,62 @@ def default_c_schedule(N: int) -> float:
     return math.log(N) ** 0.25
 
 
-@dataclass(frozen=True)
-class Fixed:
-    """Reject when the statistic reaches a fixed value."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class Custom:
-    """User-supplied threshold; identical mechanics to Fixed, distinct intent."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class FlatHardA2:
-    """gamma = (N-K) tau + K - c_N sqrt((N-K) tau); c_n None uses the default."""
-
-    c_n: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class FlatVM:
-    """gamma = N tau + g - c_N sqrt(N tau + g) with g = K (p_kappa(tau) - tau)."""
-
-    c_n: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class CoherencePaper:
-    """beta = (1 - epsilon/4) C(k,2) A(kappa)."""
-
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise DomainError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-
-
-ThresholdPolicy = Union[Fixed, Custom, FlatHardA2, FlatVM, CoherencePaper]
-
-
-def resolve_flat_threshold(policy: ThresholdPolicy, N: int, tau: float,
+def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
                            K: Optional[int] = None,
-                           kappa: Optional[float] = None) -> tuple[float, dict]:
-    """Resolve a policy into a count threshold for the flat interval test.
+                           kappa: Optional[float] = None,
+                           gamma: Optional[float] = None,
+                           c_n: Optional[float] = None) -> float:
+    """Count threshold of the flat scan test under a policy string.
 
-    Returns (gamma, conditions). For the recipe-based policies, conditions
-    records ``feasible``: gamma >= 1 + (N-1) tau, the null mean count of a
-    single window. It does not compare gamma with the null distribution of
-    the scan maximum over all windows, which sits higher, so a feasible
-    gamma can still alarm often: at N=2000, K=21, tau=0.00967 the a2
-    threshold 32.9 is flagged feasible (single-window mean 20.3) while the
-    null median of the scan maximum is 34 and the false-alarm rate is 0.87.
-    An infeasible recipe is flagged, not rejected: the test still runs at
-    the computed gamma.
+    ``a1``: K, the planted count. ``a2``: (N-K) tau + K - c_N sqrt((N-K) tau).
+    ``vm``: N tau + g - c_N sqrt(N tau + g) with g = K (p_kappa(tau) - tau).
+    ``fixed:<v>`` and ``custom:<v>``: v. No policy means ``gamma`` when it
+    is given, else ``a1``; c_n None uses ``default_c_schedule(N)``.
     """
-    conditions: dict = {}
-    if isinstance(policy, (Fixed, Custom)):
-        return float(policy.value), conditions
+    if policy is None and gamma is not None:
+        return float(gamma)
+    if policy is None or policy == "a1":
+        if K is None:
+            raise ConfigError("policy a1 needs K")
+        return float(K)
+    if policy.startswith(("fixed:", "custom:")):
+        value = policy.split(":", 1)[1]
+        try:
+            return float(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"policy {policy!r}: bad threshold {value!r}") from exc
+    if policy not in ("a2", "vm"):
+        raise ConfigError(f"unknown policy {policy!r}")
     if K is None:
-        raise ParameterError(f"policy {policy!r} needs K")
-    if isinstance(policy, FlatHardA2):
-        c_n = policy.c_n if policy.c_n is not None else default_c_schedule(N)
+        raise ParameterError(f"policy {policy} needs K")
+    if c_n is None:
+        c_n = default_c_schedule(N)
+    if policy == "a2":
         base = (N - K) * tau
-        gamma = base + K - c_n * math.sqrt(base)
-    elif isinstance(policy, FlatVM):
-        if kappa is None:
-            raise ParameterError("FlatVM policy needs kappa")
-        c_n = policy.c_n if policy.c_n is not None else default_c_schedule(N)
-        g = K * (arc_prob(kappa, tau) - tau)
-        mean_h1 = N * tau + g
-        gamma = mean_h1 - c_n * math.sqrt(mean_h1)
-        conditions["g"] = g
-    else:
-        raise ParameterError(f"policy {policy!r} is not a flat interval policy")
-    conditions["c_n"] = c_n
-    conditions["feasible"] = bool(gamma >= 1.0 + (N - 1) * tau)
-    return float(gamma), conditions
+        return float(base + K - c_n * math.sqrt(base))
+    if kappa is None:
+        raise ParameterError("policy vm needs kappa")
+    mean_h1 = N * tau + K * (arc_prob(kappa, tau) - tau)
+    return float(mean_h1 - c_n * math.sqrt(mean_h1))
+
+
+def coherence_threshold(k: int, kappa: float, epsilon: float = 0.5) -> float:
+    """Coherence threshold beta = (1 - eps/4) C(k,2) A(kappa)."""
+    if not (kappa > 0.0 and math.isfinite(kappa)):
+        raise DomainError(f"kappa must be finite and > 0, got {kappa!r}")
+    if not (0.0 < epsilon < 1.0):
+        raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    m_edges = k * (k - 1) // 2
+    return (1.0 - epsilon / 4.0) * m_edges * mean_resultant(kappa)
+
+
+def rayleigh_threshold(k: int, kappa: float) -> float:
+    """Rayleigh threshold mu1 / 2; mu1 = C(k,2) A(kappa) is the planted mean."""
+    if not (kappa >= 0.0 and math.isfinite(kappa)):
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+    mu1 = k * (k - 1) / 2.0 * mean_resultant(kappa)
+    return mu1 / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +196,14 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     return int(counts[best]), float(xs[best])
 
 
-def interval_test_flat(sample: FlatSample, tau: float, policy: ThresholdPolicy,
-                       K: Optional[int] = None,
-                       kappa: Optional[float] = None) -> TestReport:
+def interval_test_flat(sample: FlatSample, tau: float, gamma: float) -> TestReport:
     """Scan test: reject H0 when some window of length 2 pi tau holds >= gamma points."""
-    N = sample.n_points
-    gamma, conditions = resolve_flat_threshold(policy, N, tau, K=K, kappa=kappa)
     stat, witness = interval_stat_flat(sample, tau)
     return TestReport(
-        statistic=float(stat), threshold=gamma,
+        statistic=float(stat), threshold=float(gamma),
         decision=_decide(stat, gamma, "ge"), comparison="ge",
         witness_theta=witness, witness_subset=None,
-        work_counter=N, conditions=conditions)
+        work_counter=sample.n_points)
 
 
 def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
@@ -321,7 +288,6 @@ def _find_k_clique(adj: dict, k: int) -> Optional[tuple]:
 
 
 def interval_stat_community(sample: EdgeSample, k: int, tau: float,
-                            limit_n: int = DEFAULT_CLIQUE_LIMIT_N,
                             ) -> tuple[bool, Optional[float], Optional[tuple]]:
     """Exact search for a k-set whose intra-edges all fit one closed window.
 
@@ -335,9 +301,9 @@ def interval_stat_community(sample: EdgeSample, k: int, tau: float,
     k = int(k)
     if not (2 <= k <= n):
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if n > limit_n:
+    if n > DEFAULT_CLIQUE_LIMIT_N:
         raise CapabilityError(
-            f"exact community search is capped at n <= {limit_n}; "
+            f"exact community search is capped at n <= {DEFAULT_CLIQUE_LIMIT_N}; "
             f"got n = {n}. Use a smaller instance.")
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"tau must be in (0, 1], got {tau!r}")
@@ -373,10 +339,9 @@ def _window_adjacency(edge_rows: np.ndarray) -> dict:
     return adj
 
 
-def interval_test_community(sample: EdgeSample, k: int, tau: float,
-                            limit_n: int = DEFAULT_CLIQUE_LIMIT_N) -> TestReport:
+def interval_test_community(sample: EdgeSample, k: int, tau: float) -> TestReport:
     """Reject H0 when some window of length 2 pi tau holds a full k-set."""
-    found, theta, subset = interval_stat_community(sample, k, tau, limit_n=limit_n)
+    found, theta, subset = interval_stat_community(sample, k, tau)
     stat = 1.0 if found else 0.0
     return TestReport(
         statistic=stat, threshold=1.0,
@@ -452,37 +417,28 @@ def coherence_stat(sample: EdgeSample, k: int,
     return best_val, tuple(int(v) for v in subs[best_row])
 
 
-def coherence_test(sample: EdgeSample, k: int, kappa: float, epsilon: float = 0.5,
+def coherence_test(sample: EdgeSample, k: int, beta: float,
                    budget: int = DEFAULT_SUBSET_BUDGET) -> TestReport:
-    """Reject H0 when the max subset coherence reaches (1 - eps/4) C(k,2) A(kappa)."""
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be finite and > 0, got {kappa!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    m_edges = k * (k - 1) // 2
-    beta = (1.0 - epsilon / 4.0) * m_edges * mean_resultant(kappa)
+    """Reject H0 when the max subset coherence reaches beta (coherence_threshold)."""
     value, subset = coherence_stat(sample, k, budget=budget)
     return TestReport(
-        statistic=value, threshold=beta,
+        statistic=value, threshold=float(beta),
         decision=_decide(value, beta, "ge"), comparison="ge",
         witness_subset=subset, work_counter=math.comb(sample.n, k))
 
 
-def rayleigh_test(sample: EdgeSample, k: int, kappa: float) -> TestReport:
-    """Threshold the modulus of the phasor sum over all edges at mu1 / 2.
+def rayleigh_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
+    """Threshold the modulus of the phasor sum over all edges at beta.
 
-    mu1 = C(k,2) A(kappa) is the planted-signal mean of the statistic; the
+    ``rayleigh_threshold`` gives the default beta. The statistic does not
+    use ``k``; it stays so that every edge test takes (sample, k, ...). The
     witness angle is the direction of the resultant.
     """
-    if not (kappa >= 0.0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
     z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
     s = complex(z.sum())
     stat = abs(s)
-    mu1 = k * (k - 1) / 2.0 * mean_resultant(kappa)
-    beta = mu1 / 2.0
     return TestReport(
-        statistic=stat, threshold=beta,
+        statistic=stat, threshold=float(beta),
         decision=_decide(stat, beta, "ge"), comparison="ge",
         witness_theta=canonical_angle(math.atan2(s.imag, s.real)),
         work_counter=sample.n_edges)

@@ -207,42 +207,20 @@ def _check_detector_params(detector: str, flat: bool, subset, tau, kappa,
         raise ConfigError("variance test needs sigma2")
 
 
-def _resolve_policy(policy: Optional[str], gamma: Optional[float],
-                    K: Optional[int], c_n: Optional[float]) -> det.ThresholdPolicy:
-    """Flat scan threshold policy; no policy means fixed at gamma, else a1."""
-    if policy is None and gamma is not None:
-        return det.Fixed(value=float(gamma))
-    if policy is None or policy == "a1":
-        if K is None:
-            raise ConfigError("policy a1 needs K")
-        return det.Fixed(value=float(K))
-    if policy == "a2":
-        return det.FlatHardA2(c_n=c_n)
-    if policy == "vm":
-        return det.FlatVM(c_n=c_n)
-    if policy.startswith("fixed:"):
-        return det.Fixed(value=float(policy.split(":", 1)[1]))
-    if policy.startswith("custom:"):
-        return det.Custom(value=float(policy.split(":", 1)[1]))
-    raise ConfigError(f"unknown policy {policy!r}")
+def _flat_policy(detector: str, policy: Optional[str],
+                 gamma: Optional[float]) -> Optional[str]:
+    """Policy of a flat test; known-theta has none: gamma, else the a2 recipe."""
+    if detector == "known-theta":
+        return None if gamma is not None else "a2"
+    return policy
 
 
-def _scan_gamma(config: ExperimentConfig) -> float:
-    """Count threshold of the flat scan test under the configured policy."""
+def _flat_gamma(config: ExperimentConfig) -> float:
+    """Count threshold of the configured flat test."""
     c = config
-    gamma, _ = det.resolve_flat_threshold(
-        _resolve_policy(c.policy, c.gamma, c.K, c.c_n), c.N, c.tau, K=c.K,
-        kappa=c.kappa)
-    return gamma
-
-
-def _known_theta_gamma(gamma: Optional[float], N: int, K: Optional[int],
-                       tau: float, c_n: Optional[float]) -> float:
-    if gamma is not None:
-        return float(gamma)
-    # Same threshold construction as the scan recipe.
-    gamma, _ = det.resolve_flat_threshold(det.FlatHardA2(c_n=c_n), N, tau, K=K)
-    return gamma
+    return det.resolve_flat_threshold(
+        _flat_policy(c.detector, c.policy, c.gamma), c.N, c.tau, K=c.K,
+        kappa=c.kappa, gamma=c.gamma, c_n=c.c_n)
 
 
 def _make_test(detector: str, flat: bool, *, N: Optional[int],
@@ -259,21 +237,23 @@ def _make_test(detector: str, flat: bool, *, N: Optional[int],
     module at call time, so a tracer that rebinds them sees every call.
     """
     _check_detector_params(detector, flat, subset, tau, kappa, sigma2)
-    if detector == "interval" and flat:
-        threshold = _resolve_policy(policy, gamma, subset, c_n)
-        return lambda sample: det.interval_test_flat(
-            sample, tau, threshold, K=subset, kappa=kappa)
-    if detector == "interval":
-        return lambda sample: det.interval_test_community(sample, subset, tau)
-    if detector == "known-theta":
-        count_gamma = _known_theta_gamma(gamma, N, subset, tau, c_n)
+    if flat:
+        count_gamma = det.resolve_flat_threshold(
+            _flat_policy(detector, policy, gamma), N, tau, K=subset,
+            kappa=kappa, gamma=gamma, c_n=c_n)
+        if detector == "interval":
+            return lambda sample: det.interval_test_flat(sample, tau,
+                                                         count_gamma)
         return lambda sample, phase=theta: det.known_theta_test_flat(
             sample, tau, count_gamma, theta=phase)
+    if detector == "interval":
+        return lambda sample: det.interval_test_community(sample, subset, tau)
     if detector == "coherence":
-        return lambda sample: det.coherence_test(sample, subset, kappa,
-                                                 epsilon=epsilon)
+        beta = det.coherence_threshold(subset, kappa, epsilon)
+        return lambda sample: det.coherence_test(sample, subset, beta)
     if detector == "rayleigh":
-        return lambda sample: det.rayleigh_test(sample, subset, kappa)
+        beta = det.rayleigh_threshold(subset, kappa)
+        return lambda sample: det.rayleigh_test(sample, subset, beta)
     return lambda sample: det.variance_test(sample, subset, sigma2)
 
 
@@ -306,17 +286,16 @@ def _cell_bounds(config: ExperimentConfig) -> dict:
     _check_detector_params(c.detector, c.is_flat, c.subset_label, c.tau,
                            c.kappa, c.sigma2)
     if c.detector == "interval" and c.model == "flat-hard":
-        return th.flat_hard_bounds(c.N, c.K, c.tau, _scan_gamma(c))
+        return th.flat_hard_bounds(c.N, c.K, c.tau, _flat_gamma(c))
     if c.detector == "interval" and c.model == "flat-vm":
         # Without a gamma, flat_vm_bounds evaluates the vm recipe threshold.
-        gamma = None if c.policy == "vm" else _scan_gamma(c)
+        gamma = None if c.policy == "vm" else _flat_gamma(c)
         return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n,
                                  gamma=gamma)
     if c.detector == "known-theta":
         if c.model != "flat-hard":
             return {}
-        return th.known_theta_bounds(
-            c.N, c.K, c.tau, _known_theta_gamma(c.gamma, c.N, c.K, c.tau, c.c_n))
+        return th.known_theta_bounds(c.N, c.K, c.tau, _flat_gamma(c))
     if c.detector == "interval":
         kappa = c.kappa if c.model == "comm-vm" else None
         return th.comm_interval_bounds(c.n, c.k, c.tau, kappa=kappa)
@@ -769,7 +748,12 @@ def parse_config_file(path: str) -> dict:
                 param = key[len("sweep_"):]
                 if param not in _AXIS_PARAMS:
                     raise ConfigError(f"{path}:{lineno}: cannot sweep {param!r}")
-                vals = [float(v.strip()) for v in value.split(",") if v.strip()]
+                try:
+                    vals = [float(v.strip()) for v in value.split(",")
+                            if v.strip()]
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{path}:{lineno}: bad value in {key}: {value!r}") from exc
                 if not vals:
                     raise ConfigError(f"{path}:{lineno}: empty axis")
                 axes.append((param, vals))

@@ -394,8 +394,23 @@ def write_dataset(fh: TextIO, sample: Union[FlatSample, EdgeSample],
         fh.write(body + "\n")
 
 
+def _checked_angles(values) -> np.ndarray:
+    """Angles as an array, rejecting any that is not finite or not in [0, 2pi)."""
+    arr = np.asarray(values, dtype=float)
+    bad = ~((arr >= 0.0) & (arr < TWO_PI))
+    if bad.any():
+        raise DomainError(
+            f"angle {float(arr[bad][0])!r} is not in [0, 2pi); "
+            f"{int(bad.sum())} of {arr.size} angles are out of range")
+    return arr
+
+
 def read_dataset(fh: TextIO) -> tuple:
-    """Read a dataset file; returns (sample, metadata dict)."""
+    """Read a dataset file; returns (sample, metadata dict).
+
+    Every angle must be finite and in [0, 2pi), and a flat ``# N=`` header
+    must match the number of angles; the scan statistics assume both.
+    """
     meta: dict = {}
     flat_angles: list = []
     edges: dict = {}
@@ -416,11 +431,15 @@ def read_dataset(fh: TextIO) -> tuple:
     model = meta.get("model")
     truth = None
     if model == "flat":
+        angles = _checked_angles(flat_angles)
+        if "N" in meta and meta["N"] != str(angles.size):
+            raise ParameterError(
+                f"header says N={meta['N']}, file has {angles.size} angles")
         if "truth_subset" in meta:
             subset = tuple(int(s) for s in meta["truth_subset"].split(",") if s)
             truth = PlantedFlat(subset, float(meta["truth_theta"]))
         sample: Union[FlatSample, EdgeSample] = FlatSample(
-            angles=np.asarray(flat_angles, dtype=float), truth=truth)
+            angles=angles, truth=truth)
     elif model == "community":
         n = int(meta["n"])
         arr = np.empty(n * (n - 1) // 2, dtype=float)
@@ -429,6 +448,7 @@ def read_dataset(fh: TextIO) -> tuple:
                 f"expected {arr.size} edges for n={n}, file has {len(edges)}")
         for (i, j), a in edges.items():
             arr[edge_index(n, i, j)] = a
+        _checked_angles(arr)
         if "truth_subset" in meta:
             community = tuple(int(s) for s in meta["truth_subset"].split(",") if s)
             truth = PlantedCommunity(community, float(meta["truth_theta"]))

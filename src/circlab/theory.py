@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .detectors import default_c_schedule
+from .detectors import default_c_schedule, rayleigh_threshold, resolve_flat_threshold
 from .errors import DomainError, NumericError, ParameterError
 from .specfun import (arc_prob, bessel_i0_scaled, log_bessel_i0, log_ratio_R,
                       mean_resultant, ratio_R)
@@ -141,10 +141,10 @@ def flat_hard_bounds(N: int, K: int, tau: float, gamma: float) -> dict:
 def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
                    c_n: Optional[float] = None,
                    gamma: Optional[float] = None) -> dict:
-    """Von Mises flat interval-test recipe: threshold, feasibility and bounds.
+    """Von Mises flat interval-test recipe: threshold and bounds.
 
-    With the recipe threshold gamma = N tau + g - c_N sqrt(N tau + g), where
-    g = K (p_kappa(tau) - tau), the miss bound is exp(-c_N^2 / 2); an
+    With the ``vm`` recipe threshold gamma = N tau + g - c_N sqrt(N tau + g),
+    where g = K (p_kappa(tau) - tau), the miss bound is exp(-c_N^2 / 2); an
     explicit ``gamma`` gives the general lower-tail form
     exp(-(mu1 - gamma)^2 / (2 mu1)) with mu1 = N tau + g. The false alarm
     side is the same Chernoff bound as the hard-cluster case at this gamma.
@@ -158,7 +158,7 @@ def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
     g = K * (arc_prob(kappa, tau) - tau)
     mean1 = N * tau + g
     if gamma is None:
-        gamma = mean1 - c_n * math.sqrt(mean1)
+        gamma = resolve_flat_threshold("vm", N, tau, K=K, kappa=kappa, c_n=c_n)
         pmiss = BoundValue(math.exp(-c_n * c_n / 2.0))
     else:
         gamma = float(gamma)
@@ -166,10 +166,9 @@ def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
         val = math.exp(-(mean1 - gamma) ** 2 / (2.0 * mean1)) if ok else math.inf
         pmiss = BoundValue(val, applicable=ok,
                            side_conditions={"gamma_below_signal_mean": ok})
-    feasible = gamma >= 1.0 + (N - 1) * tau
     out = {
         "g": BoundValue(g),
-        "gamma": BoundValue(gamma, side_conditions={"feasible": feasible}),
+        "gamma": BoundValue(gamma),
         "pmiss": pmiss,
     }
     out["pfa_chernoff"] = flat_hard_bounds(N, K, tau, gamma)["pfa_chernoff"]
@@ -260,21 +259,19 @@ def comm_coherence_bounds(n: int, k: int, kappa: float, epsilon: float,
     }
 
 
-def rayleigh_bounds(n: int, k: int, kappa: float,
-                    beta: Optional[float] = None) -> dict:
-    """Rayleigh (all-edges phasor sum) test bounds at threshold beta.
+def rayleigh_bounds(n: int, k: int, kappa: float) -> dict:
+    """Rayleigh (all-edges phasor sum) test bounds at threshold beta = mu1/2.
 
-    Default beta = mu1/2 with mu1 = C(k,2) A(kappa). pfa follows from the
-    square-gon tail bound, pmiss from Hoeffding on the projection onto the
-    planted direction (needs beta < mu1); the combined default-threshold
+    mu1 = C(k,2) A(kappa) and beta comes from ``rayleigh_threshold``. pfa
+    follows from the square-gon tail bound, pmiss from Hoeffding on the
+    projection onto the planted direction (needs beta < mu1); the combined
     error is 5 exp(-mu1^2 / (8 N_E)) with N_E = C(n,2).
     """
     if not (2 <= k <= n):
         raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
     n_edges = n * (n - 1) / 2.0
-    mu1 = k * (k - 1) / 2.0 * mean_resultant(kappa)
-    if beta is None:
-        beta = mu1 / 2.0
+    beta = rayleigh_threshold(k, kappa)
+    mu1 = 2.0 * beta
     out = {
         "pfa": BoundValue(min(4.0 * math.exp(-beta * beta / (2.0 * n_edges)), math.inf)),
         "total_default": BoundValue(5.0 * math.exp(-mu1 * mu1 / (8.0 * n_edges))),

@@ -365,7 +365,7 @@ EXPECTED = {
         "witness_subset=none\n")),
     "detect/flat_k_flag": (0, (
         "statistic=12 "
-        "threshold=8 "
+        "threshold=3 "
         "decision=reject "
         "witness_theta=5.0415813822005484 "
         "witness_subset=none\n")),

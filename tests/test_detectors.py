@@ -79,34 +79,36 @@ class TestIntervalTestFlat:
         for seed in range(500):
             s = mod.gen_flat(60, 5, mod.HardCluster(0.02), True,
                              mod.rng_for(seed, 23))
-            rep = det.interval_test_flat(s, 0.02, det.Fixed(value=5.0))
+            rep = det.interval_test_flat(s, 0.02, 5.0)
             assert rep.rejected
 
     def test_unreachable_threshold(self):
         s = mod.gen_flat(30, 3, mod.HardCluster(0.1), True, mod.rng_for(0, 24))
-        rep = det.interval_test_flat(s, 0.1, det.Fixed(value=31.0))
+        rep = det.interval_test_flat(s, 0.1, 31.0)
         assert not rep.rejected
 
     def test_a2_threshold_arithmetic(self):
         n_pts, K, tau, c_n = 100, 10, 0.02, 2.0
-        gamma, conditions = det.resolve_flat_threshold(
-            det.FlatHardA2(c_n=c_n), n_pts, tau, K=K)
+        gamma = det.resolve_flat_threshold("a2", n_pts, tau, K=K, c_n=c_n)
         assert gamma == pytest.approx(90 * 0.02 + 10 - 2.0 * math.sqrt(1.8))
-        assert conditions["feasible"] == (gamma >= 1 + 99 * tau)
 
     def test_vm_threshold_uses_arc_mass(self):
+        from circlab import theory as th
         from circlab.specfun import arc_prob
 
-        gamma, conditions = det.resolve_flat_threshold(
-            det.FlatVM(c_n=1.5), 200, 0.1, K=20, kappa=4.0)
+        gamma = det.resolve_flat_threshold("vm", 200, 0.1, K=20, kappa=4.0,
+                                           c_n=1.5)
         g = 20 * (arc_prob(4.0, 0.1) - 0.1)
         mean1 = 200 * 0.1 + g
         assert gamma == pytest.approx(mean1 - 1.5 * math.sqrt(mean1))
-        assert conditions["g"] == pytest.approx(g)
+        bounds = th.flat_vm_bounds(200, 20, 4.0, 0.1, c_n=1.5)
+        assert bounds["g"].value == pytest.approx(g)
+        assert bounds["gamma"].value == gamma
 
     def test_decision_matches_comparison(self):
         s = mod.FlatSample(np.linspace(0, 6, 12))
-        rep = det.interval_test_flat(s, 0.25, det.Custom(value=3.0))
+        gamma = det.resolve_flat_threshold("custom:3", 12, 0.25)
+        rep = det.interval_test_flat(s, 0.25, gamma)
         assert rep.rejected == (rep.statistic >= rep.threshold)
 
 
@@ -247,16 +249,23 @@ class TestCoherence:
         from circlab.specfun import mean_resultant
 
         s = mod.EdgeSample(6, np.full(15, 1.0))
-        rep = det.coherence_test(s, 6, kappa=1.0, epsilon=0.5)
+        rep = det.coherence_test(s, 6, det.coherence_threshold(6, 1.0, 0.5))
         assert rep.threshold == pytest.approx(15 * 0.875 * mean_resultant(1.0))
         assert rep.rejected  # aligned edges always clear the threshold
 
+    @pytest.mark.parametrize("kappa,epsilon", [
+        (0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, 0.0), (1.0, 1.0)])
+    def test_threshold_domain(self, kappa, epsilon):
+        with pytest.raises(DomainError):
+            det.coherence_threshold(6, kappa, epsilon)
+
     def test_strong_signal_detects(self):
         rejected = 0
+        beta = det.coherence_threshold(6, 20.0, 0.5)
         for seed in range(200):
             s = mod.gen_community(12, 6, mod.VonMises(20.0), True,
                                   mod.rng_for(seed, 36))
-            rep = det.coherence_test(s, 6, kappa=20.0, epsilon=0.5)
+            rep = det.coherence_test(s, 6, beta)
             rejected += rep.rejected
         assert rejected >= 199  # >= 0.99 empirical power
 
@@ -264,18 +273,24 @@ class TestCoherence:
 class TestRayleigh:
     def test_all_aligned(self):
         s = mod.EdgeSample(6, np.zeros(15))
-        rep = det.rayleigh_test(s, 3, kappa=1.0)
+        rep = det.rayleigh_test(s, 3, det.rayleigh_threshold(3, 1.0))
         assert rep.statistic == pytest.approx(15.0)
         assert rep.witness_theta == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("kappa", [-1.0, math.inf, math.nan])
+    def test_threshold_domain(self, kappa):
+        with pytest.raises(DomainError):
+            det.rayleigh_threshold(3, kappa)
 
     def test_null_second_moment(self):
         n = 20
         trials = 10_000
         total = 0.0
+        beta = det.rayleigh_threshold(2, 1.0)
         for t in range(trials):
             s = mod.gen_community(n, 2, mod.VonMises(1.0), False,
                                   mod.rng_for(t, 37))
-            total += det.rayleigh_test(s, 2, 1.0).statistic ** 2
+            total += det.rayleigh_test(s, 2, beta).statistic ** 2
         m_edges = n * (n - 1) / 2
         assert total / trials == pytest.approx(m_edges, rel=0.05)
 
@@ -284,13 +299,14 @@ class TestRayleigh:
         errs = []
         for k in (3, 8, 16):
             rej0 = rej1 = 0
+            beta = det.rayleigh_threshold(k, 8.0)
             for t in range(150):
                 s0 = mod.gen_community(16, k, mod.VonMises(8.0), False,
                                        mod.rng_for(t, 38 + k))
-                rej0 += det.rayleigh_test(s0, k, 8.0).rejected
+                rej0 += det.rayleigh_test(s0, k, beta).rejected
                 s1 = mod.gen_community(16, k, mod.VonMises(8.0), True,
                                        mod.rng_for(t, 380 + k))
-                rej1 += det.rayleigh_test(s1, k, 8.0).rejected
+                rej1 += det.rayleigh_test(s1, k, beta).rejected
             errs.append(rej0 / 150 + 1 - rej1 / 150)
         assert errs[2] < errs[1] < errs[0] + 0.2
         assert errs[2] <= 0.1 and errs[0] >= 0.8

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlab import cli, detectors as det, lab, models as mod, theory as th
+from circlab import cli, detectors as det, lab, models as mod, specfun as sf
+from circlab import theory as th
 from circlab.errors import CapabilityError, ConfigError
 from circlab.lab import ExperimentConfig
 
@@ -67,6 +68,42 @@ class TestEstimateErrors:
                                N=30, K=3, trials=5, seed=0)
         with pytest.raises(ConfigError):
             lab.estimate_errors(cfg)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count the calls of ``fn`` through every circlab module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (sf, det, th, lab, mod):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestThresholdsResolvedOncePerCell:
+    @pytest.mark.parametrize("fn_name,params", [
+        ("mean_resultant", dict(model="comm-vm", detector="rayleigh",
+                                n=8, k=4, kappa=2.0)),
+        ("mean_resultant", dict(model="comm-vm", detector="coherence",
+                                n=8, k=4, kappa=2.0)),
+        ("arc_prob", dict(model="flat-vm", detector="interval", N=40, K=8,
+                          kappa=5.0, tau=0.2, policy="vm")),
+    ], ids=["rayleigh", "coherence", "flat-vm"])
+    def test_calls_do_not_grow_with_trials(self, monkeypatch, fn_name, params):
+        counts = []
+        for trials in (4, 64):
+            with monkeypatch.context() as m:
+                calls = _count_calls(m, getattr(sf, fn_name))
+                point = lab.estimate_errors(
+                    ExperimentConfig(trials=trials, seed=3, **params))
+            assert point.failed is None
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSweep:
@@ -229,6 +266,21 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             lab.parse_config_file(str(p))
 
+    def test_bad_axis_value(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("sweep_tau = 0.1, abc\n")
+        with pytest.raises(ConfigError):
+            lab.parse_config_file(str(p))
+
+    def test_bad_policy_threshold_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("model = flat-hard\ndetector = interval\n"
+                     "policy = fixed:abc\nN = 30\nK = 3\ntau = 0.1\n"
+                     "trials = 5\n")
+        assert cli.main(["sweep", "--config", str(p), "--threads", "1",
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        assert "fixed:abc" in capsys.readouterr().err
+
 
 class TestVerifyDispatch:
     def test_unknown_suite(self):
@@ -346,8 +398,14 @@ class TestCLIDispatch:
         capsys.readouterr()
         assert cli.main(["detect", "--data", flat_file, "--test",
                          "known-theta", "--tau", "0.02"]) == 0
-        gamma, _ = det.resolve_flat_threshold(det.FlatHardA2(), 200, 0.02, K=8)
+        gamma = det.resolve_flat_threshold("a2", 200, 0.02, K=8)
         assert f" threshold={gamma:.17g} " in capsys.readouterr().out
+
+    def test_detect_bad_policy_threshold_is_usage_error(self, flat_file,
+                                                        capsys):
+        assert cli.main(["detect", "--data", flat_file, "--test", "interval",
+                         "--tau", "0.02", "--policy", "fixed:abc"]) == 2
+        assert "fixed:abc" in capsys.readouterr().err
 
     def test_detect_edge_detector_on_flat_data_is_usage_error(self, flat_file):
         assert cli.main(["detect", "--data", flat_file, "--test", "rayleigh",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from circlab import models as mod
-from circlab.errors import ParameterError
+from circlab.errors import DomainError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,3 +259,23 @@ class TestDatasetIO:
         back, meta = mod.read_dataset(io.StringIO(text))
         assert np.array_equal(back.edge_angles, s.edge_angles)
         assert back.truth == s.truth
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5",
+                                     "6.2831853071795862", "7"])
+    def test_flat_angle_outside_circle_rejected(self, bad):
+        text = f"# model=flat\n# N=3\n0.5\n{bad}\n1\n"
+        with pytest.raises(DomainError):
+            mod.read_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1e-9",
+                                     "6.2831853071795862"])
+    def test_edge_angle_outside_circle_rejected(self, bad):
+        text = f"# model=community\n# n=3\n0,1,0.5\n0,2,{bad}\n1,2,1\n"
+        with pytest.raises(DomainError):
+            mod.read_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("header", ["2", "4", "abc"])
+    def test_flat_count_header_mismatch_rejected(self, header):
+        text = f"# model=flat\n# N={header}\n0.5\n1\n2\n"
+        with pytest.raises(ParameterError):
+            mod.read_dataset(io.StringIO(text))
