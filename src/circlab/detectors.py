@@ -193,7 +193,9 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     doubled = np.concatenate([xs, xs + TWO_PI])
     counts = np.searchsorted(doubled, xs + TWO_PI * tau, side="right") - np.arange(n)
     best = int(np.argmax(counts))
-    return int(counts[best]), float(xs[best])
+    # For tau just below 1, x + 2 pi tau can round up to x + 2 pi and reach
+    # the anchor's own copy: that window holds every point, once.
+    return min(int(counts[best]), n), float(xs[best])
 
 
 def interval_test_flat(sample: FlatSample, tau: float, gamma: float) -> TestReport:
@@ -360,17 +362,33 @@ def revolving_door_subsets(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in revolving-door order, shape (C(n,k), k).
 
     Consecutive rows differ by exactly one element swapped, and the first
-    optimizer reported by the subset scans refers to this row order.
+    optimizer reported by the subset scans refers to this row order. The
+    order is R(n, k) = R(n-1, k), then reversed R(n-1, k-1) with n-1 appended
+    (Knuth, TAOCP 7.2.1.3); each (n, k) block is built once per call.
     """
-    def rec(nn: int, kk: int) -> list:
-        if kk == 0:
-            return [()]
-        if kk == nn:
-            return [tuple(range(nn))]
-        return rec(nn - 1, kk) + [s + (nn - 1,) for s in reversed(rec(nn - 1, kk - 1))]
+    n, k = int(n), int(k)
+    if not (0 <= k <= n):
+        raise ParameterError(f"need 0 <= k <= n, got n={n}, k={k}")
+    blocks: dict = {}
 
-    subs = rec(int(n), int(k))
-    return np.asarray(subs, dtype=np.int32)
+    def rec(nn: int, kk: int) -> np.ndarray:
+        block = blocks.get((nn, kk))
+        if block is not None:
+            return block
+        if kk == 0:
+            block = np.zeros((1, 0), dtype=np.int32)
+        elif kk == nn:
+            block = np.arange(nn, dtype=np.int32)[None, :]
+        else:
+            head, tail = rec(nn - 1, kk), rec(nn - 1, kk - 1)[::-1]
+            block = np.empty((head.shape[0] + tail.shape[0], kk), dtype=np.int32)
+            block[:head.shape[0]] = head
+            block[head.shape[0]:, :-1] = tail
+            block[head.shape[0]:, -1] = nn - 1
+        blocks[(nn, kk)] = block
+        return block
+
+    return rec(n, k)
 
 
 @lru_cache(maxsize=8)

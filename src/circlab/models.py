@@ -405,11 +405,28 @@ def _checked_angles(values) -> np.ndarray:
     return arr
 
 
+def _parsed(typ, text: str, what: str):
+    """``typ(text)``, or ParameterError naming the field that failed."""
+    try:
+        return typ(text)
+    except ValueError:
+        raise ParameterError(
+            f"{what} must be {'an integer' if typ is int else 'a number'}, "
+            f"got {text!r}") from None
+
+
+def _header(meta: dict, key: str, typ):
+    if key not in meta:
+        raise ParameterError(f"dataset has no '# {key}=' header")
+    return _parsed(typ, meta[key], f"header {key}")
+
+
 def read_dataset(fh: TextIO) -> tuple:
     """Read a dataset file; returns (sample, metadata dict).
 
     Every angle must be finite and in [0, 2pi), and a flat ``# N=`` header
-    must match the number of angles; the scan statistics assume both.
+    must match the number of angles; the scan statistics assume both. A
+    malformed number anywhere (body, size headers, truth) is ParameterError.
     """
     meta: dict = {}
     flat_angles: list = []
@@ -423,25 +440,35 @@ def read_dataset(fh: TextIO) -> tuple:
             key, _, value = body.partition("=")
             meta[key.strip()] = value.strip()
             continue
-        if "," in line:
-            si, sj, sa = line.split(",")
-            edges[(int(si), int(sj))] = float(sa)
-        else:
-            flat_angles.append(float(line))
+        try:
+            if "," in line:
+                si, sj, sa = line.split(",")
+                edges[(int(si), int(sj))] = float(sa)
+            else:
+                flat_angles.append(float(line))
+        except ValueError:
+            raise ParameterError(
+                f"data line {line!r} is not an angle or i,j,angle") from None
     model = meta.get("model")
-    truth = None
+    if model not in ("flat", "community"):
+        raise ParameterError(f"dataset has unknown model {model!r}")
+    size_key = "K" if model == "flat" else "k"
+    if size_key in meta:  # the subset size that ``detect`` reads with int()
+        _header(meta, size_key, int)
+    truth = None  # (members, theta) until the model picks the class
+    if "truth_subset" in meta:
+        truth = (tuple(_parsed(int, s, "truth_subset entry")
+                       for s in meta["truth_subset"].split(",") if s),
+                 _header(meta, "truth_theta", float))
     if model == "flat":
         angles = _checked_angles(flat_angles)
         if "N" in meta and meta["N"] != str(angles.size):
             raise ParameterError(
                 f"header says N={meta['N']}, file has {angles.size} angles")
-        if "truth_subset" in meta:
-            subset = tuple(int(s) for s in meta["truth_subset"].split(",") if s)
-            truth = PlantedFlat(subset, float(meta["truth_theta"]))
         sample: Union[FlatSample, EdgeSample] = FlatSample(
-            angles=angles, truth=truth)
-    elif model == "community":
-        n = int(meta["n"])
+            angles=angles, truth=truth and PlantedFlat(*truth))
+    else:
+        n = _header(meta, "n", int)
         arr = np.empty(n * (n - 1) // 2, dtype=float)
         if len(edges) != arr.size:
             raise ParameterError(
@@ -449,10 +476,6 @@ def read_dataset(fh: TextIO) -> tuple:
         for (i, j), a in edges.items():
             arr[edge_index(n, i, j)] = a
         _checked_angles(arr)
-        if "truth_subset" in meta:
-            community = tuple(int(s) for s in meta["truth_subset"].split(",") if s)
-            truth = PlantedCommunity(community, float(meta["truth_theta"]))
-        sample = EdgeSample(n=n, edge_angles=arr, truth=truth)
-    else:
-        raise ParameterError(f"dataset has unknown model {model!r}")
+        sample = EdgeSample(n=n, edge_angles=arr,
+                            truth=truth and PlantedCommunity(*truth))
     return sample, meta

@@ -26,6 +26,22 @@ def brute_interval_stat(angles, tau):
     return best, arg
 
 
+def in_closed_window(y, a, w):
+    """y in the closed window [a, a + w], unrolled past 2 pi, in float
+    arithmetic: the comparisons the scans make on the doubled sorted angles."""
+    return y <= a + w if y >= a else y + TWO_PI <= a + w
+
+
+# Canonical angles in [0, 2 pi), with a pool of repeated and boundary values
+# so that ties, zero and the top of the range are drawn often.
+canonical_angles = st.one_of(
+    st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+    st.sampled_from([0.0, 5e-324, 1.0, math.pi, float(np.nextafter(TWO_PI, 0.0))]))
+window_fractions = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.sampled_from([1.0, float(np.nextafter(1.0, 0.0)), 0.5, 5e-324]))
+
+
 class TestIntervalStatFlat:
     def test_worked_example(self):
         s = mod.FlatSample(np.array([0.1, 0.2, 3.0]))
@@ -56,6 +72,21 @@ class TestIntervalStatFlat:
         got, _ = det.interval_stat_flat(mod.FlatSample(angles), tau)
         want, _ = brute_interval_stat(angles, tau)
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(canonical_angles, min_size=1, max_size=40), window_fractions)
+    def test_arbitrary_canonical_input(self, angles, tau):
+        w = TWO_PI * tau
+        counts = {a: sum(in_closed_window(y, a, w) for y in angles)
+                  for a in angles}
+        got, witness = det.interval_stat_flat(mod.FlatSample(np.array(angles)), tau)
+        assert got == max(counts.values())
+        assert counts[witness] == got
+
+    def test_count_never_exceeds_points(self):
+        # x + 2 pi tau rounds to x + 2 pi here; the scan counted 4 of 3 points
+        s = mod.FlatSample(np.array([0.5, 2.0, 6.0]))
+        assert det.interval_stat_flat(s, float(np.nextafter(1.0, 0.0)))[0] == 3
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-10, max_value=10),
@@ -192,6 +223,28 @@ class TestIntervalCommunity:
                               mod.rng_for(seed, 29))
         found, _, _ = det.interval_stat_community(s, 3, tau)
         assert found == brute_community_found(s, 3, tau)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=3, max_value=6).flatmap(
+               lambda n: st.tuples(
+                   st.just(n), st.integers(min_value=2, max_value=n),
+                   st.lists(canonical_angles, min_size=n * (n - 1) // 2,
+                            max_size=n * (n - 1) // 2))),
+           window_fractions)
+    def test_arbitrary_canonical_input(self, case, tau):
+        n, k, angles = case
+        s = mod.EdgeSample(n, np.array(angles))
+        w = TWO_PI * tau
+
+        def fits(vertices, anchor):
+            return all(in_closed_window(s.angle(i, j), anchor, w)
+                       for i, j in combinations(vertices, 2))
+
+        found, theta, subset = det.interval_stat_community(s, k, tau)
+        assert found == any(fits(c, a) for a in angles
+                            for c in combinations(range(n), k))
+        if found:
+            assert len(set(subset)) == k and fits(subset, theta)
 
     def test_monotone_in_tau(self):
         s = mod.gen_community(9, 3, mod.VonMises(3.0), True, mod.rng_for(5, 30))
@@ -373,7 +426,33 @@ class TestVariance:
         assert det.sigma2_from_coherence_eps(4, 0.5) == pytest.approx(2 * 0.5 / 5)
 
 
+def tuple_revolving_door(n, k):
+    """The tuple recursion R(n, k) = R(n-1, k) + reversed R(n-1, k-1) x {n-1}."""
+    def rec(nn, kk):
+        if kk == 0:
+            return [()]
+        if kk == nn:
+            return [tuple(range(nn))]
+        return rec(nn - 1, kk) + [s + (nn - 1,) for s in reversed(rec(nn - 1, kk - 1))]
+    return np.asarray(rec(n, k), dtype=np.int32)
+
+
 class TestRevolvingDoor:
+    @pytest.mark.parametrize("n,k", [(1, 1), (6, 1), (4, 0), (7, 7), (9, 8),
+                                     (6, 3), (9, 4), (12, 5), (13, 6), (16, 3)])
+    def test_equals_tuple_recursion(self, n, k):
+        subs = det.revolving_door_subsets(n, k)
+        want = tuple_revolving_door(n, k)
+        assert subs.dtype == want.dtype and subs.shape == want.shape
+        assert np.array_equal(subs, want)
+        for a, b in zip(subs[:-1].tolist(), subs[1:].tolist()):
+            assert len(set(a) ^ set(b)) == 2  # one element out, one in
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (3, -1)])
+    def test_bad_size_rejected(self, n, k):
+        with pytest.raises(ParameterError):
+            det.revolving_door_subsets(n, k)
+
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (8, 4), (10, 5)])
     def test_minimal_change_and_complete(self, n, k):
         subs = det.revolving_door_subsets(n, k)

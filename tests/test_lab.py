@@ -193,6 +193,35 @@ class TestEmpiricalSecondMoment:
         est, se = lab.empirical_second_moment(model, params, 8000, seed=2)
         assert abs(est - exact) <= 4 * se
 
+    @pytest.mark.parametrize("model,params,trials", [
+        ("flat-vm", {"N": 12, "K": 4, "kappa": 2.0}, 130),
+        ("flat-vm", {"N": 22, "K": 20, "kappa": 0.7}, 130),
+        ("flat-vm", {"N": 60, "K": 3, "kappa": 12.0}, 5),
+        ("comm-vm", {"n": 10, "k": 3, "kappa": 0.5}, 130),
+        ("comm-vm", {"n": 8, "k": 5, "kappa": 1.5}, 64),
+        ("comm-vm", {"n": 7, "k": 7, "kappa": 0.3}, 1),
+    ])
+    def test_chunked_draws_equal_per_trial_loop(self, model, params, trials):
+        """The chunked von Mises draws give the per-trial loop's bits."""
+        if model == "flat-vm":
+            size = params["N"]
+            table = det.revolving_door_subsets(params["N"], params["K"])
+        else:
+            size = params["n"] * (params["n"] - 1) // 2
+            table = det.subset_edge_table(params["n"], params["k"])
+        kappa = params["kappa"]
+        rng = mod.rng_for(7, lab._STREAM_SECOND_MOMENT)
+        log_i0_k = sf.log_bessel_i0(kappa)
+        lsq = np.empty(trials)
+        for t in range(trials):
+            z = np.exp(1j * rng.random(size) * mod.TWO_PI)
+            r = np.abs(z[table].sum(axis=1))
+            lsq[t] = np.exp(sf._log_i0(kappa * r)
+                            - table.shape[1] * log_i0_k).mean() ** 2
+        se = lsq.std(ddof=1) / math.sqrt(trials) if trials > 1 else math.inf
+        assert lab.empirical_second_moment(model, params, trials, seed=7) == \
+            (float(lsq.mean()), float(se))
+
 
 class TestPhaseDiagram:
     def test_boundary_contains_recipe_curve(self, tmp_path):
@@ -339,6 +368,14 @@ class TestCLI:
                     "--kappa", "1", "--k", "17")
         assert r.returncode == 3
 
+    def test_python_m_circlab_runs_the_cli(self):
+        args = ("classify", "--model", "comm-vm", "--n", "16", "--k", "8",
+                "--kappa", "2.0")
+        r = subprocess.run([sys.executable, "-m", "circlab", *args],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == run_cli(*args).stdout
+
     def test_classify_output(self):
         r = run_cli("classify", "--model", "comm-vm", "--n", "16", "--k", "8",
                     "--kappa", "2.0")
@@ -406,6 +443,32 @@ class TestCLIDispatch:
         assert cli.main(["detect", "--data", flat_file, "--test", "interval",
                          "--tau", "0.02", "--policy", "fixed:abc"]) == 2
         assert "fixed:abc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("# K=8\n", "# K=x\n"),
+        ("# N=200\n", "# N=200\nabc\n"),
+    ])
+    def test_detect_malformed_flat_number_is_typed_error(self, flat_file, old,
+                                                         new, capsys):
+        text = open(flat_file).read()
+        assert old in text
+        with open(flat_file, "w") as fh:
+            fh.write(text.replace(old, new))
+        assert cli.main(["detect", "--data", flat_file, "--test", "interval",
+                         "--tau", "0.02"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_detect_malformed_community_size_is_typed_error(self, tmp_path,
+                                                            capsys):
+        path = str(tmp_path / "comm.txt")
+        assert cli.main(["gen", "--model", "comm-hard", "--n", "6", "--k", "3",
+                         "--tau", "0.1", "--seed", "3", "--out", path]) == 0
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(text.replace("# n=6\n", "# n=x\n"))
+        assert cli.main(["detect", "--data", path, "--test", "interval",
+                         "--tau", "0.1"]) == 1
+        assert "header n must be an integer" in capsys.readouterr().err
 
     def test_detect_edge_detector_on_flat_data_is_usage_error(self, flat_file):
         assert cli.main(["detect", "--data", flat_file, "--test", "rayleigh",

@@ -274,6 +274,29 @@ class TestDatasetIO:
         with pytest.raises(DomainError):
             mod.read_dataset(io.StringIO(text))
 
+    @pytest.mark.parametrize("text", [
+        "# model=flat\n# K=x\n0.5\n1\n",
+        "# model=flat\n0.5\nabc\n",
+        "# model=flat\n# truth_subset=0,x\n# truth_theta=0.5\n0.5\n1\n",
+        "# model=flat\n# truth_subset=0\n# truth_theta=abc\n0.5\n1\n",
+        "# model=flat\n# truth_subset=0\n0.5\n1\n",
+        "# model=community\n# n=x\n0,1,0.5\n0,2,1\n1,2,2\n",
+        "# model=community\n0,1,0.5\n0,2,1\n1,2,2\n",
+        "# model=community\n# n=3\n# k=2.5\n0,1,0.5\n0,2,1\n1,2,2\n",
+        "# model=community\n# n=3\n0,1,0.5\n0,x,1\n1,2,2\n",
+        "# model=community\n# n=3\n0,1,0.5\n0,2,abc\n1,2,2\n",
+        "# model=community\n# n=3\n0,1,0.5\n0,2\n1,2,2\n",
+        "# model=community\n# n=3\n0,1,0.5,1\n0,2,1\n1,2,2\n",
+        "# model=community\n# n=3\n# truth_subset=0,1.5\n# truth_theta=0\n"
+        "0,1,0.5\n0,2,1\n1,2,2\n",
+    ], ids=["flat-K", "flat-body", "flat-truth-subset", "flat-truth-theta",
+            "flat-truth-theta-missing", "comm-n", "comm-n-missing", "comm-k",
+            "comm-vertex", "comm-angle", "comm-two-fields", "comm-four-fields",
+            "comm-truth-subset"])
+    def test_malformed_number_rejected(self, text):
+        with pytest.raises(ParameterError):
+            mod.read_dataset(io.StringIO(text))
+
     @pytest.mark.parametrize("header", ["2", "4", "abc"])
     def test_flat_count_header_mismatch_rejected(self, header):
         text = f"# model=flat\n# N={header}\n0.5\n1\n2\n"

@@ -94,6 +94,60 @@ class TestCrossover:
         assert np.max(np.abs(a / b - 1.0)) < 1e-6
 
 
+def _array_scaled(series, asymptotic, xs):
+    """The array dispatch of e^{-x} I_nu(x) between the two branch oracles."""
+    out = np.empty_like(xs)
+    small = xs <= sf.SERIES_ASYMPTOTIC_SWITCH
+    out[small] = series(xs[small])
+    out[~small] = asymptotic(xs[~small])
+    return out
+
+
+class TestScalarPath:
+    """The float entry points equal the array loops to the last bit."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(20260)
+        special = [0.0, 5e-324, 1e-300, 27.391328053106932, 30.0,
+                   np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0), 700.0,
+                   713.0, 5000.0]
+        return np.concatenate([rng.uniform(0.0, 60.0, 6000),
+                               rng.uniform(60.0, 5000.0, 2000), special])
+
+    def test_log_i0_matches_array_path(self, grid):
+        want = sf._log_i0(grid)
+        got = np.array([sf.log_bessel_i0(x) for x in grid.tolist()])
+        assert np.array_equal(got, want)
+
+    def test_scaled_bessel_match_array_path(self, grid):
+        i0e = _array_scaled(sf._i0_series_scaled, sf._i0_asymptotic_scaled, grid)
+        i1e = _array_scaled(sf._i1_series_scaled, sf._i1_asymptotic_scaled, grid)
+        xs = grid.tolist()
+        assert np.array_equal([sf.bessel_i0_scaled(x) for x in xs], i0e)
+        assert np.array_equal([sf.bessel_i1_scaled(x) for x in xs], i1e)
+        pos = grid > 0.0
+        assert np.array_equal([sf.mean_resultant(x) for x in grid[pos].tolist()],
+                              i1e[pos] / i0e[pos])
+
+    def test_ratios_match_array_path(self, grid):
+        kappa = grid[grid <= 2000.0]
+        want = sf._log_i0(2.0 * kappa) - 2.0 * sf._log_i0(kappa)
+        assert np.array_equal([sf.log_ratio_R(k) for k in kappa.tolist()], want)
+        pairs = list(zip(kappa.tolist(), np.random.default_rng(20261).uniform(
+            -7.0, 7.0, kappa.size).tolist()))
+        arg = np.array([2.0 * k * abs(math.cos(t)) for k, t in pairs])
+        want = sf._log_i0(arg) - 2.0 * sf._log_i0(kappa)
+        assert np.array_equal([sf.log_rho(k, t) for k, t in pairs], want)
+
+    def test_returns_python_floats(self):
+        for fn in (sf.log_bessel_i0, sf.bessel_i0, sf.bessel_i0_scaled,
+                   sf.bessel_i1, sf.bessel_i1_scaled, sf.mean_resultant,
+                   sf.log_ratio_R, sf.ratio_R):
+            for x in (0.0, 3.0, 45.0):
+                assert type(fn(x)) is float
+
+
 class TestMeanResultant:
     def test_at_zero(self):
         assert sf.mean_resultant(0.0) == 0.0
