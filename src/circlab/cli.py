@@ -147,7 +147,7 @@ def _cmd_bounds(args) -> int:
         policy="vm" if args.model == "flat-vm" and args.gamma is None else None)
     bounds = lab._cell_bounds(config)
     if config.model == "flat-hard" and config.detector == "interval":
-        print(f"gamma={lab._flat_gamma(config):.17g}")
+        print(f"gamma={lab._config_gamma(config):.17g}")
     for name, bound in bounds.items():
         _print_bound("", name, bound)
     try:

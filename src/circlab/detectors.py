@@ -32,8 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DomainError, ParameterError
-from .models import TWO_PI, EdgeSample, FlatSample, canonical_angle, edge_pairs
-from .specfun import arc_prob, mean_resultant
+from .models import (EdgeSample, FlatSample, canonical_angle, edge_pairs,
+                     edge_position)
+from .specfun import TWO_PI, arc_prob, mean_resultant
 
 __all__ = [
     "Decision",
@@ -80,7 +81,6 @@ class TestReport:
 
     statistic: float
     threshold: float
-    decision: Decision
     comparison: str = "ge"
     witness_theta: Optional[float] = None
     witness_subset: Optional[tuple] = None
@@ -88,17 +88,15 @@ class TestReport:
 
     @property
     def rejected(self) -> bool:
-        return self.decision is Decision.REJECT_H0
+        if self.comparison == "ge":
+            return self.statistic >= self.threshold
+        if self.comparison == "le":
+            return self.statistic <= self.threshold
+        raise ParameterError(f"unknown comparison {self.comparison!r}")
 
-
-def _decide(statistic: float, threshold: float, comparison: str) -> Decision:
-    if comparison == "ge":
-        ok = statistic >= threshold
-    elif comparison == "le":
-        ok = statistic <= threshold
-    else:
-        raise ParameterError(f"unknown comparison {comparison!r}")
-    return Decision.REJECT_H0 if ok else Decision.RETAIN_H0
+    @property
+    def decision(self) -> Decision:
+        return Decision.REJECT_H0 if self.rejected else Decision.RETAIN_H0
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +109,13 @@ def default_c_schedule(N: int) -> float:
     return math.log(N) ** 0.25
 
 
+def _finite(value, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
                            K: Optional[int] = None,
                            kappa: Optional[float] = None,
@@ -121,10 +126,11 @@ def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
     ``a1``: K, the planted count. ``a2``: (N-K) tau + K - c_N sqrt((N-K) tau).
     ``vm``: N tau + g - c_N sqrt(N tau + g) with g = K (p_kappa(tau) - tau).
     ``fixed:<v>`` and ``custom:<v>``: v. No policy means ``gamma`` when it
-    is given, else ``a1``; c_n None uses ``default_c_schedule(N)``.
+    is given, else ``a1``; c_n None uses ``default_c_schedule(N)``. A
+    non-finite ``gamma``, ``v`` or ``c_n`` is a ConfigError.
     """
     if policy is None and gamma is not None:
-        return float(gamma)
+        return _finite(gamma, "gamma")
     if policy is None or policy == "a1":
         if K is None:
             raise ConfigError("policy a1 needs K")
@@ -132,16 +138,16 @@ def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
     if policy.startswith(("fixed:", "custom:")):
         value = policy.split(":", 1)[1]
         try:
-            return float(value)
+            threshold = float(value)
         except ValueError as exc:
             raise ConfigError(
                 f"policy {policy!r}: bad threshold {value!r}") from exc
+        return _finite(threshold, f"policy {policy!r} threshold")
     if policy not in ("a2", "vm"):
         raise ConfigError(f"unknown policy {policy!r}")
     if K is None:
         raise ParameterError(f"policy {policy} needs K")
-    if c_n is None:
-        c_n = default_c_schedule(N)
+    c_n = default_c_schedule(N) if c_n is None else _finite(c_n, "c_n")
     if policy == "a2":
         base = (N - K) * tau
         return float(base + K - c_n * math.sqrt(base))
@@ -203,9 +209,7 @@ def interval_test_flat(sample: FlatSample, tau: float, gamma: float) -> TestRepo
     stat, witness = interval_stat_flat(sample, tau)
     return TestReport(
         statistic=float(stat), threshold=float(gamma),
-        decision=_decide(stat, gamma, "ge"), comparison="ge",
-        witness_theta=witness, witness_subset=None,
-        work_counter=sample.n_points)
+        witness_theta=witness, work_counter=sample.n_points)
 
 
 def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
@@ -217,8 +221,11 @@ def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
     """
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     x = np.asarray(sample.angles, dtype=float)
-    a = canonical_angle(float(theta))
+    a = canonical_angle(theta)
     if tau == 1.0:
         count = x.size
     else:
@@ -229,7 +236,6 @@ def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
             count = int(np.count_nonzero(x >= a) + np.count_nonzero(x <= b - TWO_PI))
     return TestReport(
         statistic=float(count), threshold=float(gamma),
-        decision=_decide(count, gamma, "ge"), comparison="ge",
         witness_theta=a, work_counter=1)
 
 
@@ -347,7 +353,6 @@ def interval_test_community(sample: EdgeSample, k: int, tau: float) -> TestRepor
     stat = 1.0 if found else 0.0
     return TestReport(
         statistic=stat, threshold=1.0,
-        decision=_decide(stat, 1.0, "ge"), comparison="ge",
         witness_theta=theta, witness_subset=subset,
         work_counter=sample.n_edges)
 
@@ -396,17 +401,39 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
     """Edge indices of E(C) for every k-subset C, shape (C(n,k), C(k,2))."""
     subs = revolving_door_subsets(n, k)
     a_idx, b_idx = np.triu_indices(k, k=1)
-    va = subs[:, a_idx].astype(np.int64)
-    vb = subs[:, b_idx].astype(np.int64)
-    return (va * n - va * (va + 1) // 2 + (vb - va - 1)).astype(np.int32)
+    # The gathers are column-major, and that layout fixes numpy's summation
+    # order in every scan over the table: keep it.
+    return edge_position(n, subs[:, a_idx].astype(np.int64),
+                         subs[:, b_idx].astype(np.int64)).astype(np.int32)
 
 
-def _check_subset_budget(n: int, k: int, budget: int) -> None:
+def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
+                 maximize: bool) -> tuple[float, tuple]:
+    """Exact optimum over k-subsets C of ``row_values`` on the rows of E(C).
+
+    ``row_values`` maps a block of ``subset_edge_table`` rows to one value per
+    row. Returns (optimum, first optimizer in revolving-door order); raises
+    CapabilityError before any work when the scan exceeds ``budget``
+    subset-edge operations.
+    """
+    n = sample.n
     total = math.comb(n, k) * math.comb(k, 2)
     if total > budget:
         raise CapabilityError(
             f"exact subset scan needs {total:.3g} subset-edge operations, "
             f"budget is {budget:.3g}")
+    table = subset_edge_table(n, k)
+    pick = np.argmax if maximize else np.argmin
+    best_val = -math.inf if maximize else math.inf
+    best_row = 0
+    for lo in range(0, table.shape[0], _CHUNK_ROWS):
+        vals = row_values(table[lo:lo + _CHUNK_ROWS])
+        row = int(pick(vals))
+        if (vals[row] > best_val) if maximize else (vals[row] < best_val):
+            best_val = float(vals[row])
+            best_row = lo + row
+    subs = revolving_door_subsets(n, k)
+    return best_val, tuple(int(v) for v in subs[best_row])
 
 
 def coherence_stat(sample: EdgeSample, k: int,
@@ -415,24 +442,12 @@ def coherence_stat(sample: EdgeSample, k: int,
 
     Returns (maximum, first argmax subset in revolving-door order).
     """
-    n = sample.n
     k = int(k)
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
-    _check_subset_budget(n, k, budget)
+    if not (2 <= k <= sample.n):
+        raise ParameterError(f"need 2 <= k <= n, got k={k}, n={sample.n}")
     z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
-    table = subset_edge_table(n, k)
-    best_val = -1.0
-    best_row = 0
-    for lo in range(0, table.shape[0], _CHUNK_ROWS):
-        chunk = table[lo:lo + _CHUNK_ROWS]
-        vals = np.abs(z[chunk].sum(axis=1))
-        row = int(np.argmax(vals))
-        if vals[row] > best_val:
-            best_val = float(vals[row])
-            best_row = lo + row
-    subs = revolving_door_subsets(n, k)
-    return best_val, tuple(int(v) for v in subs[best_row])
+    return _best_subset(sample, k, budget,
+                        lambda rows: np.abs(z[rows].sum(axis=1)), maximize=True)
 
 
 def coherence_test(sample: EdgeSample, k: int, beta: float,
@@ -441,7 +456,6 @@ def coherence_test(sample: EdgeSample, k: int, beta: float,
     value, subset = coherence_stat(sample, k, budget=budget)
     return TestReport(
         statistic=value, threshold=float(beta),
-        decision=_decide(value, beta, "ge"), comparison="ge",
         witness_subset=subset, work_counter=math.comb(sample.n, k))
 
 
@@ -457,7 +471,6 @@ def rayleigh_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
     stat = abs(s)
     return TestReport(
         statistic=stat, threshold=float(beta),
-        decision=_decide(stat, beta, "ge"), comparison="ge",
         witness_theta=canonical_angle(math.atan2(s.imag, s.real)),
         work_counter=sample.n_edges)
 
@@ -472,19 +485,16 @@ def variance_stat(sample: EdgeSample, k: int,
     mean-squared deviation evaluated in O(1) from prefix sums; the best cut
     realizes the circular optimum.
     """
-    n = sample.n
     k = int(k)
-    if not (3 <= k <= n):
-        raise ParameterError(f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
-    _check_subset_budget(n, k, budget)
+    if not (3 <= k <= sample.n):
+        raise ParameterError(
+            f"variance scan needs 3 <= k <= n, got k={k}, n={sample.n}")
     x = np.asarray(sample.edge_angles, dtype=float)
-    table = subset_edge_table(n, k)
-    m = table.shape[1]
-    best_val = math.inf
-    best_row = 0
+    m = k * (k - 1) // 2
     cuts = np.arange(m)
-    for lo in range(0, table.shape[0], _CHUNK_ROWS):
-        vals = np.sort(x[table[lo:lo + _CHUNK_ROWS]], axis=1)
+
+    def row_variances(rows: np.ndarray) -> np.ndarray:
+        vals = np.sort(x[rows], axis=1)
         s1 = vals.sum(axis=1, keepdims=True)
         s2 = (vals * vals).sum(axis=1, keepdims=True)
         prefix = np.concatenate(
@@ -492,13 +502,9 @@ def variance_stat(sample: EdgeSample, k: int,
         sum_y = s1 + TWO_PI * cuts
         sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
         ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
-        v = ss.min(axis=1) / (m - 1)
-        row = int(np.argmin(v))
-        if v[row] < best_val:
-            best_val = float(v[row])
-            best_row = lo + row
-    subs = revolving_door_subsets(n, k)
-    return best_val, tuple(int(v) for v in subs[best_row])
+        return ss.min(axis=1) / (m - 1)
+
+    return _best_subset(sample, k, budget, row_variances, maximize=False)
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float,
@@ -508,8 +514,7 @@ def variance_test(sample: EdgeSample, k: int, sigma2: float,
         raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
     value, subset = variance_stat(sample, k, budget=budget)
     return TestReport(
-        statistic=value, threshold=float(sigma2),
-        decision=_decide(value, float(sigma2), "le"), comparison="le",
+        statistic=value, threshold=float(sigma2), comparison="le",
         witness_subset=subset, work_counter=math.comb(sample.n, k))
 
 

@@ -210,20 +210,20 @@ def _check_detector_params(detector: str, flat: bool, subset, tau, kappa,
         raise ConfigError("variance test needs sigma2")
 
 
-def _flat_policy(detector: str, policy: Optional[str],
-                 gamma: Optional[float]) -> Optional[str]:
-    """Policy of a flat test; known-theta has none: gamma, else the a2 recipe."""
+def _flat_gamma(detector: str, N: Optional[int], K: Optional[int],
+                tau: Optional[float], kappa: Optional[float],
+                policy: Optional[str], gamma: Optional[float],
+                c_n: Optional[float]) -> float:
+    """Count threshold of a flat test; known-theta has no policy: gamma, else a2."""
     if detector == "known-theta":
-        return None if gamma is not None else "a2"
-    return policy
+        policy = None if gamma is not None else "a2"
+    return det.resolve_flat_threshold(policy, N, tau, K=K, kappa=kappa,
+                                      gamma=gamma, c_n=c_n)
 
 
-def _flat_gamma(config: ExperimentConfig) -> float:
-    """Count threshold of the configured flat test."""
-    c = config
-    return det.resolve_flat_threshold(
-        _flat_policy(c.detector, c.policy, c.gamma), c.N, c.tau, K=c.K,
-        kappa=c.kappa, gamma=c.gamma, c_n=c.c_n)
+def _config_gamma(c: ExperimentConfig) -> float:
+    return _flat_gamma(c.detector, c.N, c.K, c.tau, c.kappa, c.policy,
+                       c.gamma, c.c_n)
 
 
 def _make_test(detector: str, flat: bool, *, N: Optional[int],
@@ -241,9 +241,8 @@ def _make_test(detector: str, flat: bool, *, N: Optional[int],
     """
     _check_detector_params(detector, flat, subset, tau, kappa, sigma2)
     if flat:
-        count_gamma = det.resolve_flat_threshold(
-            _flat_policy(detector, policy, gamma), N, tau, K=subset,
-            kappa=kappa, gamma=gamma, c_n=c_n)
+        count_gamma = _flat_gamma(detector, N, subset, tau, kappa, policy,
+                                  gamma, c_n)
         if detector == "interval":
             return lambda sample: det.interval_test_flat(sample, tau,
                                                          count_gamma)
@@ -289,16 +288,16 @@ def _cell_bounds(config: ExperimentConfig) -> dict:
     _check_detector_params(c.detector, c.is_flat, c.subset_label, c.tau,
                            c.kappa, c.sigma2)
     if c.detector == "interval" and c.model == "flat-hard":
-        return th.flat_hard_bounds(c.N, c.K, c.tau, _flat_gamma(c))
+        return th.flat_hard_bounds(c.N, c.K, c.tau, _config_gamma(c))
     if c.detector == "interval" and c.model == "flat-vm":
         # Without a gamma, flat_vm_bounds evaluates the vm recipe threshold.
-        gamma = None if c.policy == "vm" else _flat_gamma(c)
+        gamma = None if c.policy == "vm" else _config_gamma(c)
         return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n,
                                  gamma=gamma)
     if c.detector == "known-theta":
         if c.model != "flat-hard":
             return {}
-        return th.known_theta_bounds(c.N, c.K, c.tau, _flat_gamma(c))
+        return th.known_theta_bounds(c.N, c.K, c.tau, _config_gamma(c))
     if c.detector == "interval":
         kappa = c.kappa if c.model == "comm-vm" else None
         return th.comm_interval_bounds(c.n, c.k, c.tau, kappa=kappa)
@@ -503,13 +502,8 @@ def _boundary_rows(grid: Sequence[tuple], base: ExperimentConfig,
                 return p
 
             def margin_at(y: float) -> Optional[float]:
-                p = params_at(y)
-                try:
-                    if not cond.gate(p):
-                        return None
-                    return cond.margin(p)
-                except (ValueError, OverflowError, ZeroDivisionError):
-                    return None
+                margin = cond.evaluate(params_at(y))
+                return None if isinstance(margin, str) else margin
 
             m_lo, m_hi = margin_at(y_lo), margin_at(y_hi)
             if m_lo is None or m_hi is None or m_lo == m_hi or (m_lo > 0) == (m_hi > 0):
@@ -1001,12 +995,8 @@ def verify_bounds(seed: int = DEFAULT_VERIFY_SEED, trials: int = 10_000,
                          tau=0.05, trials=trials, seed=seed),
     ]
     for i, config in enumerate(zero_miss):
-        runner = _make_runner(config)
-        misses = 0
-        for trial in range(trials):
-            rng = mod.rng_for(seed, _STREAM_TRIAL, 900 + i, 1, trial)
-            if not runner(_gen_sample(config, True, rng)):
-                misses += 1
+        misses = trials - _run_chunk(config, _make_runner(config), 900 + i, 1,
+                                     0, trials)
         rep.add(f"zero_miss_{config.model}_misses_of_{trials}", misses,
                 misses == 0)
     for idx, cell in enumerate(_criterion8_cells()):

@@ -27,6 +27,7 @@ from typing import Optional, TextIO, Union
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .specfun import TWO_PI
 
 __all__ = [
     "TWO_PI",
@@ -46,12 +47,11 @@ __all__ = [
     "gen_flat",
     "gen_community",
     "edge_index",
+    "edge_position",
     "edge_pairs",
     "write_dataset",
     "read_dataset",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Below this concentration the Best-Fisher proposal degenerates; the
 # distribution is indistinguishable from uniform at double precision.
@@ -95,6 +95,14 @@ class VonMises:
 SignalKind = Union[HardCluster, VonMises]
 
 
+def _planted_phase(theta) -> float:
+    """A planted anchor phase reduced into [0, 2pi); it must be finite."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"planted phase must be finite, got {theta!r}")
+    return canonical_angle(theta)
+
+
 @dataclass(frozen=True)
 class PlantedFlat:
     """Ground truth for a flat sample: planted index set and anchor phase."""
@@ -106,8 +114,10 @@ class PlantedFlat:
         subset = tuple(sorted(int(i) for i in self.subset))
         if len(set(subset)) != len(subset):
             raise ParameterError("planted subset has repeated indices")
+        if subset and subset[0] < 0:
+            raise ParameterError(f"planted subset has negative index {subset[0]}")
         object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "theta_star", canonical_angle(float(self.theta_star)))
+        object.__setattr__(self, "theta_star", _planted_phase(self.theta_star))
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,10 @@ class PlantedCommunity:
             raise ParameterError("planted community has repeated vertices")
         if len(community) < 2:
             raise ParameterError("planted community must have at least 2 vertices")
+        if community[0] < 0:
+            raise ParameterError(f"planted community has negative vertex {community[0]}")
         object.__setattr__(self, "community", community)
-        object.__setattr__(self, "theta_star", canonical_angle(float(self.theta_star)))
+        object.__setattr__(self, "theta_star", _planted_phase(self.theta_star))
 
 
 @dataclass
@@ -138,13 +150,21 @@ class FlatSample:
         self.angles = np.asarray(self.angles, dtype=float)
         if self.angles.ndim != 1 or self.angles.size < 1:
             raise ParameterError("angles must be a nonempty 1-d array")
-        if self.truth is not None and self.truth.subset and \
-                self.truth.subset[-1] >= self.angles.size:
+        subset = self.truth.subset if self.truth is not None else ()
+        if subset and not (0 <= subset[0] and subset[-1] < self.angles.size):
             raise ParameterError("truth indices out of range for sample size")
 
     @property
     def n_points(self) -> int:
         return int(self.angles.size)
+
+
+def edge_position(n: int, i, j):
+    """Position of edge {i, j}, i < j, in lexicographic order; unchecked.
+
+    ``i`` and ``j`` may be integer arrays, ordered elementwise.
+    """
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 def edge_index(n: int, i: int, j: int) -> int:
@@ -155,7 +175,7 @@ def edge_index(n: int, i: int, j: int) -> int:
         i, j = j, i
     if not (0 <= i < j < n):
         raise ParameterError(f"edge ({i}, {j}) out of range for n={n}")
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+    return edge_position(n, i, j)
 
 
 def edge_pairs(n: int) -> np.ndarray:
@@ -184,7 +204,8 @@ class EdgeSample:
             raise ParameterError(
                 f"expected {m} edge angles for n={self.n}, got shape "
                 f"{self.edge_angles.shape}")
-        if self.truth is not None and self.truth.community[-1] >= self.n:
+        if self.truth is not None and not (
+                0 <= self.truth.community[0] and self.truth.community[-1] < self.n):
             raise ParameterError("truth vertices out of range")
 
     def angle(self, i: int, j: int) -> float:
@@ -322,8 +343,7 @@ def gen_community(n: int, k: int, signal: SignalKind, under_h1: bool,
     angles = rng.random(m) * TWO_PI
     verts = np.asarray(community)
     a_idx, b_idx = np.triu_indices(k, k=1)
-    intra = verts[a_idx] * n - verts[a_idx] * (verts[a_idx] + 1) // 2 \
-        + (verts[b_idx] - verts[a_idx] - 1)
+    intra = edge_position(n, verts[a_idx], verts[b_idx])
     angles[intra] = _signal_draws(signal, theta, rng, intra.size)
     return EdgeSample(n=n, edge_angles=angles, truth=PlantedCommunity(community, theta))
 

@@ -14,14 +14,17 @@ asymptotic expansion with correction terms for x > 30; every ratio quantity
 (A, R, rho) is formed from exponentially scaled values or in log space, so
 that nothing overflows before x ~ 700 and log-space callers never overflow.
 
-There are two paths with the same loops. The public functions take one
-Python float and run the loops on floats (``_series_f``, ``_asymptotic_f``),
-with no numpy call inside the loop; the quadrature integrands of the exact
-second moments call them once per node. ``_log_i0`` runs the loops on whole
-arrays for the Monte Carlo likelihood ratios. Both paths give the same
-bits: the float loops keep the array loops' operation order, square as
-``x * x`` (CPython's ``x ** 2`` can differ in the last bit) and take the
-final log and exp with numpy (``math.log`` differs on some inputs).
+There are two paths with the same two loops, the power series and the
+asymptotic expansion, each keyed by the order nu (0 for I0, 1 for I1). The
+public functions take one Python float and run the loops on floats
+(``_series_f``, ``_asymptotic_f``), with no numpy call inside the loop; the
+quadrature integrands of the exact second moments call them once per node.
+``_series`` and ``_asymptotic`` run the same loops on whole arrays:
+``_log_i0`` for the Monte Carlo likelihood ratios, and the scaled I0/I1
+wrappers as oracles. Both paths give the same bits: the float loops keep the
+array loops' operation order, square as ``x * x`` (CPython's ``x ** 2`` can
+differ in the last bit) and take the final log and exp with numpy
+(``math.log`` differs on some inputs).
 ``scipy.special.i0e``/``i1e`` agree to about 2e-15 relative, but that moves
 the last digits of the 17-digit ``bounds``, ``detect`` and CSV output, so
 they are not used.
@@ -38,6 +41,7 @@ from scipy.integrate import quad
 from .errors import DomainError, NumericError
 
 __all__ = [
+    "TWO_PI",
     "bessel_i0",
     "bessel_i0_scaled",
     "bessel_i1",
@@ -54,7 +58,7 @@ __all__ = [
     "compute_c0",
 ]
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi  # the other modules import it; define it nowhere else
 
 # Branch switch between the power series and the asymptotic expansion.
 SERIES_ASYMPTOTIC_SWITCH = 30.0
@@ -75,68 +79,57 @@ def _require_nonneg(x: float, name: str) -> float:
     return x
 
 
-# Array loops. ``_log_i0`` runs the I0 pair; the scaled I0 and I1 pairs are
-# the oracles of the float path and of the branch-crossover checks.
+# Array loops, keyed by nu like the float loops below.
 
 
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    """Unscaled power series sum_k (x/2)^{2k} / (k!)^2; all terms positive."""
-    t = np.asarray(x, dtype=float) ** 2 / 4.0
+def _series(x: np.ndarray, nu: int) -> np.ndarray:
+    """sum_k (x^2/4)^k / (k! (k+nu)!) elementwise; all terms positive."""
+    x = np.asarray(x, dtype=float)
+    t = x * x / 4.0
     term = np.ones_like(t)
     total = np.ones_like(t)
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * t / (k * k)
+        term = term * t / (k * (k + nu))
         total = total + term
         if np.all(term <= _SERIES_RTOL * total):
             break
     return total
 
 
-def _i0_series_scaled(x: np.ndarray) -> np.ndarray:
+def _asymptotic(x: np.ndarray, nu: int) -> np.ndarray:
+    """sqrt(2 pi x) e^{-x} I_nu(x) elementwise for large x, as sum_k c_k x^{-k}."""
     x = np.asarray(x, dtype=float)
-    return _i0_series(x) * np.exp(-x)
+    inv = 1.0 / x
+    mu = 4.0 * nu * nu
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
+        term = term * ((2 * k - 1) ** 2 - mu) * inv / (8.0 * k)
+        total = total + term
+        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
+            break
+    return total
+
+
+# e^{-x} I_nu(x) on each branch: the oracles of the float path and of the
+# branch-crossover checks.
+
+
+def _i0_series_scaled(x: np.ndarray) -> np.ndarray:
+    return _series(x, 0) * np.exp(-np.asarray(x, dtype=float))
 
 
 def _i0_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
-    """e^{-x} I0(x) for large x: (2 pi x)^{-1/2} sum_k c_k x^{-k}."""
-    x = np.asarray(x, dtype=float)
-    inv = 1.0 / x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-        term = term * (2 * k - 1) ** 2 * inv / (8.0 * k)
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            break
-    return total / np.sqrt(TWO_PI * x)
+    return _asymptotic(x, 0) / np.sqrt(TWO_PI * np.asarray(x, dtype=float))
 
 
 def _i1_series_scaled(x: np.ndarray) -> np.ndarray:
-    """e^{-x} I1(x) via I1(x) = (x/2) sum_k (x^2/4)^k / (k! (k+1)!)."""
     x = np.asarray(x, dtype=float)
-    t = x * x / 4.0
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * t / (k * (k + 1))
-        total = total + term
-        if np.all(term <= _SERIES_RTOL * total):
-            break
-    return (x / 2.0) * total * np.exp(-x)
+    return (x / 2.0) * _series(x, 1) * np.exp(-x)
 
 
 def _i1_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
-    """e^{-x} I1(x) for large x; signed asymptotic coefficients."""
-    x = np.asarray(x, dtype=float)
-    inv = 1.0 / x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-        term = term * ((2 * k - 1) ** 2 - 4.0) * inv / (8.0 * k)
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            break
-    return total / np.sqrt(TWO_PI * x)
+    return _asymptotic(x, 1) / np.sqrt(TWO_PI * np.asarray(x, dtype=float))
 
 
 def _log_i0(x: np.ndarray) -> np.ndarray:
@@ -145,16 +138,16 @@ def _log_i0(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     small = x <= SERIES_ASYMPTOTIC_SWITCH
     if small.any():
-        out[small] = np.log(_i0_series(x[small]))
+        out[small] = np.log(_series(x[small], 0))
     if (~small).any():
         xl = x[~small]
         out[~small] = xl + np.log(_i0_asymptotic_scaled(xl))
     return out
 
 
-# Scalar path: the loops above on one Python float, term for term. I0 and I1
-# share them through nu (k! (k+nu)! in the series, mu = 4 nu^2 in the
-# asymptotic coefficients (2k-1)^2 - mu, where mu = 0 adds 0.0 exactly).
+# Scalar path: the loops above on one Python float, term for term. Both
+# paths share I0 and I1 through nu (k! (k+nu)! in the series, mu = 4 nu^2 in
+# the asymptotic coefficients (2k-1)^2 - mu, where mu = 0 adds 0.0 exactly).
 
 
 def _series_f(x: float, nu: int) -> float:

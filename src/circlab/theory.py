@@ -30,8 +30,8 @@ from scipy.integrate import quad
 
 from .detectors import default_c_schedule, rayleigh_threshold, resolve_flat_threshold
 from .errors import DomainError, NumericError, ParameterError
-from .specfun import (arc_prob, bessel_i0_scaled, log_bessel_i0, log_ratio_R,
-                      mean_resultant, ratio_R)
+from .specfun import (TWO_PI, arc_prob, bessel_i0_scaled, log_bessel_i0,
+                      log_ratio_R, mean_resultant, ratio_R)
 
 __all__ = [
     "BoundValue",
@@ -62,8 +62,6 @@ __all__ = [
     "C2_STAR_REFERENCE",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 # Reference calibration constants quoted for the von Mises flat achievable
 # regime; compare with the independently minimized compute_c0() output.
 C0_REFERENCE = 0.5057
@@ -87,11 +85,10 @@ def _safe_exp(x: float) -> float:
 
 @dataclass
 class BoundValue:
-    """One named analytic quantity with its applicability predicates."""
+    """One named analytic quantity and whether it applies at the given parameters."""
 
     value: float
     applicable: bool = True
-    side_conditions: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +113,7 @@ def flat_hard_bounds(N: int, K: int, tau: float, gamma: float) -> dict:
     out: dict = {}
     g_int = math.ceil(gamma)
     log_union = math.log(N) + log_comb(N - 1, g_int - 1) + (g_int - 1) * math.log(tau)
-    out["pfa_union"] = BoundValue(_safe_exp(log_union), applicable=g_int >= 1,
-                                  side_conditions={"gamma_ceil": float(g_int)})
+    out["pfa_union"] = BoundValue(_safe_exp(log_union), applicable=g_int >= 1)
     mean0 = 1.0 + (N - 1) * tau
     ok = gamma >= mean0
     if ok:
@@ -125,16 +121,14 @@ def flat_hard_bounds(N: int, K: int, tau: float, gamma: float) -> dict:
         val = _safe_exp(math.log(N) + expo)
     else:
         val = math.inf
-    out["pfa_chernoff"] = BoundValue(val, applicable=ok,
-                                     side_conditions={"gamma_ge_null_mean": ok})
+    out["pfa_chernoff"] = BoundValue(val, applicable=ok)
     if gamma <= K:
-        out["pmiss"] = BoundValue(0.0, side_conditions={"gamma_le_K": True})
+        out["pmiss"] = BoundValue(0.0)
     else:
         base = (N - K) * tau
         ok = base >= gamma - K
         val = _safe_exp(-(base - gamma + K) ** 2 / (2.0 * base)) if ok else math.inf
-        out["pmiss"] = BoundValue(val, applicable=ok,
-                                  side_conditions={"mean_reaches_gamma": ok})
+        out["pmiss"] = BoundValue(val, applicable=ok)
     return out
 
 
@@ -164,8 +158,7 @@ def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
         gamma = float(gamma)
         ok = gamma <= mean1
         val = math.exp(-(mean1 - gamma) ** 2 / (2.0 * mean1)) if ok else math.inf
-        pmiss = BoundValue(val, applicable=ok,
-                           side_conditions={"gamma_below_signal_mean": ok})
+        pmiss = BoundValue(val, applicable=ok)
     out = {
         "g": BoundValue(g),
         "gamma": BoundValue(gamma),
@@ -182,8 +175,7 @@ def known_theta_bounds(N: int, K: int, tau: float, gamma: float) -> dict:
     for key in ("pfa_union", "pfa_chernoff"):
         b = base[key]
         out[key] = BoundValue(b.value / N if math.isfinite(b.value) else b.value,
-                              applicable=b.applicable,
-                              side_conditions=dict(b.side_conditions))
+                              applicable=b.applicable)
     out["pmiss"] = base["pmiss"]
     return out
 
@@ -211,25 +203,19 @@ def comm_interval_bounds(n: int, k: int, tau: float,
                + k * (math.log(n / k) + 1.0 + (k - 1) / 2.0 * math.log(tau)))
     out = {"pfa": BoundValue(_safe_exp(log_pfa))}
     if kappa is None:
-        out["pmiss"] = BoundValue(0.0, side_conditions={"hard_cluster": True})
+        out["pmiss"] = BoundValue(0.0)
         return out
     if not (kappa > 0.0):
         raise DomainError(f"kappa must be > 0 for the von Mises miss bound")
-    out["pmiss"] = BoundValue(min(m * (1.0 - arc_prob(kappa, tau)), 1.0),
-                              side_conditions={"union_over_edges": True})
+    out["pmiss"] = BoundValue(min(m * (1.0 - arc_prob(kappa, tau)), 1.0))
     sin_term = abs(math.sin(math.pi * tau))
     if sin_term == 0.0:
-        out["pmiss_asymptotic"] = BoundValue(
-            math.inf, applicable=False,
-            side_conditions={"sin_pi_tau_nonzero": False})
+        out["pmiss_asymptotic"] = BoundValue(math.inf, applicable=False)
         return out
     log_val = (math.log(m) + (math.cos(math.pi * tau) - 1.0) * kappa
                - math.log(2.0 * math.pi ** 2) - math.log(bessel_i0_scaled(kappa))
                - math.log(kappa) - math.log(sin_term))
-    out["pmiss_asymptotic"] = BoundValue(
-        _safe_exp(log_val), applicable=False,
-        side_conditions={"sin_pi_tau_nonzero": True,
-                         "large_concentration_form": True})
+    out["pmiss_asymptotic"] = BoundValue(_safe_exp(log_val), applicable=False)
     return out
 
 
@@ -278,8 +264,7 @@ def rayleigh_bounds(n: int, k: int, kappa: float) -> dict:
     }
     ok = beta < mu1
     val = math.exp(-(mu1 - beta) ** 2 / (2.0 * n_edges)) if ok else math.inf
-    out["pmiss"] = BoundValue(val, applicable=ok,
-                              side_conditions={"beta_below_signal_mean": ok})
+    out["pmiss"] = BoundValue(val, applicable=ok)
     return out
 
 
@@ -318,20 +303,16 @@ def comm_variance_bounds(n: int, k: int, sigma2: float,
     beta_eq = m - (m - 1.0) * sigma2 / 2.0
     out: dict = {}
     if beta_eq <= 0:
-        out["pfa"] = BoundValue(1.0, applicable=False,
-                                side_conditions={"equivalent_beta_positive": False})
+        out["pfa"] = BoundValue(1.0, applicable=False)
     else:
         expo = (log_comb(n, k) + math.log(B)
                 - beta_eq * beta_eq * math.cos(math.pi / B) ** 2 / m)
-        out["pfa"] = BoundValue(
-            _safe_exp(expo), side_conditions={"equivalent_beta": beta_eq})
+        out["pfa"] = BoundValue(_safe_exp(expo))
     msd = _circular_msd(kappa, tau)
     t = (m - 1.0) * sigma2 - m * msd
     ok = t > 0.0
     val = math.exp(-2.0 * t * t / (m * math.pi ** 4)) if ok else math.inf
-    out["pmiss"] = BoundValue(val, applicable=ok,
-                              side_conditions={"threshold_above_signal_mean": ok,
-                                               "signal_msd": msd})
+    out["pmiss"] = BoundValue(val, applicable=ok)
     return out
 
 
@@ -532,16 +513,13 @@ def impossibility_functionals(model: str, **params) -> dict:
         N, K, tau = params["N"], params["K"], params["tau"]
         log_f = (math.log(2.0) + math.log(N) + 2.0 * math.log(tau)
                  - 2.0 * math.log(K) + (K + 1) * math.log1p(K / (N * tau)))
-        out["var_upper"] = BoundValue(
-            _safe_exp(log_f), applicable=tau <= 0.5,
-            side_conditions={"tau_le_half": tau <= 0.5})
+        out["var_upper"] = BoundValue(_safe_exp(log_f), applicable=tau <= 0.5)
         m2 = second_moment_exact_flat_hard(N, K, tau)
     elif model == "flat-vm":
         N, K, kappa = params["N"], params["K"], params["kappa"]
         r = ratio_R(kappa)
         out["exponent"] = BoundValue(
-            K * K / N * (r - 1.0) - log_ratio_R(kappa),
-            side_conditions={"criterion": "to_minus_infinity"})
+            K * K / N * (r - 1.0) - log_ratio_R(kappa))
         m2 = second_moment_exact_flat_vm(N, K, kappa)
     elif model == "comm-hard":
         n, k, tau = params["n"], params["k"], params["tau"]
@@ -594,6 +572,15 @@ class _Condition:
     verdict: str
     gate: Callable[[dict], bool]
     margin: Callable[[dict], float]   # fires when margin <= 0
+
+    def evaluate(self, params: dict):
+        """The margin at ``params``, or "gate-closed" / "undefined"."""
+        try:
+            if not self.gate(params):
+                return "gate-closed"
+            return self.margin(params)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            return "undefined"
 
 
 def _slack_const(size: float, tun: RegimeTunables) -> float:
@@ -790,16 +777,8 @@ def regime_classify(model: str, params: dict,
     fired: list = []
     first: Optional[_Condition] = None
     for cond in conditions:
-        try:
-            if not cond.gate(params):
-                values[cond.cid] = "gate-closed"
-                continue
-            margin = cond.margin(params)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            values[cond.cid] = "undefined"
-            continue
-        values[cond.cid] = margin
-        if margin <= 0.0:
+        margin = values[cond.cid] = cond.evaluate(params)
+        if not isinstance(margin, str) and margin <= 0.0:
             fired.append(cond.cid)
             if first is None:
                 first = cond
@@ -839,15 +818,8 @@ def rayleigh_condition(n: int, k: int, kappa: float) -> dict:
     """Rayleigh-test success diagnostic.
 
     ratio = k^2 A(kappa) / n: >> 1 suggests the all-edges test succeeds,
-    << 1 that it fails. Also returns the total-error bound
-    5 exp(-m^2 A^2(kappa) / (8 N_E)) with m = C(k,2), N_E = C(n,2).
+    << 1 that it fails. Also returns the total-error bound of
+    ``rayleigh_bounds`` (``total_default``).
     """
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
-    a = mean_resultant(kappa)
-    m = k * (k - 1) / 2.0
-    n_edges = n * (n - 1) / 2.0
-    return {
-        "ratio": k * k * a / n,
-        "total_error_bound": 5.0 * math.exp(-m * m * a * a / (8.0 * n_edges)),
-    }
+    total = rayleigh_bounds(n, k, kappa)["total_default"].value
+    return {"ratio": k * k * mean_resultant(kappa) / n, "total_error_bound": total}

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from circlab import detectors as det
 from circlab import models as mod
-from circlab.errors import CapabilityError, DomainError, ParameterError
+from circlab.errors import (CapabilityError, ConfigError, DomainError,
+                             ParameterError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,11 +137,39 @@ class TestIntervalTestFlat:
         assert bounds["g"].value == pytest.approx(g)
         assert bounds["gamma"].value == gamma
 
-    def test_decision_matches_comparison(self):
-        s = mod.FlatSample(np.linspace(0, 6, 12))
-        gamma = det.resolve_flat_threshold("custom:3", 12, 0.25)
-        rep = det.interval_test_flat(s, 0.25, gamma)
-        assert rep.rejected == (rep.statistic >= rep.threshold)
+    @pytest.mark.parametrize("detector,comparison", [
+        ("interval", "ge"), ("known-theta", "ge"), ("interval-community", "ge"),
+        ("coherence", "ge"), ("rayleigh", "ge"), ("variance", "le")])
+    def test_decision_matches_comparison(self, detector, comparison):
+        flat = mod.FlatSample(np.linspace(0, 6, 12))
+        edges = mod.gen_community(8, 4, mod.VonMises(2.0), True,
+                                  mod.rng_for(4, 27))
+        run = {
+            "interval": lambda t: det.interval_test_flat(flat, 0.25, t),
+            "known-theta": lambda t: det.known_theta_test_flat(flat, 0.25, t),
+            "interval-community": lambda t: det.interval_test_community(
+                edges, 4, 0.1),
+            "coherence": lambda t: det.coherence_test(edges, 4, t),
+            "rayleigh": lambda t: det.rayleigh_test(edges, 4, t),
+            "variance": lambda t: det.variance_test(edges, 4, t),
+        }[detector]
+        stat = run(3.0).statistic
+        for t in (stat, np.nextafter(stat, 0.0), np.nextafter(stat, math.inf)):
+            rep = run(float(t))
+            assert rep.comparison == comparison
+            hit = (rep.statistic >= rep.threshold if comparison == "ge"
+                   else rep.statistic <= rep.threshold)
+            assert rep.rejected == hit
+            assert rep.decision is (det.Decision.REJECT_H0 if hit
+                                    else det.Decision.RETAIN_H0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(policy=None, gamma=math.nan), dict(policy=None, gamma=math.inf),
+        dict(policy="fixed:nan"), dict(policy="fixed:-inf"),
+        dict(policy="custom:inf"), dict(policy="a2", K=5, c_n=math.nan)])
+    def test_non_finite_threshold_is_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            det.resolve_flat_threshold(N=100, tau=0.1, **kwargs)
 
 
 class TestKnownTheta:
@@ -166,6 +195,12 @@ class TestKnownTheta:
         mean = total / trials
         se = math.sqrt(n_pts * tau * (1 - tau) / trials)
         assert abs(mean - n_pts * tau) <= 3 * se
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        s = mod.FlatSample(np.array([1.0, 2.0]))
+        with pytest.raises(DomainError):
+            det.known_theta_test_flat(s, 0.1, 1.0, theta=theta)
 
     def test_wraparound_window(self):
         s = mod.FlatSample(np.array([0.05, 6.2, 3.0]))

@@ -444,6 +444,35 @@ class TestCLIDispatch:
                          "--tau", "0.02", "--policy", "fixed:abc"]) == 2
         assert "fixed:abc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,code", [
+        (["--test", "known-theta", "--theta", "nan"], 1),
+        (["--test", "known-theta", "--theta", "inf"], 1),
+        (["--test", "interval", "--gamma", "nan"], 2),
+        (["--test", "known-theta", "--gamma", "inf"], 2),
+        (["--test", "interval", "--policy", "fixed:nan"], 2),
+        (["--test", "interval", "--policy", "fixed:-inf"], 2),
+    ])
+    def test_detect_non_finite_threshold_or_phase_rejected(self, flat_file,
+                                                           flags, code, capsys):
+        capsys.readouterr()
+        assert cli.main(["detect", "--data", flat_file, "--tau", "0.02"]
+                        + flags) == code
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("line,code,out", [
+        ("gamma = nan", 2, ""),
+        ("theta = nan", 0, "1 cells, 1 failed"),
+    ])
+    def test_sweep_non_finite_threshold_or_phase_rejected(self, tmp_path,
+                                                          capsys, line, code,
+                                                          out):
+        p = tmp_path / "c.cfg"
+        p.write_text("model = flat-hard\ndetector = known-theta\nN = 30\n"
+                     f"K = 3\ntau = 0.1\ntrials = 5\n{line}\n")
+        assert cli.main(["sweep", "--config", str(p), "--threads", "1",
+                         "--out", str(tmp_path / "s.csv")]) == code
+        assert out in capsys.readouterr().out
+
     @pytest.mark.parametrize("old,new", [
         ("# K=8\n", "# K=x\n"),
         ("# N=200\n", "# N=200\nabc\n"),

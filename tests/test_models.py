@@ -297,6 +297,23 @@ class TestDatasetIO:
         with pytest.raises(ParameterError):
             mod.read_dataset(io.StringIO(text))
 
+    @pytest.mark.parametrize("text,error", [
+        ("# model=flat\n# truth_subset=-1\n# truth_theta=0.5\n0.5\n1\n",
+         ParameterError),
+        ("# model=flat\n# truth_subset=1\n# truth_theta=nan\n0.5\n1\n",
+         DomainError),
+        ("# model=flat\n# truth_subset=1\n# truth_theta=inf\n0.5\n1\n",
+         DomainError),
+        ("# model=community\n# n=3\n# truth_subset=-2,1\n# truth_theta=0\n"
+         "0,1,0.5\n0,2,1\n1,2,2\n", ParameterError),
+        ("# model=community\n# n=3\n# truth_subset=0,1\n# truth_theta=-inf\n"
+         "0,1,0.5\n0,2,1\n1,2,2\n", DomainError),
+    ], ids=["flat-negative-index", "flat-nan-theta", "flat-inf-theta",
+            "comm-negative-vertex", "comm-inf-theta"])
+    def test_bad_truth_rejected(self, text, error):
+        with pytest.raises(error):
+            mod.read_dataset(io.StringIO(text))
+
     @pytest.mark.parametrize("header", ["2", "4", "abc"])
     def test_flat_count_header_mismatch_rejected(self, header):
         text = f"# model=flat\n# N={header}\n0.5\n1\n2\n"
