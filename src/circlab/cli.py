@@ -140,7 +140,8 @@ def _print_bound(prefix: str, name: str, bound: th.BoundValue) -> None:
 
 def _cmd_bounds(args) -> int:
     # No --policy here: --gamma fixes the threshold; without it flat-hard
-    # uses gamma = K and flat-vm its recipe threshold.
+    # uses gamma = K and flat-vm the vm recipe. A sweep cell without policy
+    # or gamma uses a1 (gamma = K), so flat-vm interval differs from it.
     config = _model_config(
         args, detector=args.detector, gamma=args.gamma, sigma2=args.sigma2,
         epsilon=args.epsilon, c_n=args.c_n,

@@ -90,7 +90,6 @@ class ExperimentConfig:
     c_n: Optional[float] = None
     trials: int = 1000
     seed: int = 0
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.model not in th.MODELS:
@@ -160,8 +159,8 @@ class PhasePoint:
     verdict: Optional[th.RegimeVerdict] = None
     bound_pfa: float = math.nan
     bound_pmiss: float = math.nan
-    analytics: dict = field(default_factory=dict)
     failed: Optional[str] = None
+    annotation_error: Optional[str] = None  # why verdict or bounds are missing
 
     @property
     def total_err(self) -> float:
@@ -348,7 +347,8 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     give identical results for any thread count: per-trial generators are
     derived from (seed, cell, hypothesis, trial) and counts reduce by sums.
     Capability, domain and parameter errors mark the point failed instead
-    of raising; a ConfigError still raises.
+    of raising; the same errors, or an overflow, while annotating the verdict
+    and bounds are kept in ``annotation_error``. A ConfigError still raises.
     """
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
@@ -380,20 +380,9 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     try:
         point.verdict = th.regime_classify(config.model, config.model_params(),
                                            tunables)
-        bounds = _cell_bounds(config)
-        point.bound_pfa, point.bound_pmiss = _bound_digest(bounds)
-        functionals = th.impossibility_functionals(config.model,
-                                                   **config.model_params())
-        point.analytics = {
-            "bounds": bounds,
-            "functionals": functionals,
-            "tv_bound": functionals["tv_bound"].value,
-            "var_exact": functionals["var_exact"].value,
-            "consistent_with_impossibility":
-                functionals["var_exact"].value < 0.05,
-        }
+        point.bound_pfa, point.bound_pmiss = _bound_digest(_cell_bounds(config))
     except (*_CELL_ERRORS, OverflowError) as exc:
-        point.analytics.setdefault("annotation_error", str(exc))
+        point.annotation_error = str(exc)
     return point
 
 
@@ -742,7 +731,8 @@ def parse_config_file(path: str) -> dict:
 
     '#' starts a comment; values of keys prefixed ``sweep_`` are
     comma-separated axis lists (axes keep file order); unknown keys are
-    errors.
+    errors. A ``gamma`` key or axis is the flat count threshold, so it sets
+    ``policy`` to None; a file that also sets ``policy`` is an error.
     """
     out: dict = {}
     axes: list = []
@@ -772,6 +762,10 @@ def parse_config_file(path: str) -> dict:
                 out[key] = _parse_value(key, value)
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    if "gamma" in out or any(param == "gamma" for param, _ in axes):
+        if "policy" in out:
+            raise ConfigError(f"{path}: set policy or gamma, not both")
+        out["policy"] = None
     if axes:
         out["sweep_axes"] = axes
     return out
@@ -1039,12 +1033,12 @@ def verify_transitions(seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] =
             pts["easy"].total_err <= 0.1)
     rep.add("flat_hard_hard_total_err", pts["hard"].total_err,
             pts["hard"].total_err >= 0.8)
-    var_exact = pts["hard"].analytics["var_exact"]
-    rep.add("flat_hard_hard_var_exact", var_exact, var_exact < 0.05)
+    var_exact = th.impossibility_functionals(
+        "flat-hard", N=N, K=K, tau=tau_hard)["var_exact"].value
+    consistent = var_exact < 0.05
+    rep.add("flat_hard_hard_var_exact", var_exact, consistent)
     rep.add("flat_hard_hard_consistent_with_impossibility",
-            "yes" if pts["hard"].analytics["consistent_with_impossibility"]
-            else "no",
-            pts["hard"].analytics["consistent_with_impossibility"])
+            "yes" if consistent else "no", consistent)
     # Von Mises community coherence vs Rayleigh.
     base = dict(n=16, k=8, trials=500, seed=seed, epsilon=0.5)
     coh_strong = estimate_errors(ExperimentConfig(

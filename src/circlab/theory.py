@@ -459,9 +459,11 @@ def _log_mean_rho_power(kappa: float, j_of_s, k_max: int, law: OverlapLaw) -> fl
 
         val, err = quad(integrand, 0.0, TWO_PI, epsabs=1e-12, epsrel=1e-10,
                         limit=400, points=[0.0, math.pi, TWO_PI])
-        if not math.isfinite(val) or val < 0.0:
+        mean = val / TWO_PI
+        # The integrand is 1 at phi = 0, so a zero mean is a missed peak.
+        if not (math.isfinite(mean) and mean > 0.0):
             raise NumericError(f"second-moment quadrature failed at s={s}")
-        logs.append(lp + g_max + math.log(max(val, 5e-324) / TWO_PI))
+        logs.append(lp + g_max + math.log(mean))
     return _logsumexp(logs)
 
 

@@ -272,8 +272,9 @@ def test_c9_flat_hard_transition_impossible_side():
         K = math.ceil(N ** 0.4)
         tau = min(K * K / (0.05 * N * math.log(N)), 0.9999)
         point = _transition_cell(tau)
-        var_exact = point.analytics["var_exact"]
-        consistent = point.analytics["consistent_with_impossibility"]
+        var_exact = th.impossibility_functionals(
+            "flat-hard", N=N, K=K, tau=tau)["var_exact"].value
+        consistent = var_exact < 0.05
     ok = (point.total_err >= 0.8 and var_exact < 0.05 and consistent
           and t.elapsed < 300.0)
     announce("c9-impossible-side", ok,

@@ -106,6 +106,41 @@ class TestThresholdsResolvedOncePerCell:
         assert counts[0] == counts[1]
 
 
+class TestCellAnnotations:
+    @pytest.mark.parametrize("params", [
+        dict(model="flat-hard", detector="interval", N=60, K=5, tau=0.05),
+        dict(model="flat-vm", detector="interval", N=40, K=8, kappa=5.0,
+             tau=0.2, policy="vm"),
+        dict(model="comm-vm", detector="rayleigh", n=8, k=4, kappa=2.0),
+    ], ids=["flat-hard", "flat-vm", "comm-vm"])
+    def test_cell_skips_impossibility_functionals(self, monkeypatch, params):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sweep cell evaluated the second moment")
+
+        monkeypatch.setattr(th, "impossibility_functionals", fail)
+        point = lab.estimate_errors(ExperimentConfig(trials=4, seed=3, **params))
+        assert point.failed is None and point.annotation_error is None
+        assert point.verdict is not None and not math.isnan(point.bound_pfa)
+
+    def test_annotation_overflow_recorded(self):
+        point = lab.estimate_errors(ExperimentConfig(
+            model="flat-hard", detector="interval", N=30, K=3, tau=0.1,
+            policy=None, gamma=1e200, trials=4, seed=3))
+        assert point.failed is None and point.pfa_hat == 0.0
+        assert point.annotation_error and math.isnan(point.bound_pfa)
+
+    def test_sweep_keeps_cell_whose_second_moment_fails(self, tmp_path,
+                                                        capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("model = comm-vm\ndetector = rayleigh\nn = 30\n"
+                     "k = 20\ntrials = 8\nsweep_kappa = 2, 1e6\n")
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", str(p), "--threads", "1",
+                         "--out", str(out)]) == 0
+        assert "2 cells, 0 failed" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 3
+
+
 class TestSweep:
     def test_axis_order_and_rows(self, tmp_path):
         base = ExperimentConfig(model="flat-hard", detector="interval",
@@ -473,6 +508,37 @@ class TestCLIDispatch:
                          "--out", str(tmp_path / "s.csv")]) == code
         assert out in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line,pfa_pmiss", [
+        ("sweep_gamma = 2, 50", [("1", "0"), ("0", "1")]),
+        ("gamma = 2", [("1", "0")]),
+        ("gamma = 50", [("0", "1")]),
+    ])
+    def test_sweep_gamma_is_flat_threshold(self, tmp_path, line, pfa_pmiss):
+        # gamma 2 is below every null window maximum, 50 above every
+        # planted count
+        p = tmp_path / "c.cfg"
+        p.write_text("model = flat-hard\ndetector = interval\nN = 200\n"
+                     f"K = 8\ntau = 0.02\ntrials = 20\n{line}\n")
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", str(p), "--threads", "1",
+                         "--out", str(out)]) == 0
+        rows = [dict(zip(lab.CSV_COLUMNS, r.split(",")))
+                for r in out.read_text().splitlines()[1:]]
+        assert [(r["pfa_hat"], r["pmiss_hat"]) for r in rows] == pfa_pmiss
+        assert all(r["policy"] == "" for r in rows)
+
+    @pytest.mark.parametrize("line", ["gamma = 5", "sweep_gamma = 5, 6"])
+    def test_sweep_policy_and_gamma_is_usage_error(self, tmp_path, capsys,
+                                                   line):
+        p = tmp_path / "c.cfg"
+        p.write_text("model = flat-hard\ndetector = interval\npolicy = a1\n"
+                     f"N = 30\nK = 3\ntau = 0.1\ntrials = 5\n{line}\n")
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", str(p), "--threads", "1",
+                         "--out", str(out)]) == 2
+        assert "policy or gamma" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("old,new", [
         ("# K=8\n", "# K=x\n"),
         ("# N=200\n", "# N=200\nabc\n"),
@@ -520,6 +586,13 @@ class TestCLIDispatch:
         assert _bound_names(out) == ["pfa", "total_default"]
         pfa = th.rayleigh_bounds(12, 10, 20.0)["pfa"].value
         assert out.startswith(f"pfa={pfa:.17g} applicable=true\n")
+
+    def test_bounds_without_second_moment_exit_0(self, capsys):
+        assert cli.main(["bounds", "--model", "comm-vm", "--detector",
+                         "rayleigh", "--n", "30", "--k", "20", "--kappa",
+                         "1e6"]) == 0
+        assert _bound_names(capsys.readouterr().out) == [
+            "pfa", "total_default", "pmiss"]
 
     def test_bounds_flat_vm_known_theta_has_no_scan_bounds(self, capsys):
         assert cli.main(["bounds", "--model", "flat-vm", "--detector",

@@ -2,6 +2,8 @@
 
 import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,26 @@ class TestVonMisesSampler:
         rng = mod.rng_for(5, 3)
         x = mod.sample_von_mises(0.3, 2.0, rng)
         assert isinstance(x, float) and 0 <= x < TWO_PI
+
+    @pytest.mark.parametrize("kappa", [2e10, 1e17, 1e200])
+    def test_kappa_above_sampler_limit_rejected(self, kappa):
+        with pytest.raises(DomainError):
+            mod.VonMises(kappa)
+
+    def test_sampler_limit_is_1e10(self):
+        mod.VonMises(1e10)
+        draws = mod.sample_von_mises(0.0, 1e10, mod.rng_for(5, 4), 1000)
+        assert draws.shape == (1000,)
+        with pytest.raises(DomainError):
+            mod.sample_von_mises(0.0, 2e10, mod.rng_for(5, 4), 3)
+
+    def test_huge_kappa_draw_returns(self):
+        # A kappa this large once made the rejection loop spin forever.
+        code = ("import numpy as np; from circlab import models as m\n"
+                "m.sample_von_mises(0.0, 1e17, np.random.default_rng(1), 3)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60)
+        assert r.returncode != 0 and "DomainError" in r.stderr
 
 
 class TestArcSampler:

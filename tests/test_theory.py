@@ -11,7 +11,7 @@ from scipy.stats import hypergeom as scipy_hypergeom
 
 from circlab import specfun as sf
 from circlab import theory as th
-from circlab.errors import DomainError, ParameterError
+from circlab.errors import DomainError, NumericError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -266,6 +266,14 @@ class TestSecondMoments:
 
     def test_overflow_tagged_infinite(self):
         assert math.isinf(th.second_moment_exact_comm_vm(40, 30, 50.0))
+
+    @pytest.mark.parametrize("fn,args", [
+        (th.second_moment_exact_comm_vm, (30, 20, 1e6)),
+        (th.second_moment_exact_flat_vm, (2000, 1000, 1e5)),
+    ], ids=["comm-vm", "flat-vm"])
+    def test_quadrature_that_misses_the_peak_is_numeric_error(self, fn, args):
+        with pytest.raises(NumericError):
+            fn(*args)
 
 
 class TestImpossibilityFunctionals:
