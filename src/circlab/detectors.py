@@ -14,16 +14,21 @@ Conventions shared by every statistic:
   evaluation anchors at each observation.
 * Subset searches are exact: maximum-coherence and minimum-variance scans
   enumerate all C(n,k) subsets in revolving-door (minimal-change) order and
-  report the first optimizer in that order; k-clique feasibility uses branch
-  and bound with degree pruning. Budgets turn oversized requests into
-  CapabilityError, never into silent sampling.
+  report the first optimizer in that order. The community interval scan
+  decides existence edge by edge, with a (k-2)-clique search through each
+  anchor edge on a sliding bitmask adjacency, and then reports the first
+  window that holds a k-clique, found by branch and bound with degree
+  pruning. Budgets turn oversized requests into CapabilityError, never into
+  silent sampling.
 
 All functions are pure; independent calls may run concurrently.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -63,6 +68,9 @@ __all__ = [
 DEFAULT_SUBSET_BUDGET = 100_000_000  # subset-edge operations per exact scan
 DEFAULT_CLIQUE_LIMIT_N = 48          # exact community search size cap
 _CHUNK_ROWS = 16_384
+# Pool threads that start one scan together would each build the same table
+# (temporaries about 10x its size) before the cache holds it.
+_TABLE_LOCK = threading.Lock()
 
 
 class Decision(Enum):
@@ -295,16 +303,50 @@ def _find_k_clique(adj: dict, k: int) -> Optional[tuple]:
     return None
 
 
-def interval_stat_community(sample: EdgeSample, k: int, tau: float,
-                            ) -> tuple[bool, Optional[float], Optional[tuple]]:
-    """Exact search for a k-set whose intra-edges all fit one closed window.
+def _has_clique(adj: list, cand: int, r: int) -> bool:
+    """Whether the vertex bitmask ``cand`` holds an r-clique of ``adj``."""
+    if r == 0:
+        return True
+    while cand.bit_count() >= r:
+        low = cand & -cand
+        cand ^= low
+        if r == 1 or _has_clique(adj, cand & adj[low.bit_length() - 1], r - 1):
+            return True
+    return False
 
-    Anchors the window at each observed edge angle in increasing order (any
-    feasible window can be slid until its left end hits the smallest
-    contained edge angle); for each anchor with at least C(k,2) in-window
-    edges, runs exact k-clique search on the graph of in-window edges.
-    Returns (found, anchor angle, vertex set) for the first witness.
+
+def _sliding_adjacency(edges: list, n: int, ends: list, start: int):
+    """Yield (j, adj) for anchors j = start .. len(ends) - 1.
+
+    ``edges`` lists the (a, b) pairs in sorted-angle order twice over, and
+    ``adj[v]`` is the neighbour bitmask of v over edges[j:ends[j]]. ``ends``
+    is non-decreasing and no window holds an edge twice, so each step toggles
+    edge j - 1 out and the entering edges in; ``adj`` is updated in place.
     """
+    adj = [0] * n
+    hi = start
+    for j in range(start, len(ends)):
+        if j > start:
+            a, b = edges[j - 1]
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+        end = ends[j]
+        while hi < end:
+            a, b = edges[hi]
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            hi += 1
+        yield j, adj
+
+
+@lru_cache(maxsize=DEFAULT_CLIQUE_LIMIT_N)
+def _edge_list(n: int) -> tuple:
+    """``edge_pairs(n)`` as a tuple of (i, j) int pairs."""
+    return tuple(map(tuple, edge_pairs(n).tolist()))
+
+
+def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
+    """``interval_stat_community`` plus the number of clique searches run."""
     n = sample.n
     k = int(k)
     if not (2 <= k <= n):
@@ -319,23 +361,65 @@ def interval_stat_community(sample: EdgeSample, k: int, tau: float,
     ang = np.asarray(sample.edge_angles, dtype=float)
     order = np.argsort(ang, kind="stable")
     sa = ang[order]
-    pairs = edge_pairs(n)[order]
     m = sa.size
     if tau == 1.0:
+        pairs = edge_pairs(n)[order]
         in_window = np.arange(m)
         adj = _window_adjacency(pairs[in_window])
         clique = _find_k_clique(adj, k)
-        return True, float(sa[0]) if m else 0.0, clique
+        return True, float(sa[0]) if m else 0.0, clique, 1
     doubled = np.concatenate([sa, sa + TWO_PI])
     counts = np.searchsorted(doubled, sa + TWO_PI * tau, side="right") - np.arange(m)
-    candidates = np.flatnonzero(counts >= m_need)
-    for idx in candidates:
-        take = (np.arange(idx, idx + counts[idx])) % m
-        adj = _window_adjacency(pairs[take])
-        clique = _find_k_clique(adj, k)
-        if clique is not None:
-            return True, float(sa[idx]), clique
-    return False, None, None
+    # Window i holds the edges at sorted positions [i, ends[i]) mod m. The
+    # wrapped anchors p = m .. ends[m-1] - 1 hold [p, ends[m-1]), a tail of
+    # window m-1 that lies past 2 pi.
+    ends = (np.arange(m) + np.minimum(counts, m)).tolist()
+    ends += [ends[-1]] * (ends[-1] - m)
+    pair_of = _edge_list(n)
+    edges = [pair_of[q] for q in order.tolist()] * 2
+    searches = 0
+    for j, adj in _sliding_adjacency(edges, n, ends, 0):
+        if ends[j] - j >= m_need:
+            searches += 1
+            a, b = edges[j]
+            if _has_clique(adj, adj[a] & adj[b], k - 2):
+                break
+    else:
+        return False, None, None, searches
+    first = bisect.bisect_right(ends, j, 0, m)
+    for i, adj in _sliding_adjacency(edges, n, ends[:min(j, m - 1) + 1], first):
+        if ends[i] - i >= m_need:
+            searches += 1
+            clique = _find_k_clique(
+                {v: mask for v, mask in enumerate(adj) if mask}, k)
+            if clique is not None:
+                return True, float(sa[i]), clique, searches
+    raise AssertionError("anchored clique outside every candidate window")
+
+
+def interval_stat_community(sample: EdgeSample, k: int, tau: float,
+                            ) -> tuple[bool, Optional[float], Optional[tuple]]:
+    """Exact search for a k-set whose intra-edges all fit one closed window.
+
+    Window i is anchored at the i-th smallest edge angle (stable order) and
+    holds every edge in [x_i, x_i + 2 pi tau], unrolled past 2 pi; any
+    feasible window can be slid until its left end hits its smallest edge.
+    Returns (found, anchor angle, vertex set): the first window, in anchor
+    order, that holds a k-clique, and the first clique that the degree-pruned
+    branch and bound finds in it.
+
+    Lemma: window ends are non-decreasing, so a clique inside window i also
+    fits the window anchored at its own smallest unrolled position p >= i:
+    window p when p < m, and the part [p, end of window m-1) of window m-1
+    when the clique lies wholly past 2 pi (rounding can put such a clique in
+    window i but not in window p - m). Pass 1 slides one bitmask adjacency
+    over these anchors, 0 .. m-1 and then the wrapped ones, and at anchor j,
+    edge {a, b}, looks for a (k-2)-clique in adj[a] & adj[b]; the first hit
+    j* bounds the answer. A window that ends at or before j* holds no
+    clique, so pass 2 searches only the windows i <= j* that reach past j*,
+    in order, and returns the first hit.
+    """
+    return _community_scan(sample, k, tau)[:3]
 
 
 def _window_adjacency(edge_rows: np.ndarray) -> dict:
@@ -348,13 +432,17 @@ def _window_adjacency(edge_rows: np.ndarray) -> dict:
 
 
 def interval_test_community(sample: EdgeSample, k: int, tau: float) -> TestReport:
-    """Reject H0 when some window of length 2 pi tau holds a full k-set."""
-    found, theta, subset = interval_stat_community(sample, k, tau)
+    """Reject H0 when some window of length 2 pi tau holds a full k-set.
+
+    ``work_counter`` is the number of clique searches: anchored ones in
+    pass 1 plus full window searches in pass 2.
+    """
+    found, theta, subset, searches = _community_scan(sample, k, tau)
     stat = 1.0 if found else 0.0
     return TestReport(
         statistic=stat, threshold=1.0,
         witness_theta=theta, witness_subset=subset,
-        work_counter=sample.n_edges)
+        work_counter=searches)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +510,8 @@ def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
         raise CapabilityError(
             f"exact subset scan needs {total:.3g} subset-edge operations, "
             f"budget is {budget:.3g}")
-    table = subset_edge_table(n, k)
+    with _TABLE_LOCK:
+        table = subset_edge_table(n, k)
     pick = np.argmax if maximize else np.argmin
     best_val = -math.inf if maximize else math.inf
     best_row = 0

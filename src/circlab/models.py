@@ -201,7 +201,8 @@ class EdgeSample:
     """Angles on the C(n,2) edges of the complete graph, with optional truth.
 
     ``edge_angles[edge_index(n, i, j)]`` is the angle of edge {i, j};
-    access is symmetric in (i, j) and self-loops are rejected.
+    access is symmetric in (i, j) and self-loops are rejected. An angle that
+    is not finite or not in [0, 2pi) is a DomainError.
     """
 
     n: int
@@ -216,6 +217,7 @@ class EdgeSample:
             raise ParameterError(
                 f"expected {m} edge angles for n={self.n}, got shape "
                 f"{self.edge_angles.shape}")
+        _checked_angles(self.edge_angles)
         if self.truth is not None and not (
                 0 <= self.truth.community[0] and self.truth.community[-1] < self.n):
             raise ParameterError("truth vertices out of range")
@@ -511,7 +513,6 @@ def read_dataset(fh: TextIO) -> tuple:
                 f"expected {arr.size} edges for n={n}, file has {len(edges)}")
         for (i, j), a in edges.items():
             arr[edge_index(n, i, j)] = a
-        _checked_angles(arr)
         sample = EdgeSample(n=n, edge_angles=arr,
                             truth=truth and PlantedCommunity(*truth))
     return sample, meta

@@ -1,6 +1,8 @@
 """Detector statistics against brute-force oracles, plus decision mechanics."""
 
 import math
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -224,6 +226,51 @@ def brute_community_found(sample, k, tau):
     return False
 
 
+def window_scan_community(sample, k, tau):
+    """The per-window community scan: a full k-clique search in every window
+    with at least C(k,2) edges, in anchor order. Oracle for the anchored scan."""
+    m_need = k * (k - 1) // 2
+    ang = np.asarray(sample.edge_angles, dtype=float)
+    order = np.argsort(ang, kind="stable")
+    sa = ang[order]
+    pairs = mod.edge_pairs(sample.n)[order]
+    m = sa.size
+    if tau == 1.0:
+        return True, float(sa[0]), det._find_k_clique(
+            det._window_adjacency(pairs), k)
+    doubled = np.concatenate([sa, sa + TWO_PI])
+    counts = np.searchsorted(doubled, sa + TWO_PI * tau, side="right") - np.arange(m)
+    for idx in np.flatnonzero(counts >= m_need):
+        take = (np.arange(idx, idx + counts[idx])) % m
+        clique = det._find_k_clique(det._window_adjacency(pairs[take]), k)
+        if clique is not None:
+            return True, float(sa[idx]), clique
+    return False, None, None
+
+
+def window_ends(sample, tau):
+    """Sorted angles and the end of each window: window i holds the edges at
+    sorted positions [i, ends[i]) mod m."""
+    sa = np.sort(sample.edge_angles)
+    m = sa.size
+    doubled = np.concatenate([sa, sa + TWO_PI])
+    ends = np.searchsorted(doubled, sa + TWO_PI * tau, side="right")
+    return sa, np.minimum(ends, np.arange(m) + m)
+
+
+edge_samples = st.integers(min_value=3, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.integers(min_value=2, max_value=n),
+        st.one_of(
+            st.lists(canonical_angles, min_size=n * (n - 1) // 2,
+                     max_size=n * (n - 1) // 2),
+            # a few distinct values: many ties, many full windows
+            st.lists(canonical_angles, min_size=1, max_size=4).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool),
+                                      min_size=n * (n - 1) // 2,
+                                      max_size=n * (n - 1) // 2)))))
+
+
 class TestIntervalCommunity:
     def test_handcrafted_triangle(self):
         ang = np.zeros(6)
@@ -293,6 +340,119 @@ class TestIntervalCommunity:
         s = mod.gen_community(49, 3, mod.VonMises(1.0), False, mod.rng_for(0, 31))
         with pytest.raises(CapabilityError):
             det.interval_stat_community(s, 3, 0.1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_samples, window_fractions)
+    def test_equals_window_scan(self, case, tau):
+        n, k, angles = case
+        s = mod.EdgeSample(n, np.array(angles))
+        assert (det.interval_stat_community(s, k, tau)
+                == window_scan_community(s, k, tau))
+
+    @pytest.mark.parametrize("n,k,tau,signal,h1", [
+        (16, 5, 0.1, mod.VonMises(40.0), False),
+        (16, 5, 0.1, mod.VonMises(40.0), True),
+        (12, 4, 0.05, mod.HardCluster(0.05), True),
+        (10, 3, 0.3, mod.HardCluster(0.3), False),
+        (9, 9, 0.9, mod.VonMises(2.0), True),
+    ])
+    def test_equals_window_scan_generated(self, n, k, tau, signal, h1):
+        for seed in range(30):
+            s = mod.gen_community(n, k, signal, h1, mod.rng_for(seed, 44))
+            assert (det.interval_stat_community(s, k, tau)
+                    == window_scan_community(s, k, tau))
+
+    @staticmethod
+    def _triangle_plus(angles):
+        """n = 4 edge sample; edges (0,1), (0,2), (1,2) form triangle {0,1,2}."""
+        ang = np.empty(6)
+        for (i, j), a in angles.items():
+            ang[mod.edge_index(4, i, j)] = a
+        return mod.EdgeSample(4, ang)
+
+    def test_witness_window_wraps_past_two_pi(self):
+        s = self._triangle_plus({(0, 1): 6.2, (0, 2): 0.05, (1, 2): 0.1,
+                                 (0, 3): 2.0, (1, 3): 3.0, (2, 3): 4.0})
+        got = det.interval_stat_community(s, 3, 0.3 / TWO_PI)
+        assert got == (True, 6.2, (0, 1, 2))
+        assert got == window_scan_community(s, 3, 0.3 / TWO_PI)
+
+    def test_witness_window_starts_before_the_clique(self):
+        # Window [0.95, 1.25] is the first to hold the triangle; its anchor
+        # edge (0, 3) is not a triangle edge.
+        s = self._triangle_plus({(0, 1): 1.0, (0, 2): 1.1, (1, 2): 1.2,
+                                 (0, 3): 0.95, (1, 3): 3.0, (2, 3): 4.5})
+        got = det.interval_stat_community(s, 3, 0.3 / TWO_PI)
+        assert got == (True, 0.95, (0, 1, 2))
+        assert got == window_scan_community(s, 3, 0.3 / TWO_PI)
+
+    def test_clique_only_past_two_pi_of_the_last_window(self):
+        # Rounding lets window [s_top, s_top + 2 pi tau] hold the edge at
+        # x = 2 pi tau + 1 ulp once unrolled past 2 pi, while the window
+        # anchored at the triangle's smallest edge (angle 0) ends at
+        # 2 pi tau < x. Only the wrapped copies of the first anchors see it.
+        tau = 0.3
+        x = float(np.nextafter(TWO_PI * tau, 7.0))
+        s_top = float(np.nextafter(TWO_PI, 0.0))
+        assert x + TWO_PI <= s_top + TWO_PI * tau
+        s = self._triangle_plus({(0, 1): 0.0, (0, 2): 0.0, (1, 2): x,
+                                 (0, 3): s_top, (1, 3): 4.0, (2, 3): 4.3})
+        got = det.interval_stat_community(s, 3, tau)
+        assert got == (True, s_top, (0, 1, 2))
+        assert got == window_scan_community(s, 3, tau)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.5, float(np.nextafter(1.0, 0.0)), 1.0])
+    def test_k2_first_edge(self, tau):
+        s = mod.gen_community(6, 2, mod.VonMises(1.0), False, mod.rng_for(2, 45))
+        got = det.interval_stat_community(s, 2, tau)
+        assert got == window_scan_community(s, 2, tau)
+        found, theta, (i, j) = got
+        assert found and theta == float(np.min(s.edge_angles))
+        assert in_closed_window(s.angle(i, j), theta, TWO_PI * tau)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.6, 0.75, float(np.nextafter(1.0, 0.0))])
+    def test_k_equals_n(self, tau):
+        for seed in range(20):
+            s = mod.gen_community(5, 5, mod.VonMises(3.0), seed % 2 == 1,
+                                  mod.rng_for(seed, 46))
+            got = det.interval_stat_community(s, 5, tau)
+            assert got == window_scan_community(s, 5, tau)
+            if got[0]:
+                assert got[2] == (0, 1, 2, 3, 4)
+
+    def test_work_counts_searches(self, monkeypatch):
+        calls = []
+        find = det._find_k_clique
+        monkeypatch.setattr(det, "_find_k_clique",
+                            lambda adj, k: calls.append(1) or find(adj, k))
+        n, k, tau = 16, 5, 0.1
+        m_need = k * (k - 1) // 2
+        seen = {True: 0, False: 0}
+        for seed in range(40):
+            s = mod.gen_community(n, k, mod.VonMises(40.0), seed % 2 == 1,
+                                  mod.rng_for(seed, 47))
+            calls.clear()
+            rep = det.interval_test_community(s, k, tau)
+            sa, ends = window_ends(s, tau)
+            m = sa.size
+            # anchors 0 .. m-1, then the wrapped copies m .. ends[m-1] - 1
+            wide = np.append(ends, np.full(ends[-1] - m, ends[-1]))
+            anchors = int(np.count_nonzero(wide - np.arange(wide.size) >= m_need))
+            searched = len(calls)
+            seen[rep.rejected] += 1
+            if not rep.rejected:
+                assert searched == 0
+                assert rep.work_counter == anchors
+            else:
+                first = int(np.searchsorted(sa, rep.witness_theta))
+                overlapping = int(np.count_nonzero(
+                    (sa <= rep.witness_theta) & (ends > first)))
+                assert 1 <= searched <= overlapping
+                assert rep.work_counter - searched <= anchors
+        assert seen[True] >= 5 and seen[False] >= 5
+        calls.clear()
+        assert det.interval_test_community(s, k, 1.0).work_counter == 1
+        assert len(calls) == 1
 
 
 class TestCoherence:
@@ -470,6 +630,33 @@ def tuple_revolving_door(n, k):
             return [tuple(range(nn))]
         return rec(nn - 1, kk) + [s + (nn - 1,) for s in reversed(rec(nn - 1, kk - 1))]
     return np.asarray(rec(n, k), dtype=np.int32)
+
+
+class TestSubsetTableSharing:
+    def test_concurrent_scans_build_the_table_once(self):
+        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
+        det.subset_edge_table.cache_clear()
+        det.revolving_door_subsets.cache_clear()
+        start = threading.Barrier(4)
+        results = []
+
+        def scan():
+            start.wait(timeout=30)
+            results.append(det.coherence_stat(s, 6))
+
+        threads = [threading.Thread(target=scan) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4 and len(set(results)) == 1
+        assert det.subset_edge_table.cache_info().misses == 1
 
 
 class TestRevolvingDoor:

@@ -245,6 +245,25 @@ class TestEdgeIndexing:
             assert mod.edge_index(n, int(j), int(i)) == idx
 
 
+class TestEdgeSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, TWO_PI, 100.0])
+    def test_angle_outside_circle_rejected(self, bad):
+        ang = np.full(10, 1.0)
+        ang[3] = bad
+        with pytest.raises(DomainError, match=r"not in \[0, 2pi\); 1 of 10"):
+            mod.EdgeSample(5, ang)
+
+    def test_all_angles_outside_circle_rejected(self):
+        # The community scan used to report a window anchored at 100.0.
+        with pytest.raises(DomainError, match="10 of 10"):
+            mod.EdgeSample(5, np.full(10, 100.0))
+
+    def test_ends_of_circle_accepted(self):
+        ang = np.full(10, float(np.nextafter(TWO_PI, 0.0)))
+        ang[0] = 0.0
+        assert mod.EdgeSample(5, ang).edge_angles[0] == 0.0
+
+
 class TestDatasetIO:
     def test_flat_roundtrip_with_truth(self):
         signal = mod.VonMises(3.0)
