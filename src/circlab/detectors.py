@@ -50,6 +50,7 @@ __all__ = [
     "rayleigh_threshold",
     "interval_stat_flat",
     "interval_test_flat",
+    "interval_rejects_flat",
     "known_theta_test_flat",
     "interval_stat_community",
     "interval_test_community",
@@ -210,6 +211,32 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     # For tau just below 1, x + 2 pi tau can round up to x + 2 pi and reach
     # the anchor's own copy: that window holds every point, once.
     return min(int(counts[best]), n), float(xs[best])
+
+
+def interval_rejects_flat(sample: FlatSample, tau: float, gamma: float) -> bool:
+    """``interval_test_flat(sample, tau, gamma).rejected``, without the statistic.
+
+    With c = ceil(gamma), some window holds c points exactly when the sorted
+    angles have ``doubled[i + c - 1] <= xs[i] + 2 pi tau`` for some anchor i:
+    the comparison ``searchsorted(side="right")`` makes in
+    ``interval_stat_flat``. The last c - 1 anchors reach past 2 pi, into the
+    shifted copies ``xs + 2 pi``. One probe per anchor decides the test.
+    """
+    if not (0.0 < tau <= 1.0):
+        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    n = sample.n_points
+    gamma = float(gamma)
+    if not gamma <= n:  # also NaN: the count never reaches it
+        return False
+    if gamma <= 1.0 or tau == 1.0:
+        return True
+    c = math.ceil(gamma)
+    xs = np.sort(sample.angles)
+    ends = xs + TWO_PI * tau
+    head = n - c + 1
+    if (xs[c - 1:] <= ends[:head]).any():
+        return True
+    return bool((xs[:c - 1] + TWO_PI <= ends[head:]).any())
 
 
 def interval_test_flat(sample: FlatSample, tau: float, gamma: float) -> TestReport:

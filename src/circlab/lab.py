@@ -24,7 +24,8 @@ from . import detectors as det
 from . import models as mod
 from . import specfun as sf
 from . import theory as th
-from .errors import CapabilityError, ConfigError, DomainError, ParameterError
+from .errors import (CapabilityError, ConfigError, DomainError, NumericError,
+                     ParameterError)
 
 __all__ = [
     "ExperimentConfig",
@@ -61,7 +62,7 @@ _STREAM_SECOND_MOMENT = 202
 Z_95 = 1.959963984540054
 
 # Errors that mark one cell failed instead of aborting a sweep.
-_CELL_ERRORS = (CapabilityError, DomainError, ParameterError)
+_CELL_ERRORS = (CapabilityError, DomainError, NumericError, ParameterError)
 
 
 DETECTORS = ("interval", "coherence", "rayleigh", "variance", "known-theta")
@@ -261,9 +262,15 @@ def _make_test(detector: str, flat: bool, *, N: Optional[int],
 def _make_runner(config: ExperimentConfig) -> Callable:
     """Build sample -> rejected closure for the configured detector.
 
-    Known-theta trials test at the planted phase when the sample has one.
+    Flat interval trials only decide, with ``interval_rejects_flat``, and
+    skip the statistic and its witness. Known-theta trials test at the
+    planted phase when the sample has one.
     """
     c = config
+    if c.is_flat and c.detector == "interval":
+        _check_detector_params(c.detector, True, c.K, c.tau, c.kappa, c.sigma2)
+        gamma = _config_gamma(c)
+        return lambda sample: det.interval_rejects_flat(sample, c.tau, gamma)
     test = _make_test(c.detector, c.is_flat, N=c.N, subset=c.subset_label,
                       tau=c.tau, kappa=c.kappa, policy=c.policy, gamma=c.gamma,
                       sigma2=c.sigma2, epsilon=c.epsilon, theta=c.theta,
@@ -346,9 +353,10 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     Runs ``trials`` datasets under each hypothesis. Identical (config, seed)
     give identical results for any thread count: per-trial generators are
     derived from (seed, cell, hypothesis, trial) and counts reduce by sums.
-    Capability, domain and parameter errors mark the point failed instead
-    of raising; the same errors, or an overflow, while annotating the verdict
-    and bounds are kept in ``annotation_error``. A ConfigError still raises.
+    Capability, domain, numeric and parameter errors mark the point failed
+    instead of raising; the same errors, or an overflow, while annotating
+    the verdict and bounds are kept in ``annotation_error``. A ConfigError
+    still raises.
     """
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
@@ -459,8 +467,8 @@ def sweep(grid: Sequence[tuple], base: ExperimentConfig,
     ``grid`` is a list of (parameter name, values); cells enumerate the
     cross product with the last axis fastest. Per-cell trial streams are
     derived from (master seed, cell index). The whole grid is checked before
-    any cell runs; a cell that raises a capability, domain or parameter error
-    is marked failed without aborting the sweep.
+    any cell runs; a cell that raises a capability, domain, numeric or
+    parameter error is marked failed without aborting the sweep.
     """
     points = []
     for idx, overrides in enumerate(_grid_cells(grid)):

@@ -153,7 +153,11 @@ class PlantedCommunity:
 
 @dataclass
 class FlatSample:
-    """N angles on [0, 2pi) with optional planted truth."""
+    """N angles on [0, 2pi) with optional planted truth.
+
+    An angle that is not finite or not in [0, 2pi) is a DomainError: the
+    flat scans count on sorted angles below 2pi.
+    """
 
     angles: np.ndarray
     truth: Optional[PlantedFlat] = None
@@ -162,6 +166,7 @@ class FlatSample:
         self.angles = np.asarray(self.angles, dtype=float)
         if self.angles.ndim != 1 or self.angles.size < 1:
             raise ParameterError("angles must be a nonempty 1-d array")
+        _checked_angles(self.angles)
         subset = self.truth.subset if self.truth is not None else ()
         if subset and not (0 <= subset[0] and subset[-1] < self.angles.size):
             raise ParameterError("truth indices out of range for sample size")
@@ -306,12 +311,17 @@ def sample_arc_uniform(theta: float, tau: float, rng: np.random.Generator,
 
 
 def _sample_subset(rng: np.random.Generator, n: int, k: int) -> tuple:
-    """Uniform size-k subset of range(n) by partial Fisher-Yates."""
-    arr = np.arange(n)
-    for i in range(k):
-        j = i + int(rng.integers(0, n - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    return tuple(sorted(arr[:k].tolist()))
+    """Uniform size-k subset of range(n) by partial Fisher-Yates.
+
+    The k draws j_i in [0, n - i) come from one ``integers`` call, which
+    consumes the stream exactly as k scalar calls in order would. The swaps
+    touch at most 2k positions, so they run on a dict of the moved ones.
+    """
+    moved: dict = {}
+    for i, d in enumerate(rng.integers(0, np.arange(n, n - k, -1)).tolist()):
+        j = i + d
+        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+    return tuple(sorted(moved[i] for i in range(k)))
 
 
 def _signal_draws(signal: SignalKind, theta: float, rng: np.random.Generator,
@@ -435,6 +445,8 @@ def write_dataset(fh: TextIO, sample: Union[FlatSample, EdgeSample],
 def _checked_angles(values) -> np.ndarray:
     """Angles as an array, rejecting any that is not finite or not in [0, 2pi)."""
     arr = np.asarray(values, dtype=float)
+    if arr.size and arr.min() >= 0.0 and arr.max() < TWO_PI:
+        return arr  # min and max are NaN when any angle is
     bad = ~((arr >= 0.0) & (arr < TWO_PI))
     if bad.any():
         raise DomainError(
@@ -499,12 +511,11 @@ def read_dataset(fh: TextIO) -> tuple:
                        for s in meta["truth_subset"].split(",") if s),
                  _header(meta, "truth_theta", float))
     if model == "flat":
-        angles = _checked_angles(flat_angles)
-        if "N" in meta and meta["N"] != str(angles.size):
-            raise ParameterError(
-                f"header says N={meta['N']}, file has {angles.size} angles")
         sample: Union[FlatSample, EdgeSample] = FlatSample(
-            angles=angles, truth=truth and PlantedFlat(*truth))
+            angles=flat_angles, truth=truth and PlantedFlat(*truth))
+        if "N" in meta and meta["N"] != str(sample.n_points):
+            raise ParameterError(
+                f"header says N={meta['N']}, file has {sample.n_points} angles")
     else:
         n = _header(meta, "n", int)
         arr = np.empty(n * (n - 1) // 2, dtype=float)

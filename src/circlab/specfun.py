@@ -260,13 +260,22 @@ def log_rho(kappa: float, theta: float) -> float:
     return _log_i0_f(2.0 * kappa * abs(math.cos(theta))) - 2.0 * _log_i0_f(kappa)
 
 
-def _quad_checked(fn, a: float, b: float, what: str, points=None) -> float:
-    val, err = quad(fn, a, b, epsabs=_QUAD_ABS_TOL, epsrel=1e-11,
-                    limit=_QUAD_LIMIT, points=points)
-    if not math.isfinite(val) or err > 1e-7 * max(1.0, abs(val)) + 1e-9:
+def _quad_checked(fn, a: float, b: float, what: str, err_ok,
+                  **options) -> float:
+    """``quad(fn, a, b, **options)``; NumericError unless it converged.
+
+    It converged when quad reports no failure, the value is finite and
+    ``err_ok(value, error estimate)`` holds. With ``full_output`` quad
+    returns its failure message (ier > 0) instead of issuing an
+    IntegrationWarning, so the check needs no warning filter and holds in
+    every thread.
+    """
+    val, err, _, *message = quad(fn, a, b, full_output=1, **options)
+    if message or not (math.isfinite(val) and err_ok(val, err)):
+        reason = f" ({' '.join(message[0].split())})" if message else ""
         raise NumericError(
-            f"quadrature for {what} did not converge: value={val!r}, "
-            f"reported error={err!r}, interval=({a}, {b})")
+            f"quadrature for {what} did not converge{reason}: "
+            f"value={val!r}, reported error={err!r}, interval=({a}, {b})")
     return val
 
 
@@ -294,7 +303,10 @@ def arc_prob(kappa: float, tau: float) -> float:
     if kappa > 4.0:
         width = 1.0 / math.sqrt(kappa)
         pts = sorted({min(half * 0.999, j * width) for j in (1, 2, 4, 8, 16, 32)})
-    mass = 2.0 * _quad_checked(scaled_density, 0.0, half, "arc_prob", points=pts)
+    mass = 2.0 * _quad_checked(
+        scaled_density, 0.0, half, "arc_prob",
+        lambda val, err: err <= 1e-7 * max(1.0, abs(val)) + 1e-9,
+        epsabs=_QUAD_ABS_TOL, epsrel=1e-11, limit=_QUAD_LIMIT, points=pts)
     denom = TWO_PI * bessel_i0_scaled(kappa)
     return min(1.0, mass / denom)
 

@@ -29,9 +29,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .detectors import default_c_schedule, rayleigh_threshold, resolve_flat_threshold
-from .errors import DomainError, NumericError, ParameterError
-from .specfun import (TWO_PI, arc_prob, bessel_i0_scaled, log_bessel_i0,
-                      log_ratio_R, mean_resultant, ratio_R)
+from .errors import DomainError, ParameterError
+from .specfun import (TWO_PI, _quad_checked, arc_prob, bessel_i0_scaled,
+                      log_bessel_i0, log_ratio_R, mean_resultant, ratio_R)
 
 __all__ = [
     "BoundValue",
@@ -457,13 +457,13 @@ def _log_mean_rho_power(kappa: float, j_of_s, k_max: int, law: OverlapLaw) -> fl
             g = j * (log_bessel_i0(arg) - 2.0 * log_i0_kappa)
             return math.exp(g - g_max)
 
-        val, err = quad(integrand, 0.0, TWO_PI, epsabs=1e-12, epsrel=1e-10,
-                        limit=400, points=[0.0, math.pi, TWO_PI])
-        mean = val / TWO_PI
-        # The integrand is 1 at phi = 0, so a zero mean is a missed peak.
-        if not (math.isfinite(mean) and mean > 0.0):
-            raise NumericError(f"second-moment quadrature failed at s={s}")
-        logs.append(lp + g_max + math.log(mean))
+        # The integrand is 1 at phi = 0, so a mean of 0, or one smaller
+        # than its error estimate, is a missed peak.
+        val = _quad_checked(integrand, 0.0, TWO_PI, f"second moment at s={s}",
+                            lambda val, err: err < val, epsabs=1e-12,
+                            epsrel=1e-10, limit=400,
+                            points=[0.0, math.pi, TWO_PI])
+        logs.append(lp + g_max + math.log(val / TWO_PI))
     return _logsumexp(logs)
 
 

@@ -86,6 +86,20 @@ class TestIntervalStatFlat:
         assert got == max(counts.values())
         assert counts[witness] == got
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(canonical_angles, max_size=20), st.data())
+    def test_arbitrary_finite_input_outside_circle_rejected(self, angles, data):
+        # Any finite input is either canonical (above) or rejected where the
+        # sample is built; [-1, 7, 100] used to count 3 at tau = 0.05.
+        outside = data.draw(st.one_of(
+            st.floats(max_value=-5e-324, allow_infinity=False),
+            st.floats(min_value=TWO_PI, allow_infinity=False),
+            st.sampled_from([-5e-324, TWO_PI, float(np.nextafter(TWO_PI, 7.0))])))
+        pos = data.draw(st.integers(min_value=0, max_value=len(angles)))
+        angles.insert(pos, outside)
+        with pytest.raises(DomainError):
+            det.interval_stat_flat(mod.FlatSample(np.array(angles)), 0.05)
+
     def test_count_never_exceeds_points(self):
         # x + 2 pi tau rounds to x + 2 pi here; the scan counted 4 of 3 points
         s = mod.FlatSample(np.array([0.5, 2.0, 6.0]))
@@ -172,6 +186,57 @@ class TestIntervalTestFlat:
     def test_non_finite_threshold_is_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             det.resolve_flat_threshold(N=100, tau=0.1, **kwargs)
+
+
+def thresholds_around(n):
+    return st.one_of(
+        st.sampled_from([-math.inf, 0.0, 1.0, 1.5, n - 0.5, float(n), n + 0.5,
+                         math.inf, math.nan]),
+        st.floats(min_value=-1.0, max_value=n + 2.0),
+        st.integers(min_value=0, max_value=n + 1).map(float))
+
+
+class TestIntervalRejectsFlat:
+    """The one-probe decision against the statistic path's ``rejected``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_equals_statistic_decision(self, data):
+        angles = data.draw(st.lists(st.one_of(
+            canonical_angles,
+            st.sampled_from([0.0, 1e-12, float(np.nextafter(TWO_PI, 0.0)),
+                             TWO_PI - 1e-12, 2.5])), min_size=1, max_size=30))
+        tau = data.draw(st.one_of(
+            st.sampled_from([1e-9, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]),
+            window_fractions))
+        gamma = data.draw(thresholds_around(len(angles)))
+        s = mod.FlatSample(np.array(angles))
+        assert (det.interval_rejects_flat(s, tau, gamma)
+                == det.interval_test_flat(s, tau, gamma).rejected)
+
+    @pytest.mark.parametrize("N,K,tau", [(2000, 21, 0.01), (200, 8, 0.03),
+                                         (50, 50, 0.5)])
+    def test_equals_statistic_decision_generated(self, N, K, tau):
+        for seed in range(40):
+            s = mod.gen_flat(N, K, mod.HardCluster(tau), seed % 2 == 1,
+                             mod.rng_for(seed, 28))
+            stat = det.interval_test_flat(s, tau, 0.0).statistic
+            for gamma in (stat - 0.5, stat, stat + 0.5, stat + 1.0):
+                assert (det.interval_rejects_flat(s, tau, gamma)
+                        == det.interval_test_flat(s, tau, gamma).rejected)
+
+    def test_window_reaching_past_two_pi(self):
+        # The shortest 2- and 3-point windows start at 6.2 and wrap past 0.
+        s = mod.FlatSample(np.array([0.05, 3.0, 6.2]))
+        assert det.interval_rejects_flat(s, 0.03, 2.0)
+        assert not det.interval_rejects_flat(s, 0.01, 2.0)
+        assert det.interval_rejects_flat(s, 0.491, 3.0)
+        assert not det.interval_rejects_flat(s, 0.49, 3.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5, math.nan])
+    def test_bad_window_rejected(self, tau):
+        with pytest.raises(DomainError):
+            det.interval_rejects_flat(mod.FlatSample(np.array([1.0])), tau, 0.0)
 
 
 class TestKnownTheta:

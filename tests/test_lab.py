@@ -188,6 +188,17 @@ class TestSweep:
         assert points[0].failed is None and "tau" in points[1].failed
         assert len(out.read_text().splitlines()) == 3
 
+    def test_threshold_quadrature_failure_fails_its_cell(self, tmp_path):
+        # The vm threshold needs arc_prob(1e12, 1e-6), whose quadrature
+        # stops on round-off: a NumericError that used to end the sweep.
+        base = ExperimentConfig(model="flat-vm", detector="interval", N=40,
+                                K=8, tau=1e-6, policy="vm", trials=5, seed=14)
+        out = tmp_path / "q.csv"
+        points = lab.sweep([("kappa", [5.0, 1e12])], base, out=str(out))
+        assert points[0].failed is None
+        assert "quadrature for arc_prob" in points[1].failed
+        assert len(out.read_text().splitlines()) == 3
+
     def test_non_integer_size_axis_rejected_before_any_cell(self, tmp_path,
                                                            monkeypatch):
         ran = []

@@ -1,5 +1,6 @@
 """Generator distribution checks, determinism, and dataset file format."""
 
+import hashlib
 import io
 import math
 import subprocess
@@ -182,6 +183,92 @@ class TestGenFlat:
         assert np.all(np.abs(freqs - 0.1) < 0.03)
 
 
+def scalar_loop_subset(rng, n, k):
+    """The former ``_sample_subset``: k scalar draws, swaps on arange(n)."""
+    arr = np.arange(n)
+    for i in range(k):
+        j = i + int(rng.integers(0, n - i))
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(sorted(arr[:k].tolist()))
+
+
+def stream_tail(rng):
+    """The next draws: where a generator left the stream, 32- and 64-bit."""
+    return int(rng.integers(0, 2 ** 31 - 1)), float(rng.random())
+
+
+class TestSampleSubset:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.integers(min_value=1, max_value=3000), st.data())
+    def test_equals_scalar_loop(self, seed, n, data):
+        k = data.draw(st.integers(min_value=1, max_value=min(n, 80)))
+        old, new = mod.rng_for(seed, 3), mod.rng_for(seed, 3)
+        assert mod._sample_subset(new, n, k) == scalar_loop_subset(old, n, k)
+        assert stream_tail(new) == stream_tail(old)
+
+    @pytest.mark.parametrize("n", [2 ** 31 - 7, 2 ** 31 + 5, 2 ** 32 - 3,
+                                   2 ** 32 + 9, 2 ** 40 + 3])
+    def test_wide_ranges_draw_as_scalar_calls(self, n):
+        # Near 2^31 and 2^32 the bounded draws reject often; 2^40 + 3 needs
+        # 64-bit draws. arange(n) is too large here, so the scalar draws are
+        # compared directly, and the subset against them.
+        for seed in range(60):
+            k = 1 + seed % 60
+            old, new = mod.rng_for(seed, 4), mod.rng_for(seed, 4)
+            draws = [int(old.integers(0, n - i)) for i in range(k)]
+            subset = mod._sample_subset(new, n, k)
+            assert stream_tail(new) == stream_tail(old)
+            moved = {}
+            for i, d in enumerate(draws):
+                moved[i], moved[i + d] = moved.get(i + d, i + d), moved.get(i, i)
+            assert subset == tuple(sorted(moved[i] for i in range(k)))
+            assert len(set(subset)) == k and 0 <= subset[0] and subset[-1] < n
+
+
+class TestStreamDigests:
+    """SHA-256 of generated samples, truth and the stream position after
+    them, over 6 seeds x 3 shapes; a change in any random stream fails here."""
+
+    SIGNALS = {"hard": mod.HardCluster(0.02), "vm": mod.VonMises(5.0)}
+    FLAT = [(2000, 11), (4000, 60), (30, 30)]
+    COMM = [(16, 5), (24, 6), (9, 9)]
+    H0_FLAT = "0850d92c6eef399bebb94c3cdcc2eea18632c17e65c2dcc954873cfb4635c92a"
+    H0_COMM = "39353bb45edf42673b8fd0a32eaf07954555428114eea1c3813b9315710b3e28"
+
+    @pytest.mark.parametrize("kind,signal,h1,want", [
+        ("flat", "hard", False, H0_FLAT),
+        ("flat", "vm", False, H0_FLAT),
+        ("flat", "hard", True,
+         "c5ea076cba74c2192388bd5d29f5066bef426745d31d89b31540da1bd9af5c98"),
+        ("flat", "vm", True,
+         "b4e006147e4996d6ec846b28d4f31eab4e1060c78d73f1c2ea34c5a3958c6290"),
+        ("comm", "hard", False, H0_COMM),
+        ("comm", "vm", False, H0_COMM),
+        ("comm", "hard", True,
+         "20995889c06185cfafc200e73d688f97f02cd569f9ad5e36785a8f3a5e7ac8c9"),
+        ("comm", "vm", True,
+         "263d76e84b7abdba214943f5aaa2abe9ba696a54e0f3e1613a9d23dee4495a18"),
+    ])
+    def test_digest(self, kind, signal, h1, want):
+        h = hashlib.sha256()
+        for seed in range(6):
+            for shape in self.FLAT if kind == "flat" else self.COMM:
+                rng = mod.rng_for(seed, 9, *shape)
+                if kind == "flat":
+                    s = mod.gen_flat(*shape, self.SIGNALS[signal], h1, rng)
+                    angles = s.angles
+                    truth = s.truth and (s.truth.subset, s.truth.theta_star)
+                else:
+                    s = mod.gen_community(*shape, self.SIGNALS[signal], h1, rng)
+                    angles = s.edge_angles
+                    truth = s.truth and (s.truth.community, s.truth.theta_star)
+                h.update(angles.astype("<f8").tobytes())
+                h.update(repr(truth).encode())
+                h.update(repr(stream_tail(rng)).encode())
+        assert h.hexdigest() == want
+
+
 class TestGenCommunity:
     def test_h1_containment(self):
         for seed in range(200):
@@ -262,6 +349,27 @@ class TestEdgeSample:
         ang = np.full(10, float(np.nextafter(TWO_PI, 0.0)))
         ang[0] = 0.0
         assert mod.EdgeSample(5, ang).edge_angles[0] == 0.0
+
+
+class TestFlatSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5,
+                                     TWO_PI, 100.0])
+    def test_angle_outside_circle_rejected(self, bad):
+        ang = np.full(10, 1.0)
+        ang[3] = bad
+        with pytest.raises(DomainError, match=r"not in \[0, 2pi\); 1 of 10"):
+            mod.FlatSample(ang)
+
+    @pytest.mark.parametrize("angles", [[0.1, 0.2, math.nan, 0.3],
+                                        [-1.0, 7.0, 100.0]])
+    def test_scan_input_that_miscounted_rejected(self, angles):
+        # The flat scan counted 4 of the first and 3 of the second (tau=0.05).
+        with pytest.raises(DomainError):
+            mod.FlatSample(angles)
+
+    def test_ends_of_circle_accepted(self):
+        ang = np.array([0.0, float(np.nextafter(TWO_PI, 0.0))])
+        assert mod.FlatSample(ang).n_points == 2
 
 
 class TestDatasetIO:

@@ -1,6 +1,7 @@
 """Special-function unit tests against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,13 @@ class TestArcProb:
             sf.arc_prob(1.0, 0.0)
         with pytest.raises(DomainError):
             sf.arc_prob(1.0, 1.5)
+
+    def test_unconverged_quadrature_is_numeric_error_without_warning(self):
+        # quad stops on round-off here; arc_prob used to return 0.99832.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="round"):
+                sf.arc_prob(1e12, 1e-6)
 
 
 class TestKL:

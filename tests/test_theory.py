@@ -270,7 +270,9 @@ class TestSecondMoments:
     @pytest.mark.parametrize("fn,args", [
         (th.second_moment_exact_comm_vm, (30, 20, 1e6)),
         (th.second_moment_exact_flat_vm, (2000, 1000, 1e5)),
-    ], ids=["comm-vm", "flat-vm"])
+        # a tiny positive mean below its own error estimate; was 7.07e269
+        (th.second_moment_exact_comm_vm, (30, 20, 3e5)),
+    ], ids=["comm-vm", "flat-vm", "comm-vm-mean-below-error"])
     def test_quadrature_that_misses_the_peak_is_numeric_error(self, fn, args):
         with pytest.raises(NumericError):
             fn(*args)
