@@ -13,8 +13,14 @@ Conventions shared by every statistic:
   its left end hits a data point without losing any point), so exact
   evaluation anchors at each observation.
 * Subset searches are exact: maximum-coherence and minimum-variance scans
-  enumerate all C(n,k) subsets in revolving-door (minimal-change) order and
-  report the first optimizer in that order. The community interval scan
+  cover all C(n,k) subsets and report the first optimizer in revolving-door
+  (minimal-change) order. The variance scan evaluates the subset-edge
+  table in that order. The coherence scan adds each subset's phasors to
+  its prefix's sum in a prefix tree of the sorted subsets, then sums every
+  subset within a rigorous rounding bound delta of the largest again in the
+  table's order, so the value and witness match the table scan bit for
+  bit; the witness is the candidate with the smallest revolving-door rank,
+  computed in closed form. The community interval scan
   decides existence edge by edge, with a (k-2)-clique search through each
   anchor edge on a sliding bitmask adjacency, and then reports the first
   window that holds a k-clique, found by branch and bound with degree
@@ -70,7 +76,7 @@ DEFAULT_SUBSET_BUDGET = 100_000_000  # subset-edge operations per exact scan
 DEFAULT_CLIQUE_LIMIT_N = 48          # exact community search size cap
 _CHUNK_ROWS = 16_384
 # Pool threads that start one scan together would each build the same table
-# (temporaries about 10x its size) before the cache holds it.
+# or prefix levels before the cache holds them.
 _TABLE_LOCK = threading.Lock()
 
 
@@ -513,13 +519,38 @@ def revolving_door_subsets(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def subset_edge_table(n: int, k: int) -> np.ndarray:
-    """Edge indices of E(C) for every k-subset C, shape (C(n,k), C(k,2))."""
+    """Edge indices of E(C) for every k-subset C, shape (C(n,k), C(k,2)).
+
+    Row r lists the edges {s_a, s_b}, a < b, of the r-th revolving-door
+    subset in ``triu_indices`` order. The table is column-major, and that
+    layout fixes numpy's summation order in every scan over it: keep it.
+    It is filled in int32 blocks of _CHUNK_ROWS rows.
+    """
     subs = revolving_door_subsets(n, k)
-    a_idx, b_idx = np.triu_indices(k, k=1)
-    # The gathers are column-major, and that layout fixes numpy's summation
-    # order in every scan over the table: keep it.
-    return edge_position(n, subs[:, a_idx].astype(np.int64),
-                         subs[:, b_idx].astype(np.int64)).astype(np.int32)
+    table = np.empty((subs.shape[0], k * (k - 1) // 2), dtype=np.int32, order="F")
+    for lo in range(0, subs.shape[0], _CHUNK_ROWS):
+        table[lo:lo + _CHUNK_ROWS] = _triu_edges(n, subs[lo:lo + _CHUNK_ROWS])
+    return table
+
+
+def _vertex_bases(n: int) -> np.ndarray:
+    """int32 base[s] such that edge {s, v}, s < v, sits at base[s] + v."""
+    return edge_position(n, np.arange(n, dtype=np.int64), 0).astype(np.int32)
+
+
+def _triu_edges(n: int, subsets: np.ndarray) -> np.ndarray:
+    """Edges {s_a, s_b}, a < b, of each sorted int32 row, in ``triu_indices`` order."""
+    r = np.arange(subsets.shape[1])
+    a_idx, b_idx = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), faster
+    return _vertex_bases(n)[subsets[:, a_idx]] + subsets[:, b_idx]
+
+
+def _check_budget(n: int, k: int, budget: int) -> None:
+    total = math.comb(n, k) * math.comb(k, 2)
+    if total > budget:
+        raise CapabilityError(
+            f"exact subset scan needs {total:.3g} subset-edge operations, "
+            f"budget is {budget:.3g}")
 
 
 def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
@@ -532,11 +563,7 @@ def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
     subset-edge operations.
     """
     n = sample.n
-    total = math.comb(n, k) * math.comb(k, 2)
-    if total > budget:
-        raise CapabilityError(
-            f"exact subset scan needs {total:.3g} subset-edge operations, "
-            f"budget is {budget:.3g}")
+    _check_budget(n, k, budget)
     with _TABLE_LOCK:
         table = subset_edge_table(n, k)
     pick = np.argmax if maximize else np.argmin
@@ -552,18 +579,117 @@ def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
     return best_val, tuple(int(v) for v in subs[best_row])
 
 
+@lru_cache(maxsize=8)
+def _prefix_levels(n: int, k: int) -> tuple:
+    """Prefix tree of the sorted k-subsets of range(n): levels 2 .. k.
+
+    Level j lists, in lexicographic order, the sorted j-subsets
+    s_0 < ... < s_{j-1} that extend to a k-subset (s_{j-1} <= n-k+j-1), as
+    (parent, last, cols): the row of the prefix s_0 .. s_{j-2} in level
+    j-1, the new largest vertex s_{j-1}, and the positions of the edges
+    {s_i, s_{j-1}}, i < j-1, one column-major int32 column each. Level 1 is
+    implicit (row p is the vertex p, p <= n-k) and level k holds all C(n,k)
+    subsets.
+    """
+    vertex_base = _vertex_bases(n)
+    prev_last = np.arange(n - k + 1, dtype=np.int32)
+    prev_bases = [vertex_base[:n - k + 1]]  # base of each s_i, per row
+    levels = []
+    for j in range(2, k + 1):
+        counts = (n - k + j - 1) - prev_last
+        parent = np.repeat(np.arange(prev_last.size, dtype=np.int32), counts)
+        # The children of one parent take the vertices parent_last + 1, + 2, ...
+        skip = (np.cumsum(counts) - counts - prev_last - 1).astype(np.int32)
+        last = np.arange(parent.size, dtype=np.int32) - np.repeat(skip, counts)
+        cols = np.empty((parent.size, j - 1), dtype=np.int32, order="F")
+        bases = [base.take(parent) for base in prev_bases]
+        for i, base in enumerate(bases):
+            np.add(base, last, out=cols[:, i])
+        bases.append(vertex_base.take(last))
+        levels.append((parent, last, cols))
+        prev_last, prev_bases = last, bases
+    return tuple(levels)
+
+
+def _revolving_door_rank(subsets: np.ndarray) -> np.ndarray:
+    """Row of each sorted k-subset in ``revolving_door_subsets(n, k)``.
+
+    R(n, k) = R(n-1, k), then reversed R(n-1, k-1) with n-1 appended, so a
+    subset with largest element s follows the C(s, k) rows of R(s, k) in
+    R(s+1, k): r_k = C(s_{k-1} + 1, k) - 1 - r_{k-1}, with r_0 = 0.
+    """
+    rank = np.zeros(subsets.shape[0], dtype=np.int64)
+    top = int(subsets.max(initial=0)) + 2
+    for j in range(1, subsets.shape[1] + 1):
+        comb = np.array([math.comb(a, j) for a in range(top)], dtype=np.int64)
+        rank = comb[subsets[:, j - 1] + 1] - 1 - rank
+    return rank
+
+
 def coherence_stat(sample: EdgeSample, k: int,
                    budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[float, tuple]:
     """Exact max over k-subsets C of | sum_{e in E(C)} exp(i X_e) |.
 
-    Returns (maximum, first argmax subset in revolving-door order).
+    Returns (maximum, first argmax subset in revolving-door order). A
+    subset's value adds its phasors in ``subset_edge_table`` row order, one
+    after the other, as numpy sums a block of several table rows column by
+    column. The one exception is the last revolving-door subset
+    {0, .., k-2, n-1} when it fills the table's last block of _CHUNK_ROWS
+    alone (C(n,k) % _CHUNK_ROWS == 1, e.g. k = n): numpy reduces that one
+    contiguous row pairwise.
+
+    The scan walks ``_prefix_levels``: a j-subset's sum is its parent's plus
+    its j-1 edges to the new vertex, which adds the same m = C(k,2) phasors
+    in another order. Any order of m unit phasors is within gamma_{m-1} m
+    (gamma_j = j u / (1 - j u), u = 2^-53) of the exact sum in each
+    component, and np.abs adds at most an ulp (<= 2 m u), so the two orders'
+    moduli differ by at most 2 sqrt(2) gamma_{m-1} m + 4 m u. Twice that is
+    below m^2 2^-50, and every subset within delta = m^2 2^-48 of the largest
+    prefix-order modulus is a candidate, so every maximizer is one (the
+    fourfold margin covers the rounding of the threshold itself). The
+    candidates are summed again in table order, and the exact maximum and
+    its first maximizer in revolving-door order are returned.
     """
     k = int(k)
-    if not (2 <= k <= sample.n):
-        raise ParameterError(f"need 2 <= k <= n, got k={k}, n={sample.n}")
+    n = sample.n
+    if not (2 <= k <= n):
+        raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
+    _check_budget(n, k, budget)
     z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
-    return _best_subset(sample, k, budget,
-                        lambda rows: np.abs(z[rows].sum(axis=1)), maximize=True)
+    with _TABLE_LOCK:
+        levels = _prefix_levels(n, k)
+    sums = np.zeros(n - k + 1, dtype=complex)  # level 1 has no edges
+    for parent, _, cols in levels:
+        level = np.empty(parent.size, dtype=complex)
+        # Blocks keep the gathers and adds in cache.
+        for lo in range(0, parent.size, _CHUNK_ROWS):
+            block = sums.take(parent[lo:lo + _CHUNK_ROWS])
+            for col in cols[lo:lo + _CHUNK_ROWS].T:
+                block += z.take(col)
+            level[lo:lo + _CHUNK_ROWS] = block
+        sums = level
+    fast = np.abs(sums)
+    m = k * (k - 1) // 2
+    rows = np.flatnonzero(fast >= fast.max() - m * m * 2.0 ** -48)
+
+    subsets = np.empty((rows.size, k), dtype=np.int32)
+    for j in range(k - 1, 0, -1):
+        parent, last, _ = levels[j - 1]
+        subsets[:, j] = last[rows]
+        rows = parent[rows]
+    subsets[:, 0] = rows
+    values = np.empty(subsets.shape[0])
+    for lo in range(0, values.size, _CHUNK_ROWS):  # every row may be a candidate
+        edges = _triu_edges(n, subsets[lo:lo + _CHUNK_ROWS])
+        values[lo:lo + _CHUNK_ROWS] = np.abs(np.cumsum(z[edges], axis=1)[:, -1])
+    if math.comb(n, k) % _CHUNK_ROWS == 1:
+        lone = (subsets[:, k - 2] == k - 2) & (subsets[:, -1] == n - 1)
+        values[lone] = np.abs(z[_triu_edges(n, subsets[lone])].sum(axis=1))
+    tied = np.flatnonzero(values == values.max())
+    best = tied[0]
+    if tied.size > 1:
+        best = tied[np.argmin(_revolving_door_rank(subsets[tied]))]
+    return float(values[best]), tuple(int(v) for v in subsets[best])
 
 
 def coherence_test(sample: EdgeSample, k: int, beta: float,

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .detectors import default_c_schedule, rayleigh_threshold, resolve_flat_threshold
 from .errors import DomainError, ParameterError
@@ -280,7 +279,11 @@ def _circular_msd(kappa: Optional[float], tau: Optional[float]) -> float:
     def integrand(t: float) -> float:
         return t * t * math.exp(kappa * (math.cos(t) - 1.0))
 
-    val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-12, epsrel=1e-10, limit=200)
+    # The integral is positive, so a value of 0, or one smaller than its
+    # error estimate, is a missed peak at t = 0 (from kappa near 3e6 up).
+    val = _quad_checked(integrand, 0.0, math.pi, f"circular MSD at kappa={kappa}",
+                        lambda val, err: err < val, epsabs=1e-12, epsrel=1e-10,
+                        limit=200)
     return 2.0 * val / (TWO_PI * bessel_i0_scaled(kappa))
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -698,18 +699,16 @@ def tuple_revolving_door(n, k):
 
 
 class TestSubsetTableSharing:
-    def test_concurrent_scans_build_the_table_once(self):
-        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
-        det.subset_edge_table.cache_clear()
-        det.revolving_door_subsets.cache_clear()
+    @staticmethod
+    def run_together(scan):
         start = threading.Barrier(4)
         results = []
 
-        def scan():
+        def run():
             start.wait(timeout=30)
-            results.append(det.coherence_stat(s, 6))
+            results.append(scan())
 
-        threads = [threading.Thread(target=scan) for _ in range(4)]
+        threads = [threading.Thread(target=run) for _ in range(4)]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -721,7 +720,133 @@ class TestSubsetTableSharing:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 4 and len(set(results)) == 1
+
+    def test_concurrent_scans_build_the_table_once(self):
+        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
+        det.subset_edge_table.cache_clear()
+        det.revolving_door_subsets.cache_clear()
+        self.run_together(lambda: det.variance_stat(s, 6))
         assert det.subset_edge_table.cache_info().misses == 1
+
+    def test_concurrent_coherence_scans_build_the_levels_once(self):
+        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
+        det._prefix_levels.cache_clear()
+        det.subset_edge_table.cache_clear()
+        self.run_together(lambda: det.coherence_stat(s, 6))
+        assert det._prefix_levels.cache_info().misses == 1
+        assert det.subset_edge_table.cache_info().misses == 0
+
+
+def table_formula(n, k):
+    """The edge table as one int64 expression, cast to int32 at the end."""
+    subs = det.revolving_door_subsets(n, k)
+    a_idx, b_idx = np.triu_indices(k, k=1)
+    return mod.edge_position(n, subs[:, a_idx].astype(np.int64),
+                             subs[:, b_idx].astype(np.int64)).astype(np.int32)
+
+
+class TestSubsetEdgeTable:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_formula(self, n):
+        for k in range(n + 1):
+            table = det.subset_edge_table(n, k)
+            want = table_formula(n, k)
+            assert table.dtype == np.int32 and table.shape == want.shape
+            assert table.flags.f_contiguous  # fixes the scans' summation order
+            assert np.array_equal(table, want)
+
+    def test_equals_formula_24_6_within_twice_its_size(self):
+        det.revolving_door_subsets(24, 6)  # cached; not part of the build
+        tracemalloc.start()
+        try:
+            table = det.subset_edge_table.__wrapped__(24, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.flags.f_contiguous
+        assert np.array_equal(table, table_formula(24, 6))
+        assert peak <= 2 * table.nbytes
+
+
+def table_coherence(sample, k):
+    """The coherence scan over ``subset_edge_table``, block by block: the
+    oracle for the prefix scan, to the last bit."""
+    table = det.subset_edge_table(sample.n, k)
+    z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
+    best_val, best_row = -math.inf, 0
+    for lo in range(0, table.shape[0], det._CHUNK_ROWS):
+        vals = np.abs(z[table[lo:lo + det._CHUNK_ROWS]].sum(axis=1))
+        row = int(np.argmax(vals))
+        if vals[row] > best_val:
+            best_val, best_row = float(vals[row]), lo + row
+    subs = det.revolving_door_subsets(sample.n, k)
+    return best_val, tuple(int(v) for v in subs[best_row])
+
+
+@st.composite
+def coherence_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    k = draw(st.integers(min_value=2, max_value=n))
+    m = n * (n - 1) // 2
+    values = canonical_angles
+    if draw(st.booleans()):  # few values: many exact ties
+        values = st.sampled_from(draw(st.lists(canonical_angles, min_size=1,
+                                               max_size=4)))
+    angles = draw(st.lists(values, min_size=m, max_size=m))
+    return mod.EdgeSample(n, np.array(angles)), k
+
+
+class TestCoherencePrefixScan:
+    @settings(max_examples=400, deadline=None)
+    @given(coherence_cases())
+    def test_equals_table_scan(self, case):
+        sample, k = case
+        assert det.coherence_stat(sample, k) == table_coherence(sample, k)
+
+    @pytest.mark.parametrize("n,k", [(16, 8), (24, 6)])
+    def test_generated_samples(self, n, k):
+        for seed in range(6):
+            for planted, kappa in ((False, 1.0), (True, 2.0), (True, 50.0)):
+                s = mod.gen_community(n, k, mod.VonMises(kappa), planted,
+                                      mod.rng_for(seed, 49))
+                assert det.coherence_stat(s, k) == table_coherence(s, k)
+
+    @pytest.mark.parametrize("n,k", [(16, 8), (24, 6), (12, 5), (9, 9)])
+    @pytest.mark.parametrize("pool", [(2.5,), (0.0, 1.0, math.pi, 5.0)],
+                             ids=["all-equal", "4-valued"])
+    def test_every_row_ties(self, n, k, pool):
+        rng = mod.rng_for(7, 50)
+        angles = np.asarray(pool)[rng.integers(0, len(pool), n * (n - 1) // 2)]
+        s = mod.EdgeSample(n, angles)
+        assert det.coherence_stat(s, k) == table_coherence(s, k)
+
+    @pytest.mark.parametrize("n,k,rows", [(9, 4, 5), (7, 2, 2), (8, 8, 16384)])
+    def test_lone_last_block(self, monkeypatch, n, k, rows):
+        # C(n, k) % rows == 1: the last table block is one row, which numpy
+        # sums pairwise instead of column by column
+        monkeypatch.setattr(det, "_CHUNK_ROWS", rows)
+        assert math.comb(n, k) % rows == 1
+        for seed in range(40):
+            s = mod.gen_community(n, k, mod.VonMises(3.0), True,
+                                  mod.rng_for(seed, 51))
+            assert det.coherence_stat(s, k) == table_coherence(s, k)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_revolving_door_rank(self, n):
+        for k in range(n + 1):
+            subs = det.revolving_door_subsets(n, k)
+            assert np.array_equal(det._revolving_door_rank(subs),
+                                  np.arange(subs.shape[0]))
+
+    def test_budget_message_unchanged(self):
+        s = mod.gen_community(30, 15, mod.VonMises(1.0), False,
+                              mod.rng_for(0, 35))
+        with pytest.raises(CapabilityError, match=(
+                r"exact subset scan needs 1\.63e\+10 subset-edge operations, "
+                r"budget is 1e\+04")):
+            det.coherence_stat(s, 15, budget=10_000)
+        assert det.coherence_test(
+            mod.EdgeSample(6, np.zeros(15)), 3, 1.0).work_counter == 20
 
 
 class TestRevolvingDoor:

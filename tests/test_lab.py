@@ -129,6 +129,14 @@ class TestCellAnnotations:
         assert point.failed is None and point.pfa_hat == 0.0
         assert point.annotation_error and math.isnan(point.bound_pfa)
 
+    def test_variance_bound_quadrature_failure_is_annotation_error(self):
+        point = lab.estimate_errors(ExperimentConfig(
+            model="comm-vm", detector="variance", n=6, k=3, kappa=1e9,
+            sigma2=0.05, trials=2, seed=3))
+        assert point.failed is None
+        assert "circular MSD" in point.annotation_error
+        assert math.isnan(point.bound_pmiss)
+
     def test_sweep_keeps_cell_whose_second_moment_fails(self, tmp_path,
                                                         capsys):
         p = tmp_path / "c.cfg"

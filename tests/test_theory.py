@@ -166,6 +166,20 @@ class TestRayleighAndVarianceBounds:
         tight = th.comm_variance_bounds(10, 6, 1e-4, kappa=3.0)
         assert not tight["pmiss"].applicable
 
+    def test_circular_msd_at_bench_kappa_unchanged(self):
+        # kappa = 30 is the variance_10_6 benchmark cell; value before the
+        # quadrature check was added
+        assert th._circular_msd(30.0, None) == 0.03391011461486365
+
+    @pytest.mark.parametrize("kappa", [3e6, 1e8, 1e9, 1e10])
+    def test_circular_msd_missed_peak_is_numeric_error(self, kappa):
+        # quad returned 0.0 (or a tiny value below its error estimate)
+        # where the mean squared deviation is about 1/kappa
+        with pytest.raises(NumericError):
+            th._circular_msd(kappa, None)
+        with pytest.raises(NumericError):
+            th.comm_variance_bounds(10, 6, 0.05, kappa=kappa)
+
 
 class TestOverlap:
     def test_identical_arcs(self):
