@@ -553,12 +553,12 @@ def _check_budget(n: int, k: int, budget: int) -> None:
             f"budget is {budget:.3g}")
 
 
-def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
-                 maximize: bool) -> tuple[float, tuple]:
-    """Exact optimum over k-subsets C of ``row_values`` on the rows of E(C).
+def _best_subset(sample: EdgeSample, k: int, budget: int,
+                 row_values) -> tuple[float, tuple]:
+    """Exact minimum over k-subsets C of ``row_values`` on the rows of E(C).
 
     ``row_values`` maps a block of ``subset_edge_table`` rows to one value per
-    row. Returns (optimum, first optimizer in revolving-door order); raises
+    row. Returns (minimum, first minimizer in revolving-door order); raises
     CapabilityError before any work when the scan exceeds ``budget``
     subset-edge operations.
     """
@@ -566,13 +566,12 @@ def _best_subset(sample: EdgeSample, k: int, budget: int, row_values,
     _check_budget(n, k, budget)
     with _TABLE_LOCK:
         table = subset_edge_table(n, k)
-    pick = np.argmax if maximize else np.argmin
-    best_val = -math.inf if maximize else math.inf
+    best_val = math.inf
     best_row = 0
     for lo in range(0, table.shape[0], _CHUNK_ROWS):
         vals = row_values(table[lo:lo + _CHUNK_ROWS])
-        row = int(pick(vals))
-        if (vals[row] > best_val) if maximize else (vals[row] < best_val):
+        row = int(np.argmin(vals))
+        if vals[row] < best_val:
             best_val = float(vals[row])
             best_row = lo + row
     subs = revolving_door_subsets(n, k)
@@ -746,7 +745,7 @@ def variance_stat(sample: EdgeSample, k: int,
         ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
         return ss.min(axis=1) / (m - 1)
 
-    return _best_subset(sample, k, budget, row_variances, maximize=False)
+    return _best_subset(sample, k, budget, row_variances)
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float,

@@ -556,7 +556,9 @@ class TestCoherence:
     def test_budget(self):
         s = mod.gen_community(30, 15, mod.VonMises(1.0), False,
                               mod.rng_for(0, 35))
-        with pytest.raises(CapabilityError):
+        with pytest.raises(CapabilityError, match=(
+                r"exact subset scan needs 1\.63e\+10 subset-edge operations, "
+                r"budget is 1e\+04")):
             det.coherence_stat(s, 15, budget=10_000)
 
     def test_threshold_arithmetic(self):
@@ -566,6 +568,7 @@ class TestCoherence:
         rep = det.coherence_test(s, 6, det.coherence_threshold(6, 1.0, 0.5))
         assert rep.threshold == pytest.approx(15 * 0.875 * mean_resultant(1.0))
         assert rep.rejected  # aligned edges always clear the threshold
+        assert det.coherence_test(s, 3, rep.threshold).work_counter == 20  # C(6,3)
 
     @pytest.mark.parametrize("kappa,epsilon", [
         (0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, 0.0), (1.0, 1.0)])
@@ -837,16 +840,6 @@ class TestCoherencePrefixScan:
             subs = det.revolving_door_subsets(n, k)
             assert np.array_equal(det._revolving_door_rank(subs),
                                   np.arange(subs.shape[0]))
-
-    def test_budget_message_unchanged(self):
-        s = mod.gen_community(30, 15, mod.VonMises(1.0), False,
-                              mod.rng_for(0, 35))
-        with pytest.raises(CapabilityError, match=(
-                r"exact subset scan needs 1\.63e\+10 subset-edge operations, "
-                r"budget is 1e\+04")):
-            det.coherence_stat(s, 15, budget=10_000)
-        assert det.coherence_test(
-            mod.EdgeSample(6, np.zeros(15)), 3, 1.0).work_counter == 20
 
 
 class TestRevolvingDoor:
