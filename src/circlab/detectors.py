@@ -14,15 +14,14 @@ Conventions shared by every statistic:
   evaluation anchors at each observation.
 * Subset searches are exact: maximum-coherence and minimum-variance scans
   cover all C(n,k) subsets and report the first optimizer in revolving-door
-  (minimal-change) order. The variance scan evaluates the subset-edge
-  table in that order. The coherence scan adds each subset's phasors to
-  its prefix's sum in a prefix tree of the sorted subsets, then sums every
-  subset within a rigorous rounding bound delta of the largest again in the
-  table's order, so the value and witness match the table scan bit for
-  bit; the witness is the candidate with the smallest revolving-door rank,
-  computed in closed form. The community interval scan
-  decides existence edge by edge, with a (k-2)-clique search through each
-  anchor edge on a sliding bitmask adjacency, and then reports the first
+  (minimal-change) order, found by its closed-form rank. Both walk one
+  prefix tree of the sorted subsets and match the subset-edge table scans
+  bit for bit: the variance scan sums each subset's edge angles as the
+  table scan would; the coherence scan adds each subset's phasors to its
+  prefix's sum, then sums every subset within a rigorous rounding bound
+  delta of the largest again in the table's order. The community interval
+  scan decides existence edge by edge, with a (k-2)-clique search through
+  each anchor edge on a sliding bitmask adjacency, and then reports the first
   window that holds a k-clique, found by branch and bound with degree
   pruning. Budgets turn oversized requests into CapabilityError, never into
   silent sampling.
@@ -75,8 +74,8 @@ __all__ = [
 DEFAULT_SUBSET_BUDGET = 100_000_000  # subset-edge operations per exact scan
 DEFAULT_CLIQUE_LIMIT_N = 48          # exact community search size cap
 _CHUNK_ROWS = 16_384
-# Pool threads that start one scan together would each build the same table
-# or prefix levels before the cache holds them.
+# Pool threads that start one scan together would each build the same prefix
+# levels before the cache holds them.
 _TABLE_LOCK = threading.Lock()
 
 
@@ -488,33 +487,19 @@ def revolving_door_subsets(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in revolving-door order, shape (C(n,k), k).
 
     Consecutive rows differ by exactly one element swapped, and the first
-    optimizer reported by the subset scans refers to this row order. The
-    order is R(n, k) = R(n-1, k), then reversed R(n-1, k-1) with n-1 appended
-    (Knuth, TAOCP 7.2.1.3); each (n, k) block is built once per call.
+    optimizer reported by the subset scans refers to this row order. Each
+    sorted subset of ``_prefix_levels`` is placed at its row
+    ``_revolving_door_rank``.
     """
     n, k = int(n), int(k)
     if not (0 <= k <= n):
         raise ParameterError(f"need 0 <= k <= n, got n={n}, k={k}")
-    blocks: dict = {}
-
-    def rec(nn: int, kk: int) -> np.ndarray:
-        block = blocks.get((nn, kk))
-        if block is not None:
-            return block
-        if kk == 0:
-            block = np.zeros((1, 0), dtype=np.int32)
-        elif kk == nn:
-            block = np.arange(nn, dtype=np.int32)[None, :]
-        else:
-            head, tail = rec(nn - 1, kk), rec(nn - 1, kk - 1)[::-1]
-            block = np.empty((head.shape[0] + tail.shape[0], kk), dtype=np.int32)
-            block[:head.shape[0]] = head
-            block[head.shape[0]:, :-1] = tail
-            block[head.shape[0]:, -1] = nn - 1
-        blocks[(nn, kk)] = block
-        return block
-
-    return rec(n, k)
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int32)
+    lex = _level_subsets(_prefix_levels(n, k), np.arange(math.comb(n, k)))
+    out = np.empty_like(lex)
+    out[_revolving_door_rank(lex)] = lex
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -553,31 +538,6 @@ def _check_budget(n: int, k: int, budget: int) -> None:
             f"budget is {budget:.3g}")
 
 
-def _best_subset(sample: EdgeSample, k: int, budget: int,
-                 row_values) -> tuple[float, tuple]:
-    """Exact minimum over k-subsets C of ``row_values`` on the rows of E(C).
-
-    ``row_values`` maps a block of ``subset_edge_table`` rows to one value per
-    row. Returns (minimum, first minimizer in revolving-door order); raises
-    CapabilityError before any work when the scan exceeds ``budget``
-    subset-edge operations.
-    """
-    n = sample.n
-    _check_budget(n, k, budget)
-    with _TABLE_LOCK:
-        table = subset_edge_table(n, k)
-    best_val = math.inf
-    best_row = 0
-    for lo in range(0, table.shape[0], _CHUNK_ROWS):
-        vals = row_values(table[lo:lo + _CHUNK_ROWS])
-        row = int(np.argmin(vals))
-        if vals[row] < best_val:
-            best_val = float(vals[row])
-            best_row = lo + row
-    subs = revolving_door_subsets(n, k)
-    return best_val, tuple(int(v) for v in subs[best_row])
-
-
 @lru_cache(maxsize=8)
 def _prefix_levels(n: int, k: int) -> tuple:
     """Prefix tree of the sorted k-subsets of range(n): levels 2 .. k.
@@ -611,11 +571,12 @@ def _prefix_levels(n: int, k: int) -> tuple:
 
 
 def _revolving_door_rank(subsets: np.ndarray) -> np.ndarray:
-    """Row of each sorted k-subset in ``revolving_door_subsets(n, k)``.
+    """Revolving-door rank of each sorted k-subset, one per row.
 
-    R(n, k) = R(n-1, k), then reversed R(n-1, k-1) with n-1 appended, so a
-    subset with largest element s follows the C(s, k) rows of R(s, k) in
-    R(s+1, k): r_k = C(s_{k-1} + 1, k) - 1 - r_{k-1}, with r_0 = 0.
+    The order is R(n, k) = R(n-1, k), then reversed R(n-1, k-1) with n-1
+    appended (Knuth, TAOCP 7.2.1.3), so a subset with largest element s
+    follows the C(s, k) rows of R(s, k) in R(s+1, k):
+    r_k = C(s_{k-1} + 1, k) - 1 - r_{k-1}, with r_0 = 0.
     """
     rank = np.zeros(subsets.shape[0], dtype=np.int64)
     top = int(subsets.max(initial=0)) + 2
@@ -623,6 +584,25 @@ def _revolving_door_rank(subsets: np.ndarray) -> np.ndarray:
         comb = np.array([math.comb(a, j) for a in range(top)], dtype=np.int64)
         rank = comb[subsets[:, j - 1] + 1] - 1 - rank
     return rank
+
+
+def _level_subsets(levels: tuple, rows: np.ndarray) -> np.ndarray:
+    """The sorted subsets at ``rows`` of the last of ``levels``, one int32 row each."""
+    subsets = np.empty((rows.size, len(levels) + 1), dtype=np.int32)
+    for j in range(len(levels), 0, -1):
+        parent, last, _ = levels[j - 1]
+        subsets[:, j] = last.take(rows)
+        rows = parent.take(rows)
+    subsets[:, 0] = rows
+    return subsets
+
+
+def _door_first(subsets: np.ndarray) -> tuple:
+    """The row of ``subsets`` that comes first in revolving-door order."""
+    best = 0
+    if subsets.shape[0] > 1:
+        best = int(np.argmin(_revolving_door_rank(subsets)))
+    return tuple(int(v) for v in subsets[best])
 
 
 def coherence_stat(sample: EdgeSample, k: int,
@@ -669,14 +649,8 @@ def coherence_stat(sample: EdgeSample, k: int,
         sums = level
     fast = np.abs(sums)
     m = k * (k - 1) // 2
-    rows = np.flatnonzero(fast >= fast.max() - m * m * 2.0 ** -48)
-
-    subsets = np.empty((rows.size, k), dtype=np.int32)
-    for j in range(k - 1, 0, -1):
-        parent, last, _ = levels[j - 1]
-        subsets[:, j] = last[rows]
-        rows = parent[rows]
-    subsets[:, 0] = rows
+    subsets = _level_subsets(
+        levels, np.flatnonzero(fast >= fast.max() - m * m * 2.0 ** -48))
     values = np.empty(subsets.shape[0])
     for lo in range(0, values.size, _CHUNK_ROWS):  # every row may be a candidate
         edges = _triu_edges(n, subsets[lo:lo + _CHUNK_ROWS])
@@ -684,11 +658,8 @@ def coherence_stat(sample: EdgeSample, k: int,
     if math.comb(n, k) % _CHUNK_ROWS == 1:
         lone = (subsets[:, k - 2] == k - 2) & (subsets[:, -1] == n - 1)
         values[lone] = np.abs(z[_triu_edges(n, subsets[lone])].sum(axis=1))
-    tied = np.flatnonzero(values == values.max())
-    best = tied[0]
-    if tied.size > 1:
-        best = tied[np.argmin(_revolving_door_rank(subsets[tied]))]
-    return float(values[best]), tuple(int(v) for v in subsets[best])
+    value = values.max()
+    return float(value), _door_first(subsets[values == value])
 
 
 def coherence_test(sample: EdgeSample, k: int, beta: float,
@@ -725,17 +696,35 @@ def variance_stat(sample: EdgeSample, k: int,
     for each of the K circular cut points the values are linearized and the
     mean-squared deviation evaluated in O(1) from prefix sums; the best cut
     realizes the circular optimum.
+
+    Returns (minimum, first minimizer in revolving-door order). The edge
+    angles of each subset of ``_prefix_levels`` are gathered along its
+    parent chain into F-order blocks of _CHUNK_ROWS rows, which numpy sums
+    column by column once sorted, as it sums ``subset_edge_table`` blocks.
+    The table's lone last row {0, .., k-2, n-1} (C(n,k) % _CHUNK_ROWS == 1)
+    also comes last, alone, so numpy sums it pairwise, as in the table.
     """
     k = int(k)
-    if not (3 <= k <= sample.n):
+    n = sample.n
+    if not (3 <= k <= n):
         raise ParameterError(
-            f"variance scan needs 3 <= k <= n, got k={k}, n={sample.n}")
+            f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
+    _check_budget(n, k, budget)
     x = np.asarray(sample.edge_angles, dtype=float)
+    with _TABLE_LOCK:
+        levels = _prefix_levels(n, k)
     m = k * (k - 1) // 2
     cuts = np.arange(m)
 
     def row_variances(rows: np.ndarray) -> np.ndarray:
-        vals = np.sort(x[rows], axis=1)
+        vals = np.empty((rows.size, m), order="F")
+        c = 0
+        for parent, _, cols in reversed(levels):
+            for col in cols.T:
+                vals[:, c] = x.take(col.take(rows))
+                c += 1
+            rows = parent.take(rows)
+        vals.sort(axis=1)
         s1 = vals.sum(axis=1, keepdims=True)
         s2 = (vals * vals).sum(axis=1, keepdims=True)
         prefix = np.concatenate(
@@ -745,7 +734,16 @@ def variance_stat(sample: EdgeSample, k: int,
         ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
         return ss.min(axis=1) / (m - 1)
 
-    return _best_subset(sample, k, budget, row_variances)
+    rows = np.arange(math.comb(n, k))
+    if rows.size % _CHUNK_ROWS == 1:  # lexicographic row n-k is the lone row
+        rows = np.append(np.delete(rows, n - k), n - k)
+    values = np.empty(rows.size)
+    for lo in range(0, rows.size, _CHUNK_ROWS):
+        block = rows[lo:lo + _CHUNK_ROWS]
+        values[block] = row_variances(block)
+    value = values.min()
+    return float(value), _door_first(
+        _level_subsets(levels, np.flatnonzero(values == value)))
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float,

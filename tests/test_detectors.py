@@ -1,5 +1,6 @@
 """Detector statistics against brute-force oracles, plus decision mechanics."""
 
+import gc
 import math
 import sys
 import threading
@@ -724,20 +725,16 @@ class TestSubsetTableSharing:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 4 and len(set(results)) == 1
 
-    def test_concurrent_scans_build_the_table_once(self):
-        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
-        det.subset_edge_table.cache_clear()
-        det.revolving_door_subsets.cache_clear()
-        self.run_together(lambda: det.variance_stat(s, 6))
-        assert det.subset_edge_table.cache_info().misses == 1
-
-    def test_concurrent_coherence_scans_build_the_levels_once(self):
+    @pytest.mark.parametrize("scan", ["coherence", "variance"])
+    def test_concurrent_scans_build_the_levels_once(self, scan):
         s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
         det._prefix_levels.cache_clear()
         det.subset_edge_table.cache_clear()
-        self.run_together(lambda: det.coherence_stat(s, 6))
+        det.revolving_door_subsets.cache_clear()
+        self.run_together(lambda: SCANS[scan][0](s, 6))
         assert det._prefix_levels.cache_info().misses == 1
         assert det.subset_edge_table.cache_info().misses == 0
+        assert det.revolving_door_subsets.cache_info().misses == 0
 
 
 def table_formula(n, k):
@@ -786,58 +783,114 @@ def table_coherence(sample, k):
     return best_val, tuple(int(v) for v in subs[best_row])
 
 
+def table_variance(sample, k):
+    """The variance scan over ``subset_edge_table``, block by block: the
+    oracle for the prefix scan, to the last bit."""
+    table = det.subset_edge_table(sample.n, k)
+    x = np.asarray(sample.edge_angles, dtype=float)
+    m = k * (k - 1) // 2
+    cuts = np.arange(m)
+    best_val, best_row = math.inf, 0
+    for lo in range(0, table.shape[0], det._CHUNK_ROWS):
+        vals = np.sort(x[table[lo:lo + det._CHUNK_ROWS]], axis=1)
+        s1 = vals.sum(axis=1, keepdims=True)
+        s2 = (vals * vals).sum(axis=1, keepdims=True)
+        prefix = np.concatenate(
+            [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)[:, :-1]], axis=1)
+        sum_y = s1 + TWO_PI * cuts
+        sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
+        ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
+        var = ss.min(axis=1) / (m - 1)
+        row = int(np.argmin(var))
+        if var[row] < best_val:
+            best_val, best_row = float(var[row]), lo + row
+    subs = det.revolving_door_subsets(sample.n, k)
+    return best_val, tuple(int(v) for v in subs[best_row])
+
+
+# scan name: (prefix-tree scan, table-scan oracle, smallest k)
+SCANS = {"coherence": (det.coherence_stat, table_coherence, 2),
+         "variance": (det.variance_stat, table_variance, 3)}
+
+
 @st.composite
-def coherence_cases(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
-    k = draw(st.integers(min_value=2, max_value=n))
+def subset_scan_cases(draw):
+    scan = draw(st.sampled_from(sorted(SCANS)))
+    k_min = SCANS[scan][2]
+    n = draw(st.integers(min_value=k_min, max_value=10))
+    k = draw(st.integers(min_value=k_min, max_value=n))
     m = n * (n - 1) // 2
     values = canonical_angles
     if draw(st.booleans()):  # few values: many exact ties
         values = st.sampled_from(draw(st.lists(canonical_angles, min_size=1,
                                                max_size=4)))
     angles = draw(st.lists(values, min_size=m, max_size=m))
-    return mod.EdgeSample(n, np.array(angles)), k
+    return scan, mod.EdgeSample(n, np.array(angles)), k
+
+
+def scan_params(cases):
+    """pytest params (scan, *case); coherence cases keep their bare ids."""
+    return [pytest.param(scan, *case, id="-".join(
+        ([] if scan == "coherence" else [scan]) + [str(v) for v in case]))
+        for scan, case in cases]
+
+
+def equals_table_scan(scan, sample, k):
+    stat, oracle, _ = SCANS[scan]
+    return stat(sample, k) == oracle(sample, k)
 
 
 class TestCoherencePrefixScan:
-    @settings(max_examples=400, deadline=None)
-    @given(coherence_cases())
-    def test_equals_table_scan(self, case):
-        sample, k = case
-        assert det.coherence_stat(sample, k) == table_coherence(sample, k)
+    """Both prefix-tree scans, coherence and variance, against table scans."""
 
-    @pytest.mark.parametrize("n,k", [(16, 8), (24, 6)])
-    def test_generated_samples(self, n, k):
+    @settings(max_examples=600, deadline=None)
+    @given(subset_scan_cases())
+    def test_equals_table_scan(self, case):
+        assert equals_table_scan(*case)
+
+    @pytest.mark.parametrize("scan,n,k", scan_params([
+        ("coherence", (16, 8)), ("coherence", (24, 6)),
+        ("variance", (10, 6)), ("variance", (16, 6))]))
+    def test_generated_samples(self, scan, n, k):
         for seed in range(6):
             for planted, kappa in ((False, 1.0), (True, 2.0), (True, 50.0)):
                 s = mod.gen_community(n, k, mod.VonMises(kappa), planted,
                                       mod.rng_for(seed, 49))
-                assert det.coherence_stat(s, k) == table_coherence(s, k)
+                assert equals_table_scan(scan, s, k)
 
-    @pytest.mark.parametrize("n,k", [(16, 8), (24, 6), (12, 5), (9, 9)])
+    @pytest.mark.parametrize("scan,n,k", scan_params(
+        (scan, shape) for scan in ("coherence", "variance")
+        for shape in ((16, 8), (24, 6), (12, 5), (9, 9))))
     @pytest.mark.parametrize("pool", [(2.5,), (0.0, 1.0, math.pi, 5.0)],
                              ids=["all-equal", "4-valued"])
-    def test_every_row_ties(self, n, k, pool):
+    def test_every_row_ties(self, scan, n, k, pool):
         rng = mod.rng_for(7, 50)
         angles = np.asarray(pool)[rng.integers(0, len(pool), n * (n - 1) // 2)]
-        s = mod.EdgeSample(n, angles)
-        assert det.coherence_stat(s, k) == table_coherence(s, k)
+        assert equals_table_scan(scan, mod.EdgeSample(n, angles), k)
 
-    @pytest.mark.parametrize("n,k,rows", [(9, 4, 5), (7, 2, 2), (8, 8, 16384)])
-    def test_lone_last_block(self, monkeypatch, n, k, rows):
-        # C(n, k) % rows == 1: the last table block is one row, which numpy
-        # sums pairwise instead of column by column
+    @pytest.mark.parametrize("scan,n,k,rows", scan_params([
+        ("coherence", (9, 4, 5)), ("coherence", (7, 2, 2)),
+        ("coherence", (8, 8, 16384)), ("variance", (9, 4, 5)),
+        ("variance", (12, 6, 13)), ("variance", (8, 8, 16384))]))
+    def test_lone_last_block(self, monkeypatch, scan, n, k, rows):
+        # C(n, k) % rows == 1: the last table block is one row, the subset
+        # {0, .., k-2, n-1}, which numpy sums pairwise instead of column by
+        # column. The community is planted there, so that row is optimal.
         monkeypatch.setattr(det, "_CHUNK_ROWS", rows)
         assert math.comb(n, k) % rows == 1
+        lone = np.array([*range(k - 1), n - 1])
+        a_idx, b_idx = np.triu_indices(k, 1)
         for seed in range(40):
-            s = mod.gen_community(n, k, mod.VonMises(3.0), True,
-                                  mod.rng_for(seed, 51))
-            assert det.coherence_stat(s, k) == table_coherence(s, k)
+            rng = mod.rng_for(seed, 51)
+            angles = rng.random(n * (n - 1) // 2) * TWO_PI
+            angles[mod.edge_position(n, lone[a_idx], lone[b_idx])] = \
+                mod.sample_von_mises(1.0, 3.0, rng, a_idx.size)
+            assert equals_table_scan(scan, mod.EdgeSample(n, angles), k)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_revolving_door_rank(self, n):
         for k in range(n + 1):
-            subs = det.revolving_door_subsets(n, k)
+            subs = tuple_revolving_door(n, k)
             assert np.array_equal(det._revolving_door_rank(subs),
                                   np.arange(subs.shape[0]))
 
@@ -852,6 +905,21 @@ class TestRevolvingDoor:
         assert np.array_equal(subs, want)
         for a, b in zip(subs[:-1].tolist(), subs[1:].tolist()):
             assert len(set(a) ^ set(b)) == 2  # one element out, one in
+
+    def test_holds_only_its_result_after_return(self):
+        det._prefix_levels(24, 6)  # cached; not part of the result
+        enabled = gc.isenabled()
+        gc.disable()  # memory held in reference cycles stays held
+        tracemalloc.start()
+        try:
+            subs = det.revolving_door_subsets.__wrapped__(24, 6)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert subs.shape == (math.comb(24, 6), 6)
+        assert held <= 1.2 * subs.nbytes
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, -1)])
     def test_bad_size_rejected(self, n, k):

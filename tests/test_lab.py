@@ -247,6 +247,21 @@ class TestEmpiricalSecondMoment:
         est, se = lab.empirical_second_moment(model, params, 8000, seed=2)
         assert abs(est - exact) <= 4 * se
 
+    @pytest.mark.parametrize("model,params,bits", [
+        ("flat-vm", {"N": 12, "K": 5, "kappa": 2.0},
+         ("0x1.13296fdf6b318p+1", "0x1.51386fff65440p-1")),
+        ("comm-hard", {"n": 9, "k": 4, "tau": 0.3},
+         ("0x1.c3b555f21e791p+1", "0x1.56ebb2f34759ap+0")),
+        ("comm-vm", {"n": 9, "k": 5, "kappa": 1.5},
+         ("0x1.23b1d972e5cd0p+2", "0x1.519a91244fa54p+1")),
+    ])
+    def test_pinned_bits(self, model, params, bits):
+        """Estimate and standard error at seed 11, to the bit. Both average
+        over the subset tables in row order, so they pin the revolving-door
+        order of ``revolving_door_subsets`` and ``subset_edge_table`` too."""
+        est, se = lab.empirical_second_moment(model, params, 64, seed=11)
+        assert (est.hex(), se.hex()) == bits
+
     @pytest.mark.parametrize("model,params,trials", [
         ("flat-vm", {"N": 12, "K": 4, "kappa": 2.0}, 130),
         ("flat-vm", {"N": 22, "K": 20, "kappa": 0.7}, 130),
