@@ -496,7 +496,9 @@ def revolving_door_subsets(n: int, k: int) -> np.ndarray:
         raise ParameterError(f"need 0 <= k <= n, got n={n}, k={k}")
     if k == 0:
         return np.zeros((1, 0), dtype=np.int32)
-    lex = _level_subsets(_prefix_levels(n, k), np.arange(math.comb(n, k)))
+    # Uncached: the levels of sizes only the tables use need not stay.
+    lex = _level_subsets(_prefix_levels.__wrapped__(n, k),
+                         np.arange(math.comb(n, k)))
     out = np.empty_like(lex)
     out[_revolving_door_rank(lex)] = lex
     return out
@@ -697,12 +699,13 @@ def variance_stat(sample: EdgeSample, k: int,
     mean-squared deviation evaluated in O(1) from prefix sums; the best cut
     realizes the circular optimum.
 
-    Returns (minimum, first minimizer in revolving-door order). The edge
-    angles of each subset of ``_prefix_levels`` are gathered along its
-    parent chain into F-order blocks of _CHUNK_ROWS rows, which numpy sums
-    column by column once sorted, as it sums ``subset_edge_table`` blocks.
-    The table's lone last row {0, .., k-2, n-1} (C(n,k) % _CHUNK_ROWS == 1)
-    also comes last, alone, so numpy sums it pairwise, as in the table.
+    Returns (minimum, first minimizer in revolving-door order). The sorted
+    subsets of ``_prefix_levels`` are taken _CHUNK_ROWS at a time, and their
+    edge angles gathered into an F-order block, which numpy sums column by
+    column once sorted, as it sums ``subset_edge_table`` blocks. The table's
+    lone last row {0, .., k-2, n-1} (C(n,k) % _CHUNK_ROWS == 1) also comes
+    last, alone, so numpy sums it pairwise, as in the table. Only one block
+    and the rows tied at the running minimum are held.
     """
     k = int(k)
     n = sample.n
@@ -715,15 +718,14 @@ def variance_stat(sample: EdgeSample, k: int,
         levels = _prefix_levels(n, k)
     m = k * (k - 1) // 2
     cuts = np.arange(m)
-
-    def row_variances(rows: np.ndarray) -> np.ndarray:
-        vals = np.empty((rows.size, m), order="F")
-        c = 0
-        for parent, _, cols in reversed(levels):
-            for col in cols.T:
-                vals[:, c] = x.take(col.take(rows))
-                c += 1
-            rows = parent.take(rows)
+    total = math.comb(n, k)
+    lone = total % _CHUNK_ROWS == 1  # the table's lone last row: lex row n-k
+    value, ties = math.inf, []
+    for lo in range(0, total, _CHUNK_ROWS):
+        rows = np.arange(lo, min(lo + _CHUNK_ROWS, total))
+        if lone:  # move that row to the end, where it forms a block alone
+            rows = np.where(rows == total - 1, n - k, rows + (rows >= n - k))
+        vals = np.asfortranarray(x[_triu_edges(n, _level_subsets(levels, rows))])
         vals.sort(axis=1)
         s1 = vals.sum(axis=1, keepdims=True)
         s2 = (vals * vals).sum(axis=1, keepdims=True)
@@ -732,18 +734,13 @@ def variance_stat(sample: EdgeSample, k: int,
         sum_y = s1 + TWO_PI * cuts
         sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
         ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
-        return ss.min(axis=1) / (m - 1)
-
-    rows = np.arange(math.comb(n, k))
-    if rows.size % _CHUNK_ROWS == 1:  # lexicographic row n-k is the lone row
-        rows = np.append(np.delete(rows, n - k), n - k)
-    values = np.empty(rows.size)
-    for lo in range(0, rows.size, _CHUNK_ROWS):
-        block = rows[lo:lo + _CHUNK_ROWS]
-        values[block] = row_variances(block)
-    value = values.min()
-    return float(value), _door_first(
-        _level_subsets(levels, np.flatnonzero(values == value)))
+        values = ss.min(axis=1) / (m - 1)
+        low = float(values.min())
+        if low < value:
+            value, ties = low, []
+        if low == value:
+            ties.append(rows[values == low])
+    return value, _door_first(_level_subsets(levels, np.concatenate(ties)))
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float,
