@@ -124,12 +124,13 @@ def _cmd_detect(args) -> int:
     header = meta.get("K" if flat else "k")
     k = args.k if args.k is not None else \
         (int(header) if header is not None else None)
-    test = lab._make_test(
-        args.test, flat, N=sample.n_points if flat else None, subset=k,
-        tau=args.tau, kappa=args.kappa, policy=args.policy or None,
-        gamma=args.gamma, sigma2=args.sigma2, epsilon=args.epsilon,
-        theta=args.theta)
-    print(_report_line(test(sample)))
+    # A test reads the model's sample kind, not its signal, and K or k by kind.
+    config = lab.ExperimentConfig(
+        model="flat-hard" if flat else "comm-hard", detector=args.test,
+        N=sample.n_points if flat else None, K=k, k=k, tau=args.tau,
+        kappa=args.kappa, policy=args.policy or None, gamma=args.gamma,
+        sigma2=args.sigma2, epsilon=args.epsilon, theta=args.theta)
+    print(_report_line(lab._make_test(config)(sample)))
     return 0
 
 
@@ -148,7 +149,7 @@ def _cmd_bounds(args) -> int:
         policy="vm" if args.model == "flat-vm" and args.gamma is None else None)
     bounds = lab._cell_bounds(config)
     if config.model == "flat-hard" and config.detector == "interval":
-        print(f"gamma={lab._config_gamma(config):.17g}")
+        print(f"gamma={lab._threshold(config):.17g}")
     for name, bound in bounds.items():
         _print_bound("", name, bound)
     try:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigError, DomainError, ParameterError
 from .models import (EdgeSample, FlatSample, canonical_angle, edge_pairs,
-                     edge_position)
+                     subset_edges, vertex_bases)
 from .specfun import TWO_PI, arc_prob, mean_resultant
 
 __all__ = [
@@ -516,20 +516,8 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
     subs = revolving_door_subsets(n, k)
     table = np.empty((subs.shape[0], k * (k - 1) // 2), dtype=np.int32, order="F")
     for lo in range(0, subs.shape[0], _CHUNK_ROWS):
-        table[lo:lo + _CHUNK_ROWS] = _triu_edges(n, subs[lo:lo + _CHUNK_ROWS])
+        table[lo:lo + _CHUNK_ROWS] = subset_edges(n, subs[lo:lo + _CHUNK_ROWS])
     return table
-
-
-def _vertex_bases(n: int) -> np.ndarray:
-    """int32 base[s] such that edge {s, v}, s < v, sits at base[s] + v."""
-    return edge_position(n, np.arange(n, dtype=np.int64), 0).astype(np.int32)
-
-
-def _triu_edges(n: int, subsets: np.ndarray) -> np.ndarray:
-    """Edges {s_a, s_b}, a < b, of each sorted int32 row, in ``triu_indices`` order."""
-    r = np.arange(subsets.shape[1])
-    a_idx, b_idx = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), faster
-    return _vertex_bases(n)[subsets[:, a_idx]] + subsets[:, b_idx]
 
 
 def _check_budget(n: int, k: int, budget: int) -> None:
@@ -552,7 +540,7 @@ def _prefix_levels(n: int, k: int) -> tuple:
     implicit (row p is the vertex p, p <= n-k) and level k holds all C(n,k)
     subsets.
     """
-    vertex_base = _vertex_bases(n)
+    vertex_base = vertex_bases(n)
     prev_last = np.arange(n - k + 1, dtype=np.int32)
     prev_bases = [vertex_base[:n - k + 1]]  # base of each s_i, per row
     levels = []
@@ -655,11 +643,11 @@ def coherence_stat(sample: EdgeSample, k: int,
         levels, np.flatnonzero(fast >= fast.max() - m * m * 2.0 ** -48))
     values = np.empty(subsets.shape[0])
     for lo in range(0, values.size, _CHUNK_ROWS):  # every row may be a candidate
-        edges = _triu_edges(n, subsets[lo:lo + _CHUNK_ROWS])
+        edges = subset_edges(n, subsets[lo:lo + _CHUNK_ROWS])
         values[lo:lo + _CHUNK_ROWS] = np.abs(np.cumsum(z[edges], axis=1)[:, -1])
     if math.comb(n, k) % _CHUNK_ROWS == 1:
         lone = (subsets[:, k - 2] == k - 2) & (subsets[:, -1] == n - 1)
-        values[lone] = np.abs(z[_triu_edges(n, subsets[lone])].sum(axis=1))
+        values[lone] = np.abs(z[subset_edges(n, subsets[lone])].sum(axis=1))
     value = values.max()
     return float(value), _door_first(subsets[values == value])
 
@@ -725,7 +713,7 @@ def variance_stat(sample: EdgeSample, k: int,
         rows = np.arange(lo, min(lo + _CHUNK_ROWS, total))
         if lone:  # move that row to the end, where it forms a block alone
             rows = np.where(rows == total - 1, n - k, rows + (rows >= n - k))
-        vals = np.asfortranarray(x[_triu_edges(n, _level_subsets(levels, rows))])
+        vals = np.asfortranarray(x[subset_edges(n, _level_subsets(levels, rows))])
         vals.sort(axis=1)
         s1 = vals.sum(axis=1, keepdims=True)
         s2 = (vals * vals).sum(axis=1, keepdims=True)

@@ -6,6 +6,11 @@ the theory verdict, and the analytic bound digest. ``sweep`` crosses
 parameter axes and emits a fixed-schema CSV; ``phase_diagram`` adds theory
 boundary curves (solved by bisection) and an optional SVG heatmap.
 
+Dispatch is one table: per detector, the parameter its test needs and, per
+sample kind it is defined on, its test's name in ``detectors``, looked up at
+call time so that a tracer that rebinds it sees every call. One
+``_threshold`` checks a cell or ``detect`` call and resolves its threshold.
+
 Determinism contract: every trial draws from a generator seeded by a 64-bit
 mix of (master seed, cell index, hypothesis, trial index); results reduce
 through integer counters, so outputs are identical for any worker count.
@@ -65,8 +70,19 @@ Z_95 = 1.959963984540054
 _CELL_ERRORS = (CapabilityError, DomainError, NumericError, ParameterError)
 
 
-DETECTORS = ("interval", "coherence", "rayleigh", "variance", "known-theta")
-_FLAT_DETECTORS = ("interval", "known-theta")
+# Detector -> (the parameter its test needs, {sample kind: its test on ``det``}).
+# Every test takes (sample, tau or k, threshold); see _threshold.
+_DETECTOR_TABLE = {
+    "interval": ("tau", {"flat": "interval_test_flat",
+                         "edge": "interval_test_community"}),
+    "coherence": ("kappa", {"edge": "coherence_test"}),
+    "rayleigh": ("kappa", {"edge": "rayleigh_test"}),
+    "variance": ("sigma2", {"edge": "variance_test"}),
+    "known-theta": ("tau", {"flat": "known_theta_test_flat"}),
+}
+DETECTORS = tuple(_DETECTOR_TABLE)
+_NEEDS = {"tau": "tau (window fraction)", "kappa": "kappa for its threshold",
+          "sigma2": "sigma2"}
 _INT_AXES = ("N", "K", "n", "k")
 
 
@@ -125,14 +141,6 @@ class ExperimentConfig:
             return mod.HardCluster(tau=self.tau)
         return mod.VonMises(kappa=self.kappa)
 
-    @property
-    def size_label(self) -> int:
-        return self.N if self.is_flat else self.n
-
-    @property
-    def subset_label(self) -> int:
-        return self.K if self.is_flat else self.k
-
     def model_params(self) -> dict:
         if self.is_flat:
             p = {"N": self.N, "K": self.K}
@@ -186,77 +194,60 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
-def _check_detector(detector: str, flat: bool) -> None:
-    """Reject a detector that is unknown or undefined for the sample kind."""
-    if detector not in DETECTORS:
+def _check_detector(detector: str, flat: bool) -> str:
+    """The parameter its test needs, of a detector defined for the sample kind."""
+    if detector not in _DETECTOR_TABLE:
         raise ConfigError(f"unknown detector {detector!r}")
-    if flat and detector not in _FLAT_DETECTORS:
-        raise ConfigError(f"detector {detector!r} is undefined for flat models")
-    if not flat and detector == "known-theta":
-        raise ConfigError("known-theta is a flat-model detector")
+    param, tests = _DETECTOR_TABLE[detector]
+    if ("flat" if flat else "edge") not in tests:
+        raise ConfigError(f"detector {detector!r} is undefined for flat models"
+                          if flat else f"{detector} is a flat-model detector")
+    return param
 
 
-def _check_detector_params(detector: str, flat: bool, subset, tau, kappa,
-                           sigma2) -> None:
-    """Reject a detector call that lacks a parameter its test needs."""
-    _check_detector(detector, flat)
-    if not flat and subset is None:
-        raise ConfigError(f"{detector} test needs k")
-    if detector in ("interval", "known-theta") and tau is None:
-        raise ConfigError(f"{detector} test needs tau (window fraction)")
-    if detector in ("coherence", "rayleigh") and kappa is None:
-        raise ConfigError(f"{detector} test needs kappa for its threshold")
-    if detector == "variance" and sigma2 is None:
-        raise ConfigError("variance test needs sigma2")
+def _check_call(c: ExperimentConfig) -> None:
+    """Reject a cell or ``detect`` call that lacks a parameter its test needs."""
+    param = _check_detector(c.detector, c.is_flat)
+    if not c.is_flat and c.k is None:
+        raise ConfigError(f"{c.detector} test needs k")
+    if getattr(c, param) is None:
+        raise ConfigError(f"{c.detector} test needs {_NEEDS[param]}")
 
 
-def _flat_gamma(detector: str, N: Optional[int], K: Optional[int],
-                tau: Optional[float], kappa: Optional[float],
-                policy: Optional[str], gamma: Optional[float],
-                c_n: Optional[float]) -> float:
-    """Count threshold of a flat test; known-theta has no policy: gamma, else a2."""
-    if detector == "known-theta":
-        policy = None if gamma is not None else "a2"
-    return det.resolve_flat_threshold(policy, N, tau, K=K, kappa=kappa,
-                                      gamma=gamma, c_n=c_n)
+def _threshold(c: ExperimentConfig) -> float:
+    """Check a cell or ``detect`` call and resolve the threshold its test takes.
 
-
-def _config_gamma(c: ExperimentConfig) -> float:
-    return _flat_gamma(c.detector, c.N, c.K, c.tau, c.kappa, c.policy,
-                       c.gamma, c.c_n)
-
-
-def _make_test(detector: str, flat: bool, *, N: Optional[int],
-               subset: Optional[int], tau: Optional[float],
-               kappa: Optional[float], policy: Optional[str],
-               gamma: Optional[float], sigma2: Optional[float],
-               epsilon: float, theta: float,
-               c_n: Optional[float] = None) -> Callable:
-    """Build the sample -> TestReport call of one detector on one sample kind.
-
-    ``subset`` is K for flat samples and k for edge samples. Thresholds are
-    resolved here, once, not per sample. The known-theta call also takes the
-    phase to test at (default ``theta``). Detectors are looked up on their
-    module at call time, so a tracer that rebinds them sees every call.
+    Flat tests take the policy's count (known-theta has no policy: gamma, else
+    a2); edge tests take beta, sigma2, or the interval test's window tau.
     """
-    _check_detector_params(detector, flat, subset, tau, kappa, sigma2)
-    if flat:
-        count_gamma = _flat_gamma(detector, N, subset, tau, kappa, policy,
-                                  gamma, c_n)
-        if detector == "interval":
-            return lambda sample: det.interval_test_flat(sample, tau,
-                                                         count_gamma)
-        return lambda sample, phase=theta: det.known_theta_test_flat(
-            sample, tau, count_gamma, theta=phase)
-    if detector == "interval":
-        return lambda sample: det.interval_test_community(sample, subset, tau)
-    if detector == "coherence":
-        beta = det.coherence_threshold(subset, kappa, epsilon)
-        return lambda sample: det.coherence_test(sample, subset, beta)
-    if detector == "rayleigh":
-        beta = det.rayleigh_threshold(subset, kappa)
-        return lambda sample: det.rayleigh_test(sample, subset, beta)
-    return lambda sample: det.variance_test(sample, subset, sigma2)
+    _check_call(c)
+    if c.is_flat:
+        policy = c.policy
+        if c.detector == "known-theta":
+            policy = None if c.gamma is not None else "a2"
+        return det.resolve_flat_threshold(policy, c.N, c.tau, K=c.K, kappa=c.kappa,
+                                          gamma=c.gamma, c_n=c.c_n)
+    if c.detector == "coherence":
+        return det.coherence_threshold(c.k, c.kappa, c.epsilon)
+    if c.detector == "rayleigh":
+        return det.rayleigh_threshold(c.k, c.kappa)
+    return c.tau if c.detector == "interval" else c.sigma2
+
+
+def _make_test(c: ExperimentConfig) -> Callable:
+    """Build the sample -> TestReport call of a cell or ``detect`` call.
+
+    The threshold is resolved here, once, not per sample. The known-theta
+    call also takes the phase to test at (default ``c.theta``). The test is
+    looked up on ``det`` per call, so a tracer that rebinds it sees each one.
+    """
+    threshold = _threshold(c)
+    name = _DETECTOR_TABLE[c.detector][1]["flat" if c.is_flat else "edge"]
+    size = c.tau if c.is_flat else c.k
+    if c.detector == "known-theta":
+        return lambda sample, phase=c.theta: getattr(det, name)(
+            sample, size, threshold, theta=phase)
+    return lambda sample: getattr(det, name)(sample, size, threshold)
 
 
 def _make_runner(config: ExperimentConfig) -> Callable:
@@ -268,13 +259,9 @@ def _make_runner(config: ExperimentConfig) -> Callable:
     """
     c = config
     if c.is_flat and c.detector == "interval":
-        _check_detector_params(c.detector, True, c.K, c.tau, c.kappa, c.sigma2)
-        gamma = _config_gamma(c)
+        gamma = _threshold(c)
         return lambda sample: det.interval_rejects_flat(sample, c.tau, gamma)
-    test = _make_test(c.detector, c.is_flat, N=c.N, subset=c.subset_label,
-                      tau=c.tau, kappa=c.kappa, policy=c.policy, gamma=c.gamma,
-                      sigma2=c.sigma2, epsilon=c.epsilon, theta=c.theta,
-                      c_n=c.c_n)
+    test = _make_test(c)
     if c.detector == "known-theta":
         return lambda sample: test(
             sample, c.theta if sample.truth is None
@@ -291,35 +278,30 @@ def _gen_sample(config: ExperimentConfig, under_h1: bool, rng):
 def _cell_bounds(config: ExperimentConfig) -> dict:
     """Analytic bound report matching the configured detector and threshold."""
     c = config
-    _check_detector_params(c.detector, c.is_flat, c.subset_label, c.tau,
-                           c.kappa, c.sigma2)
-    if c.detector == "interval" and c.model == "flat-hard":
-        return th.flat_hard_bounds(c.N, c.K, c.tau, _config_gamma(c))
-    if c.detector == "interval" and c.model == "flat-vm":
-        # Without a gamma, flat_vm_bounds evaluates the vm recipe threshold.
-        gamma = None if c.policy == "vm" else _config_gamma(c)
-        return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n,
-                                 gamma=gamma)
+    _check_call(c)
+    vm = c.model.endswith("vm")
     if c.detector == "known-theta":
-        if c.model != "flat-hard":
-            return {}
-        return th.known_theta_bounds(c.N, c.K, c.tau, _config_gamma(c))
+        return {} if vm else th.known_theta_bounds(c.N, c.K, c.tau,
+                                                   _threshold(c))
+    if c.is_flat and not vm:
+        return th.flat_hard_bounds(c.N, c.K, c.tau, _threshold(c))
+    if c.is_flat:  # without a gamma, flat_vm_bounds evaluates the vm recipe
+        gamma = None if c.policy == "vm" else _threshold(c)
+        return th.flat_vm_bounds(c.N, c.K, c.kappa, c.tau, c_n=c.c_n, gamma=gamma)
     if c.detector == "interval":
-        kappa = c.kappa if c.model == "comm-vm" else None
-        return th.comm_interval_bounds(c.n, c.k, c.tau, kappa=kappa)
+        return th.comm_interval_bounds(c.n, c.k, c.tau,
+                                       kappa=c.kappa if vm else None)
+    if c.detector == "variance":
+        return th.comm_variance_bounds(c.n, c.k, c.sigma2,
+                                       kappa=c.kappa if vm else None,
+                                       tau=None if vm else c.tau)
     if c.detector == "coherence":
         bounds = th.comm_coherence_bounds(c.n, c.k, c.kappa, c.epsilon)
-        if c.model != "comm-vm":
-            bounds.pop("pmiss", None)  # miss analysis is signal-specific
-        return bounds
-    if c.detector == "rayleigh":
+    else:
         bounds = th.rayleigh_bounds(c.n, c.k, c.kappa)
-        if c.model != "comm-vm":
-            bounds.pop("pmiss", None)
-        return bounds
-    if c.model == "comm-vm":
-        return th.comm_variance_bounds(c.n, c.k, c.sigma2, kappa=c.kappa)
-    return th.comm_variance_bounds(c.n, c.k, c.sigma2, tau=c.tau)
+    if not vm:
+        bounds.pop("pmiss", None)  # miss analysis is signal-specific
+    return bounds
 
 
 def _bound_digest(bounds: dict) -> tuple[float, float]:
@@ -426,7 +408,8 @@ def _point_row(point: PhasePoint) -> list:
     if point.failed is not None:
         verdict, citation = "failed", point.failed.replace(",", ";")
     return [
-        c.model, c.detector, _fmt(c.policy), _fmt(c.size_label), _fmt(c.subset_label),
+        c.model, c.detector, _fmt(c.policy), _fmt(c.N if c.is_flat else c.n),
+        _fmt(c.K if c.is_flat else c.k),
         _fmt(c.tau), _fmt(c.kappa), _fmt(c.trials), _fmt(point.pfa_hat),
         _fmt(point.pfa_lo), _fmt(point.pfa_hi), _fmt(point.pmiss_hat),
         _fmt(point.pmiss_lo), _fmt(point.pmiss_hi),
@@ -657,6 +640,8 @@ def empirical_second_moment(model: str, params: dict, trials: int, seed: int,
     and averages L^2. Requires C(N,K) (or C(n,k)) <= ``budget``.
     """
     trials = int(trials)
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     if model.startswith("flat"):
         N, K = int(params["N"]), int(params["K"])
         n_subsets = math.comb(N, K)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
     "gen_community",
     "edge_index",
     "edge_position",
+    "vertex_bases",
+    "subset_edges",
     "edge_pairs",
     "write_dataset",
     "read_dataset",
@@ -182,6 +185,24 @@ def edge_position(n: int, i, j):
     ``i`` and ``j`` may be integer arrays, ordered elementwise.
     """
     return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
+@lru_cache(maxsize=64)
+def vertex_bases(n: int) -> np.ndarray:
+    """Read-only int32 base[s] such that edge {s, v}, s < v, sits at base[s] + v."""
+    base = edge_position(n, np.arange(n, dtype=np.int64), 0).astype(np.int32)
+    base.flags.writeable = False
+    return base
+
+
+def subset_edges(n: int, subsets: np.ndarray) -> np.ndarray:
+    """Positions of the edges {s_a, s_b}, a < b, of sorted vertex rows.
+
+    Rows run along the last axis; edges come in ``np.triu_indices`` order.
+    """
+    r = np.arange(subsets.shape[-1])
+    a_idx, b_idx = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), faster
+    return vertex_bases(n)[subsets[..., a_idx]] + subsets[..., b_idx]
 
 
 def edge_index(n: int, i: int, j: int) -> int:
@@ -369,9 +390,7 @@ def gen_community(n: int, k: int, signal: SignalKind, under_h1: bool,
     community = _sample_subset(rng, n, k)
     theta = TWO_PI * rng.random()
     angles = rng.random(m) * TWO_PI
-    verts = np.asarray(community)
-    a_idx, b_idx = np.triu_indices(k, k=1)
-    intra = edge_position(n, verts[a_idx], verts[b_idx])
+    intra = subset_edges(n, np.asarray(community))
     angles[intra] = _signal_draws(signal, theta, rng, intra.size)
     return EdgeSample(n=n, edge_angles=angles, truth=PlantedCommunity(community, theta))
 
@@ -476,7 +495,8 @@ def read_dataset(fh: TextIO) -> tuple:
 
     Every angle must be finite and in [0, 2pi), and a flat ``# N=`` header
     must match the number of angles; the scan statistics assume both. A
-    malformed number anywhere (body, size headers, truth) is ParameterError.
+    malformed number anywhere (body, size headers, truth), or a community
+    edge listed twice (as i,j and j,i), is ParameterError.
     """
     meta: dict = {}
     flat_angles: list = []
@@ -522,8 +542,12 @@ def read_dataset(fh: TextIO) -> tuple:
         if len(edges) != arr.size:
             raise ParameterError(
                 f"expected {arr.size} edges for n={n}, file has {len(edges)}")
-        for (i, j), a in edges.items():
-            arr[edge_index(n, i, j)] = a
+        pos = [edge_index(n, i, j) for i, j in edges]
+        if len(set(pos)) < arr.size:  # some edge as i,j and j,i, another absent
+            i, j = next(key for key in edges if key[::-1] in edges)
+            raise ParameterError(f"edge {{{i}, {j}}} is listed twice: as "
+                                 f"{i},{j} and {j},{i}")
+        arr[pos] = list(edges.values())
         sample = EdgeSample(n=n, edge_angles=arr,
                             truth=truth and PlantedCommunity(*truth))
     return sample, meta

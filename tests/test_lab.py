@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from circlab import cli, detectors as det, lab, models as mod, specfun as sf
 from circlab import theory as th
-from circlab.errors import CapabilityError, ConfigError
+from circlab.errors import CapabilityError, ConfigError, ParameterError
 from circlab.lab import ExperimentConfig
 
 
@@ -83,6 +83,50 @@ def _count_calls(monkeypatch, fn) -> list:
             if value is fn:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+class TestDetectorTable:
+    """Cells and ``detect`` call the test bound on ``det`` at call time."""
+
+    @pytest.mark.parametrize("cell_test,detect_test,params,flags", [
+        ("interval_rejects_flat", "interval_test_flat",
+         dict(model="flat-hard", detector="interval", N=40, K=5, tau=0.05),
+         ["--tau", "0.05"]),
+        ("known_theta_test_flat", "known_theta_test_flat",
+         dict(model="flat-hard", detector="known-theta", N=40, K=5, tau=0.05),
+         ["--tau", "0.05"]),
+        ("interval_test_community", "interval_test_community",
+         dict(model="comm-hard", detector="interval", n=8, k=4, tau=0.1),
+         ["--tau", "0.1"]),
+        ("coherence_test", "coherence_test",
+         dict(model="comm-vm", detector="coherence", n=8, k=4, kappa=2.0),
+         ["--kappa", "2"]),
+        ("rayleigh_test", "rayleigh_test",
+         dict(model="comm-vm", detector="rayleigh", n=8, k=4, kappa=2.0),
+         ["--kappa", "2"]),
+        ("variance_test", "variance_test",
+         dict(model="comm-vm", detector="variance", n=8, k=4, kappa=2.0,
+              sigma2=0.5), ["--sigma2", "0.5"]),
+    ], ids=["flat-interval", "known-theta", "comm-interval", "coherence",
+            "rayleigh", "variance"])
+    def test_cell_and_detect_call_patched_test(self, monkeypatch, tmp_path,
+                                               capsys, cell_test, detect_test,
+                                               params, flags):
+        config = ExperimentConfig(trials=3, seed=2, **params)
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, getattr(det, cell_test))
+            point = lab.estimate_errors(config)
+        assert point.failed is None and len(calls) == 2 * config.trials
+        data = tmp_path / "data.txt"
+        sample = lab._gen_sample(config, True, mod.rng_for(2, 0))
+        with open(data, "w", encoding="utf-8") as fh:
+            mod.write_dataset(fh, sample, K=config.K, k=config.k)
+        with monkeypatch.context() as m:
+            calls = _count_calls(m, getattr(det, detect_test))
+            code = cli.main(["detect", "--data", str(data),
+                             "--test", config.detector, *flags])
+        assert code == 0 and len(calls) == 1
+        assert capsys.readouterr().out.startswith("statistic=")
 
 
 class TestThresholdsResolvedOncePerCell:
@@ -232,6 +276,12 @@ class TestEmpiricalSecondMoment:
         with pytest.raises(CapabilityError):
             lab.empirical_second_moment(
                 "flat-hard", {"N": 60, "K": 20, "tau": 0.2}, 10, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ParameterError, match="trials"):
+            lab.empirical_second_moment(
+                "flat-hard", {"N": 8, "K": 3, "tau": 0.3}, trials, 0)
 
     @pytest.mark.parametrize("model,params,exact", [
         ("flat-hard", {"N": 8, "K": 3, "tau": 0.3},

@@ -468,3 +468,10 @@ class TestDatasetIO:
         text = f"# model=flat\n# N={header}\n0.5\n1\n2\n"
         with pytest.raises(ParameterError):
             mod.read_dataset(io.StringIO(text))
+
+    def test_edge_listed_twice_rejected(self):
+        # Six lines for n = 4: {0, 1} twice, as 0,1 and 1,0, and {2, 3} absent.
+        text = ("# model=community\n# n=4\n0,1,0.5\n0,2,0.5\n0,3,0.5\n"
+                "1,2,0.5\n1,3,0.5\n1,0,0.7\n")
+        with pytest.raises(ParameterError, match="listed twice"):
+            mod.read_dataset(io.StringIO(text))
