@@ -22,9 +22,9 @@ Conventions shared by every statistic:
   delta of the largest again in the table's order. The community interval
   scan decides existence edge by edge, with a (k-2)-clique search through
   each anchor edge on a sliding bitmask adjacency, and then reports the first
-  window that holds a k-clique, found by branch and bound with degree
-  pruning. Budgets turn oversized requests into CapabilityError, never into
-  silent sampling.
+  window that holds a k-clique, with the first clique in its degree ranking,
+  found by the same search on the same adjacency. Budgets turn oversized
+  requests into CapabilityError, never into silent sampling.
 
 All functions are pure; independent calls may run concurrently.
 """
@@ -141,14 +141,12 @@ def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
     ``vm``: N tau + g - c_N sqrt(N tau + g) with g = K (p_kappa(tau) - tau).
     ``fixed:<v>`` and ``custom:<v>``: v. No policy means ``gamma`` when it
     is given, else ``a1``; c_n None uses ``default_c_schedule(N)``. A
-    non-finite ``gamma``, ``v`` or ``c_n`` is a ConfigError.
+    non-finite ``gamma``, ``v`` or ``c_n``, or a missing K, is a ConfigError.
     """
-    if policy is None and gamma is not None:
-        return _finite(gamma, "gamma")
-    if policy is None or policy == "a1":
-        if K is None:
-            raise ConfigError("policy a1 needs K")
-        return float(K)
+    if policy is None:
+        if gamma is not None:
+            return _finite(gamma, "gamma")
+        policy = "a1"
     if policy.startswith(("fixed:", "custom:")):
         value = policy.split(":", 1)[1]
         try:
@@ -157,10 +155,12 @@ def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
             raise ConfigError(
                 f"policy {policy!r}: bad threshold {value!r}") from exc
         return _finite(threshold, f"policy {policy!r} threshold")
-    if policy not in ("a2", "vm"):
+    if policy not in ("a1", "a2", "vm"):
         raise ConfigError(f"unknown policy {policy!r}")
     if K is None:
-        raise ParameterError(f"policy {policy} needs K")
+        raise ConfigError(f"policy {policy} needs K")
+    if policy == "a1":
+        return float(K)
     c_n = default_c_schedule(N) if c_n is None else _finite(c_n, "c_n")
     if policy == "a2":
         base = (N - K) * tau
@@ -284,54 +284,38 @@ def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
 # ---------------------------------------------------------------------------
 
 
-def _find_k_clique(adj: dict, k: int) -> Optional[tuple]:
-    """First k-clique in a graph given as {vertex: neighbor bitmask}, or None.
+def _find_k_clique(adj: list, k: int) -> Optional[tuple]:
+    """First k-clique of the graph with neighbour bitmasks ``adj``, or None.
 
-    Vertices are tried in decreasing window-subgraph degree (ties by index);
-    branches are pruned when the current clique plus remaining candidates
-    cannot reach size k.
+    Vertices of degree < k-1 are peeled until none is left, and the rest are
+    ranked by decreasing degree, ties by index. Of the cliques written as
+    increasing sequences in that ranking, the lexicographically first is
+    returned: one pass in rank order keeps a vertex when the later candidates
+    it sees still hold the rest of a clique. Needs k >= 2; ``adj`` is not
+    modified.
     """
-    if k <= 0:
-        return ()
-    # Iterative peeling: a k-clique member needs degree >= k-1.
-    alive = set(adj)
+    alive = (1 << len(adj)) - 1
     changed = True
-    while changed:
+    while changed:  # the peel ends at the (k-1)-core whatever the order
         changed = False
-        alive_mask = 0
-        for v in alive:
-            alive_mask |= 1 << v
-        for v in list(alive):
-            if (adj[v] & alive_mask).bit_count() < k - 1:
-                alive.discard(v)
+        for v in range(len(adj)):
+            if alive >> v & 1 and (adj[v] & alive).bit_count() < k - 1:
+                alive ^= 1 << v
                 changed = True
-    if len(alive) < k:
+    if alive.bit_count() < k:
         return None
-    alive_mask = 0
-    for v in alive:
-        alive_mask |= 1 << v
-    order = sorted(alive, key=lambda v: (-(adj[v] & alive_mask).bit_count(), v))
-    found: list = []
-
-    def expand(current: list, cand_mask: int) -> bool:
-        if len(current) == k:
-            found.extend(current)
-            return True
-        if len(current) + cand_mask.bit_count() < k:
-            return False
-        for v in order:
-            bit = 1 << v
-            if not (cand_mask & bit):
-                continue
-            if expand(current + [v], cand_mask & adj[v]):
-                return True
-            cand_mask &= ~bit
-            if len(current) + cand_mask.bit_count() < k:
-                return False
-        return False
-
-    if expand([], alive_mask):
-        return tuple(sorted(found))
+    order = sorted((v for v in range(len(adj)) if alive >> v & 1),
+                   key=lambda v: (-(adj[v] & alive).bit_count(), v))
+    clique: list = []
+    cand = alive
+    for v in order:
+        if cand >> v & 1:
+            cand ^= 1 << v
+            if _has_clique(adj, cand & adj[v], k - 1 - len(clique)):
+                clique.append(v)
+                if len(clique) == k:
+                    return tuple(sorted(clique))
+                cand &= adj[v]
     return None
 
 
@@ -394,12 +378,6 @@ def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
     order = np.argsort(ang, kind="stable")
     sa = ang[order]
     m = sa.size
-    if tau == 1.0:
-        pairs = edge_pairs(n)[order]
-        in_window = np.arange(m)
-        adj = _window_adjacency(pairs[in_window])
-        clique = _find_k_clique(adj, k)
-        return True, float(sa[0]) if m else 0.0, clique, 1
     doubled = np.concatenate([sa, sa + TWO_PI])
     counts = np.searchsorted(doubled, sa + TWO_PI * tau, side="right") - np.arange(m)
     # Window i holds the edges at sorted positions [i, ends[i]) mod m. The
@@ -422,8 +400,7 @@ def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
     for i, adj in _sliding_adjacency(edges, n, ends[:min(j, m - 1) + 1], first):
         if ends[i] - i >= m_need:
             searches += 1
-            clique = _find_k_clique(
-                {v: mask for v, mask in enumerate(adj) if mask}, k)
+            clique = _find_k_clique(adj, k)
             if clique is not None:
                 return True, float(sa[i]), clique, searches
     raise AssertionError("anchored clique outside every candidate window")
@@ -437,8 +414,8 @@ def interval_stat_community(sample: EdgeSample, k: int, tau: float,
     holds every edge in [x_i, x_i + 2 pi tau], unrolled past 2 pi; any
     feasible window can be slid until its left end hits its smallest edge.
     Returns (found, anchor angle, vertex set): the first window, in anchor
-    order, that holds a k-clique, and the first clique that the degree-pruned
-    branch and bound finds in it.
+    order, that holds a k-clique, and its first clique in the order of
+    ``_find_k_clique`` (peeled, ranked by decreasing degree).
 
     Lemma: window ends are non-decreasing, so a clique inside window i also
     fits the window anchored at its own smallest unrolled position p >= i:
@@ -449,25 +426,17 @@ def interval_stat_community(sample: EdgeSample, k: int, tau: float,
     edge {a, b}, looks for a (k-2)-clique in adj[a] & adj[b]; the first hit
     j* bounds the answer. A window that ends at or before j* holds no
     clique, so pass 2 searches only the windows i <= j* that reach past j*,
-    in order, and returns the first hit.
+    in order, on the same sliding adjacency, and returns the first hit. At
+    tau = 1 every window holds all edges, so anchor 0 and window 0 hit.
     """
     return _community_scan(sample, k, tau)[:3]
-
-
-def _window_adjacency(edge_rows: np.ndarray) -> dict:
-    adj: dict = {}
-    for i, j in edge_rows:
-        i, j = int(i), int(j)
-        adj[i] = adj.get(i, 0) | (1 << j)
-        adj[j] = adj.get(j, 0) | (1 << i)
-    return adj
 
 
 def interval_test_community(sample: EdgeSample, k: int, tau: float) -> TestReport:
     """Reject H0 when some window of length 2 pi tau holds a full k-set.
 
     ``work_counter`` is the number of clique searches: anchored ones in
-    pass 1 plus full window searches in pass 2.
+    pass 1 plus full window searches in pass 2; at tau = 1 it is 2.
     """
     found, theta, subset, searches = _community_scan(sample, k, tau)
     stat = 1.0 if found else 0.0

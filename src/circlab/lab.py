@@ -723,12 +723,14 @@ def parse_config_file(path: str) -> dict:
     """Parse a flat key = value config file.
 
     '#' starts a comment; values of keys prefixed ``sweep_`` are
-    comma-separated axis lists (axes keep file order); unknown keys are
-    errors. A ``gamma`` key or axis is the flat count threshold, so it sets
-    ``policy`` to None; a file that also sets ``policy`` is an error.
+    comma-separated axis lists (axes keep file order); unknown keys and keys
+    given twice are errors. A ``gamma`` key or axis is the flat count
+    threshold, so it sets ``policy`` to None; a file that also sets
+    ``policy`` is an error.
     """
     out: dict = {}
     axes: list = []
+    seen: set = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -738,6 +740,9 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: {key} is given twice")
+            seen.add(key)
             if key.startswith("sweep_"):
                 param = key[len("sweep_"):]
                 if param not in _AXIS_PARAMS:

@@ -495,8 +495,9 @@ def read_dataset(fh: TextIO) -> tuple:
 
     Every angle must be finite and in [0, 2pi), and a flat ``# N=`` header
     must match the number of angles; the scan statistics assume both. A
-    malformed number anywhere (body, size headers, truth), or a community
-    edge listed twice (as i,j and j,i), is ParameterError.
+    malformed number anywhere (body, size headers, truth), a community edge
+    listed twice (as i,j twice, or as i,j and j,i), or a body line of the
+    other model's form, is ParameterError.
     """
     meta: dict = {}
     flat_angles: list = []
@@ -513,15 +514,25 @@ def read_dataset(fh: TextIO) -> tuple:
         try:
             if "," in line:
                 si, sj, sa = line.split(",")
-                edges[(int(si), int(sj))] = float(sa)
+                pair, angle = (int(si), int(sj)), float(sa)
             else:
                 flat_angles.append(float(line))
+                continue
         except ValueError:
             raise ParameterError(
                 f"data line {line!r} is not an angle or i,j,angle") from None
+        if pair in edges:
+            raise ParameterError("edge {},{} is listed twice".format(*pair))
+        edges[pair] = angle
     model = meta.get("model")
     if model not in ("flat", "community"):
         raise ParameterError(f"dataset has unknown model {model!r}")
+    if model == "flat" and edges:
+        i, j = next(iter(edges))
+        raise ParameterError(f"flat dataset has an edge line {i},{j},...")
+    if model == "community" and flat_angles:
+        raise ParameterError(
+            f"community dataset has a bare angle line {flat_angles[0]!r}")
     size_key = "K" if model == "flat" else "k"
     if size_key in meta:  # the subset size that ``detect`` reads with int()
         _header(meta, size_key, int)

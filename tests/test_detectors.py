@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlab import detectors as det
@@ -294,6 +294,60 @@ def brute_community_found(sample, k, tau):
     return False
 
 
+def dfs_k_clique(adj, k):
+    """First k-clique of {vertex: neighbour bitmask} by depth-first branch and
+    bound, or None: peel to the (k-1)-core, rank by decreasing degree (ties
+    by index), and extend cliques as increasing sequences in that ranking.
+    Oracle for ``det._find_k_clique``."""
+    alive = set(adj)
+    changed = True
+    while changed:
+        changed = False
+        alive_mask = 0
+        for v in alive:
+            alive_mask |= 1 << v
+        for v in list(alive):
+            if (adj[v] & alive_mask).bit_count() < k - 1:
+                alive.discard(v)
+                changed = True
+    if len(alive) < k:
+        return None
+    alive_mask = 0
+    for v in alive:
+        alive_mask |= 1 << v
+    order = sorted(alive, key=lambda v: (-(adj[v] & alive_mask).bit_count(), v))
+    found = []
+
+    def expand(current, cand_mask):
+        if len(current) == k:
+            found.extend(current)
+            return True
+        if len(current) + cand_mask.bit_count() < k:
+            return False
+        for v in order:
+            bit = 1 << v
+            if not (cand_mask & bit):
+                continue
+            if expand(current + [v], cand_mask & adj[v]):
+                return True
+            cand_mask &= ~bit
+            if len(current) + cand_mask.bit_count() < k:
+                return False
+        return False
+
+    return tuple(sorted(found)) if expand([], alive_mask) else None
+
+
+def window_adjacency(edge_rows):
+    """{vertex: neighbour bitmask} of the (i, j) rows of ``edge_rows``."""
+    adj = {}
+    for i, j in edge_rows:
+        i, j = int(i), int(j)
+        adj[i] = adj.get(i, 0) | (1 << j)
+        adj[j] = adj.get(j, 0) | (1 << i)
+    return adj
+
+
 def window_scan_community(sample, k, tau):
     """The per-window community scan: a full k-clique search in every window
     with at least C(k,2) edges, in anchor order. Oracle for the anchored scan."""
@@ -304,13 +358,12 @@ def window_scan_community(sample, k, tau):
     pairs = mod.edge_pairs(sample.n)[order]
     m = sa.size
     if tau == 1.0:
-        return True, float(sa[0]), det._find_k_clique(
-            det._window_adjacency(pairs), k)
+        return True, float(sa[0]), dfs_k_clique(window_adjacency(pairs), k)
     doubled = np.concatenate([sa, sa + TWO_PI])
     counts = np.searchsorted(doubled, sa + TWO_PI * tau, side="right") - np.arange(m)
     for idx in np.flatnonzero(counts >= m_need):
         take = (np.arange(idx, idx + counts[idx])) % m
-        clique = det._find_k_clique(det._window_adjacency(pairs[take]), k)
+        clique = dfs_k_clique(window_adjacency(pairs[take]), k)
         if clique is not None:
             return True, float(sa[idx]), clique
     return False, None, None
@@ -337,6 +390,39 @@ edge_samples = st.integers(min_value=3, max_value=8).flatmap(
                 lambda pool: st.lists(st.sampled_from(pool),
                                       min_size=n * (n - 1) // 2,
                                       max_size=n * (n - 1) // 2)))))
+
+
+@st.composite
+def bitmask_graphs(draw):
+    """(neighbour bitmask list, k): n <= 16 vertices, 2 <= k <= 7, each edge
+    present with probability 0 (an empty graph) or in [0.2, 0.95]."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    k = draw(st.integers(min_value=2, max_value=7))
+    density = draw(st.one_of(st.just(0.0), st.floats(min_value=0.2, max_value=0.95)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj, k
+
+
+K6 = [0b111111 ^ (1 << v) for v in range(6)]
+
+
+class TestFindKClique:
+    @settings(max_examples=600, deadline=None)
+    @given(bitmask_graphs())
+    @example(([0] * 6, 2)).via("empty graph")
+    @example((K6, 6)).via("k = n")
+    @example((K6, 7)).via("k above the clique number")
+    def test_equals_dfs(self, case):
+        adj, k = case
+        before = list(adj)
+        got = det._find_k_clique(adj, k)
+        assert adj == before  # pass 2 hands in the live sliding adjacency
+        assert got == dfs_k_clique({v: m for v, m in enumerate(adj) if m}, k)
 
 
 class TestIntervalCommunity:
@@ -519,7 +605,8 @@ class TestIntervalCommunity:
                 assert rep.work_counter - searched <= anchors
         assert seen[True] >= 5 and seen[False] >= 5
         calls.clear()
-        assert det.interval_test_community(s, k, 1.0).work_counter == 1
+        # tau = 1: pass 1 hits at anchor 0, pass 2 searches window 0
+        assert det.interval_test_community(s, k, 1.0).work_counter == 2
         assert len(calls) == 1
 
 

@@ -420,6 +420,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             lab.parse_config_file(str(p))
 
+    @pytest.mark.parametrize("repeated", ["sweep_tau = 0.1, 0.2\nsweep_tau = 0.3",
+                                          "N = 50\nN = 60"],
+                             ids=["axis", "key"])
+    def test_key_given_twice_fails(self, tmp_path, repeated):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"model = flat-hard\n{repeated}\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: .* given twice"):
+            lab.parse_config_file(str(p))
+
     def test_bad_policy_threshold_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("model = flat-hard\ndetector = interval\n"
@@ -562,6 +571,18 @@ class TestCLIDispatch:
         assert cli.main(["detect", "--data", flat_file, "--test", "interval",
                          "--tau", "0.02", "--policy", "fixed:abc"]) == 2
         assert "fixed:abc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["a1", "a2", "vm"])
+    def test_detect_missing_k_is_usage_error(self, flat_file, tmp_path,
+                                             policy, capsys):
+        with open(flat_file) as fh:
+            text = "".join(ln for ln in fh if not ln.startswith("# K="))
+        no_k = tmp_path / "no_k.txt"
+        no_k.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["detect", "--data", str(no_k), "--test", "interval",
+                         "--tau", "0.02", "--policy", policy]) == 2
+        assert f"policy {policy} needs K" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,code", [
         (["--test", "known-theta", "--theta", "nan"], 1),

@@ -475,3 +475,14 @@ class TestDatasetIO:
                 "1,2,0.5\n1,3,0.5\n1,0,0.7\n")
         with pytest.raises(ParameterError, match="listed twice"):
             mod.read_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("text,match", [
+        ("# model=flat\n# N=2\n0.5\n0,1,0.5\n1\n", "edge line 0,1"),
+        ("# model=community\n# n=3\n0,1,0.5\n0.7\n0,2,1\n1,2,2\n",
+         "bare angle line 0.7"),
+        ("# model=community\n# n=3\n0,1,0.1\n0,2,1\n1,2,2\n0,1,2.5\n",
+         "edge 0,1 is listed twice"),
+    ], ids=["flat-edge-line", "comm-bare-angle", "comm-same-edge-twice"])
+    def test_body_line_never_dropped_or_overwritten(self, text, match):
+        with pytest.raises(ParameterError, match=match):
+            mod.read_dataset(io.StringIO(text))
