@@ -115,6 +115,7 @@ def _report_line(report: det.TestReport) -> str:
 
 
 def _cmd_detect(args) -> int:
+    lab._check_policy(args.test, args.policy or None, args.gamma is not None)
     try:
         with open(args.data, "r", encoding="utf-8") as fh:
             sample, meta = mod.read_dataset(fh)

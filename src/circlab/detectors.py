@@ -64,7 +64,6 @@ __all__ = [
     "rayleigh_test",
     "variance_stat",
     "variance_test",
-    "sigma2_from_coherence_eps",
     "revolving_door_subsets",
     "subset_edge_table",
     "DEFAULT_SUBSET_BUDGET",
@@ -489,12 +488,12 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _check_budget(n: int, k: int, budget: int) -> None:
+def _check_budget(n: int, k: int) -> None:
     total = math.comb(n, k) * math.comb(k, 2)
-    if total > budget:
+    if total > DEFAULT_SUBSET_BUDGET:
         raise CapabilityError(
             f"exact subset scan needs {total:.3g} subset-edge operations, "
-            f"budget is {budget:.3g}")
+            f"budget is {DEFAULT_SUBSET_BUDGET:.3g}")
 
 
 @lru_cache(maxsize=8)
@@ -564,8 +563,7 @@ def _door_first(subsets: np.ndarray) -> tuple:
     return tuple(int(v) for v in subsets[best])
 
 
-def coherence_stat(sample: EdgeSample, k: int,
-                   budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[float, tuple]:
+def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     """Exact max over k-subsets C of | sum_{e in E(C)} exp(i X_e) |.
 
     Returns (maximum, first argmax subset in revolving-door order). A
@@ -592,7 +590,7 @@ def coherence_stat(sample: EdgeSample, k: int,
     n = sample.n
     if not (2 <= k <= n):
         raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
-    _check_budget(n, k, budget)
+    _check_budget(n, k)
     z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
     with _TABLE_LOCK:
         levels = _prefix_levels(n, k)
@@ -621,10 +619,9 @@ def coherence_stat(sample: EdgeSample, k: int,
     return float(value), _door_first(subsets[values == value])
 
 
-def coherence_test(sample: EdgeSample, k: int, beta: float,
-                   budget: int = DEFAULT_SUBSET_BUDGET) -> TestReport:
+def coherence_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
     """Reject H0 when the max subset coherence reaches beta (coherence_threshold)."""
-    value, subset = coherence_stat(sample, k, budget=budget)
+    value, subset = coherence_stat(sample, k)
     return TestReport(
         statistic=value, threshold=float(beta),
         witness_subset=subset, work_counter=math.comb(sample.n, k))
@@ -646,8 +643,7 @@ def rayleigh_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
         work_counter=sample.n_edges)
 
 
-def variance_stat(sample: EdgeSample, k: int,
-                  budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[float, tuple]:
+def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     """Exact min over k-subsets of the circular sample variance of E(C).
 
     V_C = min_theta (1/(K-1)) sum_{e in E(C)} d(X_e, theta)^2 with d the
@@ -669,7 +665,7 @@ def variance_stat(sample: EdgeSample, k: int,
     if not (3 <= k <= n):
         raise ParameterError(
             f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
-    _check_budget(n, k, budget)
+    _check_budget(n, k)
     x = np.asarray(sample.edge_angles, dtype=float)
     with _TABLE_LOCK:
         levels = _prefix_levels(n, k)
@@ -700,20 +696,12 @@ def variance_stat(sample: EdgeSample, k: int,
     return value, _door_first(_level_subsets(levels, np.concatenate(ties)))
 
 
-def variance_test(sample: EdgeSample, k: int, sigma2: float,
-                  budget: int = DEFAULT_SUBSET_BUDGET) -> TestReport:
+def variance_test(sample: EdgeSample, k: int, sigma2: float) -> TestReport:
     """Reject H0 when some k-subset has circular sample variance <= sigma2."""
     if not (sigma2 > 0.0):
         raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    value, subset = variance_stat(sample, k, budget=budget)
+    value, subset = variance_stat(sample, k)
     return TestReport(
         statistic=value, threshold=float(sigma2), comparison="le",
         witness_subset=subset, work_counter=math.comb(sample.n, k))
 
-
-def sigma2_from_coherence_eps(k: int, epsilon: float) -> float:
-    """Variance threshold 2 eps / (K-1) matching a coherence threshold K - eps."""
-    m_edges = k * (k - 1) // 2
-    if m_edges < 2:
-        raise ParameterError(f"need C(k,2) >= 2, got k={k}")
-    return 2.0 * epsilon / (m_edges - 1)

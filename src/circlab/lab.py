@@ -214,6 +214,19 @@ def _check_call(c: ExperimentConfig) -> None:
         raise ConfigError(f"{c.detector} test needs {_NEEDS[param]}")
 
 
+def _check_policy(detector: str, policy: Optional[str], gamma_set: bool,
+                  where: str = "") -> None:
+    """Reject a policy that the call would ignore: next to a gamma, which
+    fixes the count, or on known-theta, which tests at gamma, else a2."""
+    if policy is None:
+        return
+    if gamma_set:
+        raise ConfigError(f"{where}set policy or gamma, not both")
+    if detector == "known-theta":
+        raise ConfigError(f"{where}known-theta takes no policy; "
+                          f"set gamma or leave both out for the a2 recipe")
+
+
 def _threshold(c: ExperimentConfig) -> float:
     """Check a cell or ``detect`` call and resolve the threshold its test takes.
 
@@ -629,15 +642,14 @@ def _vm_lsq(out: np.ndarray, rng: np.random.Generator, size: int,
             out[lo + i] = terms[i].mean() ** 2
 
 
-def empirical_second_moment(model: str, params: dict, trials: int, seed: int,
-                            budget: int = DEFAULT_ENUMERATION_BUDGET,
-                            ) -> tuple[float, float]:
+def empirical_second_moment(model: str, params: dict, trials: int,
+                            seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of E_Q[L^2] with jackknife standard error.
 
     Draws null datasets, evaluates the likelihood ratio L exactly (subset
     enumeration; the phase integral reduces to window-coverage geometry for
     hard-cluster signals and to I0 of the subset resultant for von Mises),
-    and averages L^2. Requires C(N,K) (or C(n,k)) <= ``budget``.
+    and averages L^2. Requires C(N,K) (or C(n,k)) <= DEFAULT_ENUMERATION_BUDGET.
     """
     trials = int(trials)
     if trials < 1:
@@ -648,9 +660,9 @@ def empirical_second_moment(model: str, params: dict, trials: int, seed: int,
     else:
         n, k = int(params["n"]), int(params["k"])
         n_subsets = math.comb(n, k)
-    if n_subsets > budget:
-        raise CapabilityError(
-            f"exact enumeration needs {n_subsets} subsets, budget {budget}")
+    if n_subsets > DEFAULT_ENUMERATION_BUDGET:
+        raise CapabilityError(f"exact enumeration needs {n_subsets} subsets, "
+                              f"budget {DEFAULT_ENUMERATION_BUDGET}")
     rng = mod.rng_for(seed, _STREAM_SECOND_MOMENT)
     lsq = np.empty(trials)
     if model == "flat-hard":
@@ -726,7 +738,7 @@ def parse_config_file(path: str) -> dict:
     comma-separated axis lists (axes keep file order); unknown keys and keys
     given twice are errors. A ``gamma`` key or axis is the flat count
     threshold, so it sets ``policy`` to None; a file that also sets
-    ``policy`` is an error.
+    ``policy`` is an error, and so is a ``policy`` for known-theta.
     """
     out: dict = {}
     axes: list = []
@@ -760,9 +772,9 @@ def parse_config_file(path: str) -> dict:
                 out[key] = _parse_value(key, value)
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    if "gamma" in out or any(param == "gamma" for param, _ in axes):
-        if "policy" in out:
-            raise ConfigError(f"{path}: set policy or gamma, not both")
+    gamma_set = "gamma" in out or any(param == "gamma" for param, _ in axes)
+    _check_policy(out.get("detector"), out.get("policy"), gamma_set, f"{path}: ")
+    if gamma_set:
         out["policy"] = None
     if axes:
         out["sweep_axes"] = axes

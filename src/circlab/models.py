@@ -412,15 +412,6 @@ def signal_tag(signal: SignalKind) -> str:
     return f"vm:{_FMT % signal.kappa}"
 
 
-def parse_signal_tag(tag: str) -> SignalKind:
-    kind, _, value = tag.partition(":")
-    if kind == "hard":
-        return HardCluster(tau=float(value))
-    if kind == "vm":
-        return VonMises(kappa=float(value))
-    raise ParameterError(f"unknown signal tag {tag!r}")
-
-
 def write_dataset(fh: TextIO, sample: Union[FlatSample, EdgeSample],
                   signal: Optional[SignalKind] = None,
                   seed: Optional[int] = None,
@@ -496,10 +487,11 @@ def read_dataset(fh: TextIO) -> tuple:
     Every angle must be finite and in [0, 2pi), and a flat ``# N=`` header
     must match the number of angles; the scan statistics assume both. A
     malformed number anywhere (body, size headers, truth), a community edge
-    listed twice (as i,j twice, or as i,j and j,i), or a body line of the
-    other model's form, is ParameterError.
+    listed twice (as i,j twice, or as i,j and j,i), a ``# key=value`` header
+    given twice, or a body line of the other model's form, is ParameterError.
     """
     meta: dict = {}
+    headers: set = set()  # keys given as "# key=value"
     flat_angles: list = []
     edges: dict = {}
     for raw in fh:
@@ -507,9 +499,13 @@ def read_dataset(fh: TextIO) -> tuple:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
+            key, eq, value = line[1:].partition("=")
+            key = key.strip()
+            if eq:
+                if key in headers:
+                    raise ParameterError(f"header {key!r} is given twice")
+                headers.add(key)
+            meta[key] = value.strip()
             continue
         try:
             if "," in line:

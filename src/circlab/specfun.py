@@ -14,20 +14,19 @@ asymptotic expansion with correction terms for x > 30; every ratio quantity
 (A, R, rho) is formed from exponentially scaled values or in log space, so
 that nothing overflows before x ~ 700 and log-space callers never overflow.
 
-There are two paths with the same two loops, the power series and the
-asymptotic expansion, each keyed by the order nu (0 for I0, 1 for I1). The
-public functions take one Python float and run the loops on floats
-(``_series_f``, ``_asymptotic_f``), with no numpy call inside the loop; the
-quadrature integrands of the exact second moments call them once per node.
-``_series`` and ``_asymptotic`` run the same loops on whole arrays:
-``_log_i0`` for the Monte Carlo likelihood ratios, and the scaled I0/I1
-wrappers as oracles. Both paths give the same bits: the float loops keep the
-array loops' operation order, square as ``x * x`` (CPython's ``x ** 2`` can
-differ in the last bit) and take the final log and exp with numpy
-(``math.log`` differs on some inputs).
-``scipy.special.i0e``/``i1e`` agree to about 2e-15 relative, but that moves
-the last digits of the 17-digit ``bounds``, ``detect`` and CSV output, so
-they are not used.
+One implementation runs the two loops, the power series and the asymptotic
+expansion, each keyed by the order nu (0 for I0, 1 for I1), on one Python
+float (``_series_f``, ``_asymptotic_f``), with no numpy call inside the
+loop; the quadrature integrands of the exact second moments call the public
+functions once per node. Every threshold, bound, verdict, CSV and ``detect``
+value comes from these loops, so their operation order is fixed: they square
+as ``x * x`` (CPython's ``x ** 2`` can differ in the last bit) and take the
+final log and exp with numpy (``math.log`` differs on some inputs).
+``scipy.special.i0e``/``i1e`` agree with them to about 2e-15 relative and are
+the independent check in the tests; swapping them in would move the last
+digits of the 17-digit output. The one array evaluation, ``_log_i0`` for the
+Monte Carlo likelihood ratios, whose output is an estimate, uses
+``scipy.special.i0e``.
 All functions are pure and safe for concurrent use.
 """
 
@@ -37,23 +36,18 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import i0e
 
 from .errors import DomainError, NumericError
 
 __all__ = [
     "TWO_PI",
-    "bessel_i0",
     "bessel_i0_scaled",
-    "bessel_i1",
-    "bessel_i1_scaled",
     "log_bessel_i0",
     "mean_resultant",
     "ratio_R",
     "rho",
     "arc_prob",
-    "kl_hard_cluster",
-    "kl_von_mises",
-    "kl_divergences",
     "gaussian_upper_tail",
     "compute_c0",
 ]
@@ -79,75 +73,9 @@ def _require_nonneg(x: float, name: str) -> float:
     return x
 
 
-# Array loops, keyed by nu like the float loops below.
-
-
-def _series(x: np.ndarray, nu: int) -> np.ndarray:
-    """sum_k (x^2/4)^k / (k! (k+nu)!) elementwise; all terms positive."""
-    x = np.asarray(x, dtype=float)
-    t = x * x / 4.0
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * t / (k * (k + nu))
-        total = total + term
-        if np.all(term <= _SERIES_RTOL * total):
-            break
-    return total
-
-
-def _asymptotic(x: np.ndarray, nu: int) -> np.ndarray:
-    """sqrt(2 pi x) e^{-x} I_nu(x) elementwise for large x, as sum_k c_k x^{-k}."""
-    x = np.asarray(x, dtype=float)
-    inv = 1.0 / x
-    mu = 4.0 * nu * nu
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-        term = term * ((2 * k - 1) ** 2 - mu) * inv / (8.0 * k)
-        total = total + term
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            break
-    return total
-
-
-# e^{-x} I_nu(x) on each branch: the oracles of the float path and of the
-# branch-crossover checks.
-
-
-def _i0_series_scaled(x: np.ndarray) -> np.ndarray:
-    return _series(x, 0) * np.exp(-np.asarray(x, dtype=float))
-
-
-def _i0_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
-    return _asymptotic(x, 0) / np.sqrt(TWO_PI * np.asarray(x, dtype=float))
-
-
-def _i1_series_scaled(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return (x / 2.0) * _series(x, 1) * np.exp(-x)
-
-
-def _i1_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
-    return _asymptotic(x, 1) / np.sqrt(TWO_PI * np.asarray(x, dtype=float))
-
-
-def _log_i0(x: np.ndarray) -> np.ndarray:
-    """Vectorized log I0(x) over nonnegative x; never overflows."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= SERIES_ASYMPTOTIC_SWITCH
-    if small.any():
-        out[small] = np.log(_series(x[small], 0))
-    if (~small).any():
-        xl = x[~small]
-        out[~small] = xl + np.log(_i0_asymptotic_scaled(xl))
-    return out
-
-
-# Scalar path: the loops above on one Python float, term for term. Both
-# paths share I0 and I1 through nu (k! (k+nu)! in the series, mu = 4 nu^2 in
-# the asymptotic coefficients (2k-1)^2 - mu, where mu = 0 adds 0.0 exactly).
+# The power series and the asymptotic expansion of I_nu, keyed by the order nu
+# (k! (k+nu)! in the series, mu = 4 nu^2 in the asymptotic coefficients
+# (2k-1)^2 - mu, where mu = 0 adds 0.0 exactly).
 
 
 def _series_f(x: float, nu: int) -> float:
@@ -175,6 +103,34 @@ def _asymptotic_f(x: float, nu: int) -> float:
     return total
 
 
+# e^{-x} I_nu(x) on each branch, element by element over an array: the
+# branch-crossover checks.
+_series_each = np.vectorize(_series_f, otypes=[float])
+_asymptotic_each = np.vectorize(_asymptotic_f, otypes=[float])
+
+
+def _i0_series_scaled(x: np.ndarray) -> np.ndarray:
+    return _series_each(x, 0) * np.exp(-x)
+
+
+def _i0_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
+    return _asymptotic_each(x, 0) / np.sqrt(TWO_PI * x)
+
+
+def _i1_series_scaled(x: np.ndarray) -> np.ndarray:
+    return (x / 2.0) * _series_each(x, 1) * np.exp(-x)
+
+
+def _i1_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
+    return _asymptotic_each(x, 1) / np.sqrt(TWO_PI * x)
+
+
+def _log_i0(x: np.ndarray) -> np.ndarray:
+    """log I0(x) over an array of nonnegative x, from scipy; never overflows."""
+    x = np.asarray(x, dtype=float)
+    return x + np.log(i0e(x))
+
+
 def _i0e_f(x: float) -> float:
     if x <= SERIES_ASYMPTOTIC_SWITCH:
         return float(_series_f(x, 0) * np.exp(-x))
@@ -193,13 +149,6 @@ def _log_i0_f(x: float) -> float:
     return float(x + np.log(_asymptotic_f(x, 0) / math.sqrt(TWO_PI * x)))
 
 
-def bessel_i0(x: float) -> float:
-    """I0(x). Overflows to +inf past x ~ 713; use bessel_i0_scaled there."""
-    x = _require_nonneg(x, "x")
-    with np.errstate(over="ignore"):
-        return float(np.exp(x) * _i0e_f(x))
-
-
 def bessel_i0_scaled(x: float) -> float:
     """e^{-x} I0(x); well scaled for every nonnegative x."""
     return _i0e_f(_require_nonneg(x, "x"))
@@ -208,18 +157,6 @@ def bessel_i0_scaled(x: float) -> float:
 def log_bessel_i0(x: float) -> float:
     """log I0(x), exact in log space for every nonnegative x."""
     return _log_i0_f(_require_nonneg(x, "x"))
-
-
-def bessel_i1(x: float) -> float:
-    """I1(x) = (1/2pi) int_0^{2pi} cos(y) e^{x cos y} dy."""
-    x = _require_nonneg(x, "x")
-    with np.errstate(over="ignore"):
-        return float(np.exp(x) * _i1e_f(x))
-
-
-def bessel_i1_scaled(x: float) -> float:
-    """e^{-x} I1(x)."""
-    return _i1e_f(_require_nonneg(x, "x"))
 
 
 def mean_resultant(kappa: float) -> float:
@@ -309,37 +246,6 @@ def arc_prob(kappa: float, tau: float) -> float:
         epsabs=_QUAD_ABS_TOL, epsrel=1e-11, limit=_QUAD_LIMIT, points=pts)
     denom = TWO_PI * bessel_i0_scaled(kappa)
     return min(1.0, mass / denom)
-
-
-def kl_hard_cluster(tau: float) -> float:
-    """KL( uniform(arc of length 2 pi tau) || uniform(circle) ) = -ln tau."""
-    tau = float(tau)
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    return -math.log(tau)
-
-
-def kl_von_mises(kappa: float) -> float:
-    """KL( vonMises(., kappa) || uniform(circle) ) = kappa A(kappa) - log I0(kappa)."""
-    kappa = _require_nonneg(kappa, "kappa")
-    if kappa == 0.0:
-        return 0.0
-    return kappa * mean_resultant(kappa) - log_bessel_i0(kappa)
-
-
-def kl_divergences(kind) -> float:
-    """KL divergence of a planted signal distribution from uniform.
-
-    Accepts any object with a ``tau`` attribute (hard cluster) or a
-    ``kappa`` attribute (von Mises).
-    """
-    tau = getattr(kind, "tau", None)
-    if tau is not None:
-        return kl_hard_cluster(tau)
-    kappa = getattr(kind, "kappa", None)
-    if kappa is not None:
-        return kl_von_mises(kappa)
-    raise DomainError(f"not a signal kind: {kind!r}")
 
 
 def gaussian_upper_tail(x: float) -> float:

@@ -56,7 +56,6 @@ __all__ = [
     "RegimeVerdict",
     "regime_classify",
     "known_theta_regime",
-    "rayleigh_condition",
     "C0_REFERENCE",
     "C2_STAR_REFERENCE",
 ]
@@ -818,13 +817,3 @@ def known_theta_regime(N: int, K: int, tau: float) -> RegimeVerdict:
                              values)
     return RegimeVerdict("indeterminate", "", values)
 
-
-def rayleigh_condition(n: int, k: int, kappa: float) -> dict:
-    """Rayleigh-test success diagnostic.
-
-    ratio = k^2 A(kappa) / n: >> 1 suggests the all-edges test succeeds,
-    << 1 that it fails. Also returns the total-error bound of
-    ``rayleigh_bounds`` (``total_default``).
-    """
-    total = rayleigh_bounds(n, k, kappa)["total_default"].value
-    return {"ratio": k * k * mean_resultant(kappa) / n, "total_error_bound": total}

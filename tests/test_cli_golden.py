@@ -1,9 +1,11 @@
-"""Exact CLI output of bounds, detect, classify and gen, pinned byte for byte.
+"""Exact CLI output of bounds, detect, classify, gen and two verify suites,
+pinned byte for byte.
 
 Every case runs ``cli.main`` in process and compares the exit code and the
 whole stdout with the text recorded in ``EXPECTED`` (generated files are
 pinned by their SHA-256). Any change to the (model, detector) dispatch,
-policy parsing or bound selection that alters a printed digit fails here.
+policy parsing, bound selection or special function that alters a printed
+digit fails here.
 """
 
 import hashlib
@@ -388,6 +390,38 @@ EXPECTED = {
         "decision=reject "
         "witness_theta=4.2144442979453149 "
         "witness_subset=none\n")),
+    "verify/specfun": (0, (
+        "rho_mean_one_err_kappa_0.1=4.4408920985006262e-16 [ok]\n"
+        "rho_mean_one_err_kappa_1=2.2204460492503131e-16 [ok]\n"
+        "rho_mean_one_err_kappa_5=2.2204460492503131e-16 [ok]\n"
+        "rho_mean_one_err_kappa_20=2.7755575615628914e-15 [ok]\n"
+        "rho_mean_one_err_kappa_100=1.7763568394002505e-14 [ok]\n"
+        "i0_crossover_rel_err=1.6653345369377348e-15 [ok]\n"
+        "i1_crossover_rel_err=2.1094237467877974e-15 [ok]\n"
+        "i0_upper_exp_quarter_sq=all-hold [ok]\n"
+        "i0_lower_scaled_min=0.39904212840852343 [ok]\n"
+        "mean_resultant_small_kappa_err=6.2498958351524248e-08 [ok]\n"
+        "A_R_monotone=yes [ok]\n"
+        "c0_objective_sign_changes=1 [ok]\n"
+        "c0_first_order_condition=3.3306690738754696e-10 [ok]\n"
+        "c0_computed=1.2676980469105776 [ok]\n"
+        "c2_star_computed=1.3999852773437527 [ok]\n"
+        "c0_reference=0.50570000000000004 [ok]\n"
+        "c2_star_reference=0.75180000000000002 [ok]\n"
+        "c0_matches_reference=no [ok]\n"
+        "c0_discrepancy_recorded=objective-as-displayed minimizes to "
+        "(1.267698;1.399985) not (0.5057;0.7518) [ok]\n"
+        "suite=specfun passed=true\n"
+        "verify=pass\n")),
+    "verify/overlap": (0, (
+        "convex_order_violations=0 [ok]\n"
+        "convex_order_worst_rel_slack=3.6415315207705135e-14 [ok]\n"
+        "delta_moment_quadrature_err=2.2204460492503131e-16 [ok]\n"
+        "hypergeom_pmf_sum_err=2.2204460492503131e-16 [ok]\n"
+        "second_moment_identity=holds [ok]\n"
+        "half_circle_ratio_closed_form=holds [ok]\n"
+        "suite=overlap passed=true\n"
+        "verify=pass\n")),
     "gen/comm_hard":
         "08463817a14106ab07b860938628879856403286d018ec017c54305527ff7e9c",
     "gen/comm_vm":
@@ -434,3 +468,9 @@ def test_detect(name, capsys, data_dir):
 def test_classify(name, capsys):
     assert run(capsys, ["classify", *CLASSIFY[name]]) == \
         EXPECTED[f"classify/{name}"]
+
+
+@pytest.mark.parametrize("suite", ["specfun", "overlap"])
+def test_verify(suite, capsys):
+    assert run(capsys, ["verify", suite, "--seed", "1"]) == \
+        EXPECTED[f"verify/{suite}"]

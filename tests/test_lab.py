@@ -299,11 +299,11 @@ class TestEmpiricalSecondMoment:
 
     @pytest.mark.parametrize("model,params,bits", [
         ("flat-vm", {"N": 12, "K": 5, "kappa": 2.0},
-         ("0x1.13296fdf6b318p+1", "0x1.51386fff65440p-1")),
+         ("0x1.13296fdf6b317p+1", "0x1.51386fff6543fp-1")),
         ("comm-hard", {"n": 9, "k": 4, "tau": 0.3},
          ("0x1.c3b555f21e791p+1", "0x1.56ebb2f34759ap+0")),
         ("comm-vm", {"n": 9, "k": 5, "kappa": 1.5},
-         ("0x1.23b1d972e5cd0p+2", "0x1.519a91244fa54p+1")),
+         ("0x1.23b1d972e5ccep+2", "0x1.519a91244fa51p+1")),
     ])
     def test_pinned_bits(self, model, params, bits):
         """Estimate and standard error at seed 11, to the bit. Both average
@@ -643,6 +643,35 @@ class TestCLIDispatch:
                          "--out", str(out)]) == 2
         assert "policy or gamma" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_known_theta_policy_is_usage_error(self, tmp_path, capsys):
+        # known-theta tests at gamma, else a2; the policy was ignored
+        p = tmp_path / "c.cfg"
+        p.write_text("model = flat-hard\ndetector = known-theta\npolicy = a1\n"
+                     "N = 30\nK = 3\ntau = 0.1\ntrials = 5\n")
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", str(p), "--threads", "1",
+                         "--out", str(out)]) == 2
+        assert "known-theta takes no policy" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--test", "interval", "--policy", "a2", "--gamma", "5"],
+         "set policy or gamma, not both"),
+        (["--test", "known-theta", "--policy", "a2", "--gamma", "5"],
+         "set policy or gamma, not both"),
+        (["--test", "known-theta", "--policy", "a1"],
+         "known-theta takes no policy"),
+    ], ids=["interval-policy-gamma", "known-theta-policy-gamma",
+            "known-theta-policy"])
+    def test_detect_ignored_flag_is_usage_error(self, flat_file, flags,
+                                                message, capsys):
+        # Each run used to print a line that ignored one of the flags.
+        capsys.readouterr()
+        assert cli.main(["detect", "--data", flat_file, "--tau", "0.02"]
+                        + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("old,new", [
         ("# K=8\n", "# K=x\n"),

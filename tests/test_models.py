@@ -383,7 +383,7 @@ class TestDatasetIO:
         assert np.array_equal(back.angles, s.angles)  # 17 sig digits round trip
         assert back.truth == s.truth
         assert meta["model"] == "flat" and int(meta["K"]) == 4
-        assert mod.parse_signal_tag(meta["signal"]) == signal
+        assert meta["signal"] == "vm:3"
 
     def test_truth_hidden_by_default(self):
         s = mod.gen_flat(10, 2, mod.HardCluster(0.2), True, mod.rng_for(14, 0))
@@ -486,3 +486,19 @@ class TestDatasetIO:
     def test_body_line_never_dropped_or_overwritten(self, text, match):
         with pytest.raises(ParameterError, match=match):
             mod.read_dataset(io.StringIO(text))
+
+    @pytest.mark.parametrize("text,key", [
+        ("# model=flat\n# K=2\n# K=5\n0.5\n1\n", "K"),
+        ("# model=community\n# n=3\n# truth_subset=0,1,2\n# truth_theta=0.5\n"
+         "# truth_theta=1.5\n0,1,0.1\n0,2,1\n1,2,2\n", "truth_theta"),
+        ("# model=flat\n# model=community\n0.5\n", "model"),
+    ], ids=["flat-K", "comm-truth-theta", "model"])
+    def test_header_given_twice_rejected(self, text, key):
+        # The later value used to replace the earlier one without a word.
+        with pytest.raises(ParameterError, match=f"header '{key}' is given twice"):
+            mod.read_dataset(io.StringIO(text))
+
+    def test_comment_without_value_may_repeat(self):
+        text = "# model=flat\n# note\n# note\n# N=2\n0.5\n1\n"
+        sample, meta = mod.read_dataset(io.StringIO(text))
+        assert sample.n_points == 2 and meta["note"] == ""

@@ -152,11 +152,6 @@ class TestRayleighAndVarianceBounds:
         assert b["pfa"].value == pytest.approx(
             4 * math.exp(-(mu1 / 2) ** 2 / (2 * n_edges)))
 
-    def test_rayleigh_condition_values(self):
-        out = th.rayleigh_condition(100, 50, 5.0)
-        assert out["ratio"] == pytest.approx(2500 * sf.mean_resultant(5.0) / 100)
-        assert th.rayleigh_condition(10, 5, 0.0)["ratio"] == 0.0
-
     def test_variance_pfa_bound_monotone_in_sigma2(self):
         b1 = th.comm_variance_bounds(10, 6, 0.02, kappa=30.0)
         b2 = th.comm_variance_bounds(10, 6, 0.2, kappa=30.0)
