@@ -25,6 +25,12 @@ Conventions shared by every statistic:
   window that holds a k-clique, with the first clique in its degree ranking,
   found by the same search on the same adjacency. Budgets turn oversized
   requests into CapabilityError, never into silent sampling.
+* Monte Carlo trials only need a decision. ``interval_rejects_flat``,
+  ``coherence_rejects`` and ``variance_rejects`` return their test's
+  ``rejected`` without the statistic or its witness: the subset decisions
+  build the prefix tree up to k-1 and expand only the prefixes whose
+  children can cross the threshold, by the triangle inequality (a child
+  adds k-1 unit phasors) and, for the variance, d^2 >= 2 (1 - cos d).
 
 All functions are pure; independent calls may run concurrently.
 """
@@ -61,9 +67,11 @@ __all__ = [
     "interval_test_community",
     "coherence_stat",
     "coherence_test",
+    "coherence_rejects",
     "rayleigh_test",
     "variance_stat",
     "variance_test",
+    "variance_rejects",
     "revolving_door_subsets",
     "subset_edge_table",
     "DEFAULT_SUBSET_BUDGET",
@@ -528,6 +536,65 @@ def _prefix_levels(n: int, k: int) -> tuple:
     return tuple(levels)
 
 
+@lru_cache(maxsize=8)
+def _child_offsets(n: int, k: int) -> np.ndarray:
+    """Children of each (k-1)-prefix: level k rows offsets[p] .. offsets[p+1] - 1.
+
+    Callers hold _TABLE_LOCK, as for ``_prefix_levels``.
+    """
+    parent = _prefix_levels(n, k)[-1][0]
+    return np.searchsorted(parent, np.arange(parent[-1] + 2, dtype=parent.dtype))
+
+
+def _level_sums(z: np.ndarray, levels: tuple, roots: int) -> np.ndarray:
+    """Phasor sum of every subset of the last of ``levels``, in prefix order.
+
+    Each j-subset's sum is its parent's plus its j-1 edges to the new vertex,
+    added one after the other; ``roots`` is the size of level 1 (n-k+1 rows,
+    no edges), which is returned when ``levels`` is empty.
+    """
+    sums = np.zeros(roots, dtype=complex)
+    for parent, _, cols in levels:
+        level = np.empty(parent.size, dtype=complex)
+        # Blocks keep the gathers and adds in cache.
+        for lo in range(0, parent.size, _CHUNK_ROWS):
+            block = sums.take(parent[lo:lo + _CHUNK_ROWS])
+            for col in cols[lo:lo + _CHUNK_ROWS].T:
+                block += z.take(col)
+            level[lo:lo + _CHUNK_ROWS] = block
+        sums = level
+    return sums
+
+
+def _children(z: np.ndarray, levels: tuple, sums: np.ndarray,
+              offsets: np.ndarray, parents: np.ndarray) -> tuple:
+    """The level-k rows below ``parents``, parent by parent, and their moduli.
+
+    A child's sum is its parent's in ``sums`` plus its k-1 new edges, added
+    as ``_level_sums`` adds them.
+    """
+    starts = offsets[parents]
+    counts = offsets[parents + 1] - starts
+    rows = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            + np.arange(int(counts.sum())))
+    block = np.repeat(sums[parents], counts)
+    for col in levels[-1][2].T:
+        block += z.take(col.take(rows))
+    return rows, np.abs(block)
+
+
+def _prefix_groups(parents: np.ndarray, offsets: np.ndarray, first: int = 0):
+    """Yield the first ``first`` of ``parents`` as one group, then the rest
+    in groups of about _CHUNK_ROWS children, so a group stays in cache."""
+    if first:
+        yield parents[:first]
+    rest = parents[first:]
+    if rest.size:
+        counts = np.cumsum(offsets[rest + 1] - offsets[rest])
+        bounds = np.arange(_CHUNK_ROWS, int(counts[-1]), _CHUNK_ROWS)
+        yield from np.split(rest, np.searchsorted(counts, bounds, side="right"))
+
+
 def _revolving_door_rank(subsets: np.ndarray) -> np.ndarray:
     """Revolving-door rank of each sorted k-subset, one per row.
 
@@ -586,28 +653,38 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     candidates are summed again in table order, and the exact maximum and
     its first maximizer in revolving-door order are returned.
     """
-    k = int(k)
-    n = sample.n
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
-    _check_budget(n, k)
-    z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
-    with _TABLE_LOCK:
-        levels = _prefix_levels(n, k)
-    sums = np.zeros(n - k + 1, dtype=complex)  # level 1 has no edges
-    for parent, _, cols in levels:
-        level = np.empty(parent.size, dtype=complex)
-        # Blocks keep the gathers and adds in cache.
-        for lo in range(0, parent.size, _CHUNK_ROWS):
-            block = sums.take(parent[lo:lo + _CHUNK_ROWS])
-            for col in cols[lo:lo + _CHUNK_ROWS].T:
-                block += z.take(col)
-            level[lo:lo + _CHUNK_ROWS] = block
-        sums = level
-    fast = np.abs(sums)
+    k, n, x, levels = _scan_inputs(sample, k, 2)
+    z = np.exp(1j * x)
+    fast = np.abs(_level_sums(z, levels, n - k + 1))
     m = k * (k - 1) // 2
     subsets = _level_subsets(
         levels, np.flatnonzero(fast >= fast.max() - m * m * 2.0 ** -48))
+    values = _table_coherence(z, n, subsets)
+    value = values.max()
+    return float(value), _door_first(subsets[values == value])
+
+
+def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
+    """Check k (low <= k <= n) and the budget of an exact subset scan.
+
+    Returns (k, n, edge angles, prefix levels).
+    """
+    k = int(k)
+    n = sample.n
+    if not (low <= k <= n):
+        raise ParameterError(
+            f"need 2 <= k <= n, got k={k}, n={n}" if low == 2 else
+            f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
+    _check_budget(n, k)
+    with _TABLE_LOCK:
+        levels = _prefix_levels(n, k)
+    return k, n, np.asarray(sample.edge_angles, dtype=float), levels
+
+
+def _table_coherence(z: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
+    """Modulus of each sorted subset's phasor sum, added in table order as
+    ``coherence_stat`` describes (the lone last table row pairwise)."""
+    k = subsets.shape[1]
     values = np.empty(subsets.shape[0])
     for lo in range(0, values.size, _CHUNK_ROWS):  # every row may be a candidate
         edges = subset_edges(n, subsets[lo:lo + _CHUNK_ROWS])
@@ -615,8 +692,56 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     if math.comb(n, k) % _CHUNK_ROWS == 1:
         lone = (subsets[:, k - 2] == k - 2) & (subsets[:, -1] == n - 1)
         values[lone] = np.abs(z[subset_edges(n, subsets[lone])].sum(axis=1))
-    value = values.max()
-    return float(value), _door_first(subsets[values == value])
+    return values
+
+
+def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
+    """``coherence_test(sample, k, beta).rejected``, without the statistic.
+
+    The statistic is the largest table-order modulus t_C (every maximizer is
+    one of ``coherence_stat``'s candidates), so the test rejects exactly when
+    some t_C >= beta. With m = C(k,2) and delta = m^2 2^-48, any order of a
+    subset's phasors gives a modulus within delta/16 of their exact sum's
+    (the bound in ``coherence_stat``), so the prefix-order modulus f_C is
+    within delta/8 of t_C. A k-subset adds k-1 unit phasors (to rounding) to
+    its (k-1)-prefix P, so |f_C - f_P| < k - 1 + delta/4.
+
+    The prefix levels are built up to k-1 by ``_level_sums``. A prefix with
+    f_P >= beta + k - 1 + 2 delta has only children with f_C > beta + delta,
+    hence t_C > beta: the test rejects. Prefixes with f_P < beta - k + 1 -
+    2 delta have only children with t_C < beta and are dropped. The others
+    are expanded by decreasing f_P, the first 8 alone, so a planted subset
+    usually decides in the first small block. A child with f_C >= beta +
+    delta rejects; one with f_C < beta - delta cannot; only the children in
+    between are summed again in table order by ``_table_coherence``. The
+    rounding of these thresholds is far below delta while |beta| <= 2m;
+    beyond that every subset falls on one side. Errors are those of
+    ``coherence_test``.
+    """
+    k, n, x, levels = _scan_inputs(sample, k, 2)
+    with _TABLE_LOCK:
+        offsets = _child_offsets(n, k)
+    z = np.exp(1j * x)
+    beta = float(beta)
+    m = k * (k - 1) // 2
+    delta = m * m * 2.0 ** -48
+    sums = _level_sums(z, levels[:-1], n - k + 1)
+    fast = np.abs(sums)
+    reach = k - 1 + 2.0 * delta
+    if (fast >= beta + reach).any():
+        return True
+    live = np.flatnonzero(fast >= beta - reach)
+    if live.size == 0:
+        return False
+    live = live[np.argpartition(-fast[live], min(7, live.size - 1))]
+    band = []
+    for group in _prefix_groups(live, offsets, 8):
+        rows, moduli = _children(z, levels, sums, offsets, group)
+        if (moduli >= beta + delta).any():
+            return True
+        band.append(rows[moduli >= beta - delta])
+    subsets = _level_subsets(levels, np.concatenate(band))
+    return bool((_table_coherence(z, n, subsets) >= beta).any())
 
 
 def coherence_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
@@ -660,17 +785,7 @@ def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     last, alone, so numpy sums it pairwise, as in the table. Only one block
     and the rows tied at the running minimum are held.
     """
-    k = int(k)
-    n = sample.n
-    if not (3 <= k <= n):
-        raise ParameterError(
-            f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
-    _check_budget(n, k)
-    x = np.asarray(sample.edge_angles, dtype=float)
-    with _TABLE_LOCK:
-        levels = _prefix_levels(n, k)
-    m = k * (k - 1) // 2
-    cuts = np.arange(m)
+    k, n, x, levels = _scan_inputs(sample, k, 3)
     total = math.comb(n, k)
     lone = total % _CHUNK_ROWS == 1  # the table's lone last row: lex row n-k
     value, ties = math.inf, []
@@ -678,22 +793,93 @@ def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
         rows = np.arange(lo, min(lo + _CHUNK_ROWS, total))
         if lone:  # move that row to the end, where it forms a block alone
             rows = np.where(rows == total - 1, n - k, rows + (rows >= n - k))
-        vals = np.asfortranarray(x[subset_edges(n, _level_subsets(levels, rows))])
-        vals.sort(axis=1)
-        s1 = vals.sum(axis=1, keepdims=True)
-        s2 = (vals * vals).sum(axis=1, keepdims=True)
-        prefix = np.concatenate(
-            [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)[:, :-1]], axis=1)
-        sum_y = s1 + TWO_PI * cuts
-        sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
-        ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
-        values = ss.min(axis=1) / (m - 1)
+        values = _block_variances(x, n, _level_subsets(levels, rows))
         low = float(values.min())
         if low < value:
             value, ties = low, []
         if low == value:
             ties.append(rows[values == low])
     return value, _door_first(_level_subsets(levels, np.concatenate(ties)))
+
+
+def _block_variances(x: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
+    """Circular sample variance of each sorted subset of one block.
+
+    The edge angles are gathered into an F-order block and sorted per row;
+    numpy sums a block of several rows column by column, and a one-row block
+    pairwise, so a row's value depends on whether it is alone.
+    """
+    m = subsets.shape[1] * (subsets.shape[1] - 1) // 2
+    cuts = np.arange(m)
+    vals = np.asfortranarray(x[subset_edges(n, subsets)])
+    vals.sort(axis=1)
+    s1 = vals.sum(axis=1, keepdims=True)
+    s2 = (vals * vals).sum(axis=1, keepdims=True)
+    prefix = np.concatenate(
+        [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)[:, :-1]], axis=1)
+    sum_y = s1 + TWO_PI * cuts
+    sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
+    ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
+    return ss.min(axis=1) / (m - 1)
+
+
+def variance_rejects(sample: EdgeSample, k: int, sigma2: float) -> bool:
+    """``variance_test(sample, k, sigma2).rejected``, without the statistic.
+
+    The test rejects exactly when some subset's value V_C, computed by
+    ``_block_variances`` as ``variance_stat`` computes it, is <= sigma2.
+    With m = C(k,2), S_C the phasor sum of the subset's edges and d the
+    minimal angular difference, d^2 >= 2 (1 - cos d), so every cut's sum of
+    squares is >= min_theta sum_e d(X_e, theta)^2 >= 2 (m - |S_C|), and the
+    exact variance is >= 2 (m - |S_C|) / (m - 1).
+
+    Rounding: every term ``_block_variances`` sums is below (4 pi)^2 < 2^8,
+    so each cut's sum of squares is within gamma_{3m+5} 2^8 m < 2^11 m^2 u
+    of its exact value (u = 2^-53, m >= 3), and TWO_PI in place of 2 pi
+    moves the exact one by less than 2^7 m u. After the division by
+    m - 1 >= 2, V_C is within m^2 2^-42 + u V_C of the exact variance. So
+    V_C <= sigma2 needs |S_C| >= L = m - (sigma2 + eps) (m - 1) / 2 with
+    eps = m^2 2^-40, which covers u V_C < 3u when sigma2 < 3; when
+    sigma2 >= 3, L <= 0 and nothing is pruned. The
+    computed modulus of S_C, in prefix order from phasors within 2 ulps of
+    exp(i X_e), is within delta/8 of |S_C| (delta = m^2 2^-48, as in
+    ``coherence_rejects``), and a child's modulus within k - 1 + delta/4 of
+    its (k-1)-prefix's. Prefixes below L - k + 1 - 2 delta, then children
+    below L - delta, are dropped; the survivors are evaluated in blocks,
+    the table's lone last row alone (pairwise, as in ``variance_stat``) and
+    any other single row paired with itself (column by column). Errors are
+    those of ``variance_test``.
+    """
+    if not (sigma2 > 0.0):
+        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
+    k, n, x, levels = _scan_inputs(sample, k, 3)
+    with _TABLE_LOCK:
+        offsets = _child_offsets(n, k)
+    z = np.exp(1j * x)
+    m = k * (k - 1) // 2
+    delta = m * m * 2.0 ** -48
+    need = m - (sigma2 + m * m * 2.0 ** -40) * (m - 1) / 2 - delta
+    sums = _level_sums(z, levels[:-1], n - k + 1)
+    live = np.flatnonzero(np.abs(sums) >= need - (k - 1) - delta)
+    if live.size == 0:
+        return False
+    kept = []
+    for group in _prefix_groups(live, offsets):
+        rows, moduli = _children(z, levels, sums, offsets, group)
+        kept.append(rows[moduli >= need])
+    rows = np.concatenate(kept)
+    if math.comb(n, k) % _CHUNK_ROWS == 1 and (rows == n - k).any():
+        lone = _level_subsets(levels, np.array([n - k]))
+        if _block_variances(x, n, lone)[0] <= sigma2:
+            return True
+        rows = rows[rows != n - k]
+    for lo in range(0, rows.size, _CHUNK_ROWS):
+        block = rows[lo:lo + _CHUNK_ROWS]
+        # One row alone would be summed pairwise: pair it with itself.
+        subsets = _level_subsets(levels, np.resize(block, max(block.size, 2)))
+        if (_block_variances(x, n, subsets) <= sigma2).any():
+            return True
+    return False
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float) -> TestReport:

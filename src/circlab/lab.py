@@ -70,15 +70,17 @@ Z_95 = 1.959963984540054
 _CELL_ERRORS = (CapabilityError, DomainError, NumericError, ParameterError)
 
 
-# Detector -> (the parameter its test needs, {sample kind: its test on ``det``}).
-# Every test takes (sample, tau or k, threshold); see _threshold.
+# Detector -> (the parameter its test needs, {sample kind: (its test on
+# ``det``, the Monte Carlo decision on ``det``, or None for the test's
+# ``rejected``)}). Every test and decision takes (sample, tau or k,
+# threshold); see _threshold.
 _DETECTOR_TABLE = {
-    "interval": ("tau", {"flat": "interval_test_flat",
-                         "edge": "interval_test_community"}),
-    "coherence": ("kappa", {"edge": "coherence_test"}),
-    "rayleigh": ("kappa", {"edge": "rayleigh_test"}),
-    "variance": ("sigma2", {"edge": "variance_test"}),
-    "known-theta": ("tau", {"flat": "known_theta_test_flat"}),
+    "interval": ("tau", {"flat": ("interval_test_flat", "interval_rejects_flat"),
+                         "edge": ("interval_test_community", None)}),
+    "coherence": ("kappa", {"edge": ("coherence_test", "coherence_rejects")}),
+    "rayleigh": ("kappa", {"edge": ("rayleigh_test", None)}),
+    "variance": ("sigma2", {"edge": ("variance_test", "variance_rejects")}),
+    "known-theta": ("tau", {"flat": ("known_theta_test_flat", None)}),
 }
 DETECTORS = tuple(_DETECTOR_TABLE)
 _NEEDS = {"tau": "tau (window fraction)", "kappa": "kappa for its threshold",
@@ -194,6 +196,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
+def _kind(c: ExperimentConfig) -> str:
+    return "flat" if c.is_flat else "edge"
+
+
 def _check_detector(detector: str, flat: bool) -> str:
     """The parameter its test needs, of a detector defined for the sample kind."""
     if detector not in _DETECTOR_TABLE:
@@ -238,6 +244,8 @@ def _threshold(c: ExperimentConfig) -> float:
         policy = c.policy
         if c.detector == "known-theta":
             policy = None if c.gamma is not None else "a2"
+        else:
+            _check_policy(c.detector, policy, c.gamma is not None)
         return det.resolve_flat_threshold(policy, c.N, c.tau, K=c.K, kappa=c.kappa,
                                           gamma=c.gamma, c_n=c.c_n)
     if c.detector == "coherence":
@@ -247,15 +255,17 @@ def _threshold(c: ExperimentConfig) -> float:
     return c.tau if c.detector == "interval" else c.sigma2
 
 
-def _make_test(c: ExperimentConfig) -> Callable:
+def _make_test(c: ExperimentConfig, name: Optional[str] = None) -> Callable:
     """Build the sample -> TestReport call of a cell or ``detect`` call.
 
-    The threshold is resolved here, once, not per sample. The known-theta
-    call also takes the phase to test at (default ``c.theta``). The test is
-    looked up on ``det`` per call, so a tracer that rebinds it sees each one.
+    ``name`` calls another function of the same arguments on ``det`` instead
+    of the test: a Monte Carlo decision. The threshold is resolved here,
+    once, not per sample. The known-theta call also takes the phase to test
+    at (default ``c.theta``). The call is looked up on ``det`` per sample, so
+    a tracer that rebinds it sees each one.
     """
     threshold = _threshold(c)
-    name = _DETECTOR_TABLE[c.detector][1]["flat" if c.is_flat else "edge"]
+    name = name or _DETECTOR_TABLE[c.detector][1][_kind(c)][0]
     size = c.tau if c.is_flat else c.k
     if c.detector == "known-theta":
         return lambda sample, phase=c.theta: getattr(det, name)(
@@ -264,16 +274,16 @@ def _make_test(c: ExperimentConfig) -> Callable:
 
 
 def _make_runner(config: ExperimentConfig) -> Callable:
-    """Build sample -> rejected closure for the configured detector.
+    """Build the sample -> rejected call of a cell's Monte Carlo trials.
 
-    Flat interval trials only decide, with ``interval_rejects_flat``, and
-    skip the statistic and its witness. Known-theta trials test at the
-    planted phase when the sample has one.
+    A detector with a decision in the table calls it and skips the statistic
+    and its witness; the others take their test's ``rejected``. Known-theta
+    trials test at the planted phase when the sample has one.
     """
     c = config
-    if c.is_flat and c.detector == "interval":
-        gamma = _threshold(c)
-        return lambda sample: det.interval_rejects_flat(sample, c.tau, gamma)
+    decision = _DETECTOR_TABLE[c.detector][1][_kind(c)][1]
+    if decision is not None:
+        return _make_test(c, decision)
     test = _make_test(c)
     if c.detector == "known-theta":
         return lambda sample: test(

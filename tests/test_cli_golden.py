@@ -1,9 +1,9 @@
-"""Exact CLI output of bounds, detect, classify, gen and two verify suites,
-pinned byte for byte.
+"""Exact CLI output of bounds, detect, classify, gen, two verify suites and
+two sweeps, pinned byte for byte.
 
 Every case runs ``cli.main`` in process and compares the exit code and the
 whole stdout with the text recorded in ``EXPECTED`` (generated files are
-pinned by their SHA-256). Any change to the (model, detector) dispatch,
+pinned by their SHA-256, sweeps by their CSV). Any change to the (model, detector) dispatch,
 policy parsing, bound selection or special function that alters a printed
 digit fails here.
 """
@@ -116,6 +116,19 @@ CLASSIFY = {
     "comm_vm_tunables": ["--model", "comm-vm", "--n", "16", "--k", "8",
                          "--kappa", "2.0", "--eps", "0.2", "--slack", "3"],
     "missing_kappa": ["--model", "flat-vm", "--N", "500", "--K", "100"],
+}
+
+# Sweeps whose cells decide Monte Carlo trials without the statistic: the
+# config lines, and the CSV at --threads 1 and 2.
+SWEEPS = {
+    "comm_vm_coherence": [
+        "model = comm-vm", "detector = coherence", "n = 12", "k = 6",
+        "epsilon = 0.5", "trials = 150", "seed = 11",
+        "sweep_kappa = 1, 2, 3, 4"],
+    "comm_hard_variance": [
+        "model = comm-hard", "detector = variance", "n = 10", "k = 5",
+        "tau = 0.05", "trials = 150", "seed = 12",
+        "sweep_sigma2 = 0.01, 0.02, 0.2, 0.4, 0.6"],
 }
 
 # (exit code, stdout) per case; gen cases hold the file's SHA-256 instead.
@@ -422,6 +435,55 @@ EXPECTED = {
         "half_circle_ratio_closed_form=holds [ok]\n"
         "suite=overlap passed=true\n"
         "verify=pass\n")),
+    "sweep/comm_hard_variance": (
+        "model,detector,policy,N_or_n,K_or_k,tau,kappa,trials,pfa_hat,"
+        "pfa_lo,pfa_hi,pmiss_hat,pmiss_lo,pmiss_hi,total_err,verdict,"
+        "verdict_citation,bound_pfa,bound_pmiss,seed,cell_index\n"
+        "comm-hard,variance,a1,10,5,0.050000000000000003,,150,0,0,"
+        "0.0249702443680766,0.22666666666666666,0.16698179426848411,"
+        "0.30000193931939778,0.22666666666666666,achievable,"
+        "comm-hard/achievable/log-K-window,0.42740795823961342,"
+        "0.99999987657495881,12,0\n"
+        "comm-hard,variance,a1,10,5,0.050000000000000003,,150,0,0,"
+        "0.0249702443680766,0,0,0.0249702443680766,0,achievable,"
+        "comm-hard/achievable/log-K-window,0.46129614527211743,"
+        "0.99998038044875204,12,1\n"
+        "comm-hard,variance,a1,10,5,0.050000000000000003,,150,0,0,"
+        "0.0249702443680766,0,0,0.0249702443680766,0,achievable,"
+        "comm-hard/achievable/log-K-window,1.7170281929817344,"
+        "0.99395999631826648,12,2\n"
+        "comm-hard,variance,a1,10,5,0.050000000000000003,,150,"
+        "0.033333333333333333,0.01432043189809255,0.075651796178778943,0,0,"
+        "0.0249702443680766,0.033333333333333333,achievable,"
+        "comm-hard/achievable/log-K-window,6.4855565216608753,"
+        "0.97491259253080964,12,3\n"
+        "comm-hard,variance,a1,10,5,0.050000000000000003,,150,"
+        "0.18666666666666668,0.13242415483319162,0.25655719830413648,0,0,"
+        "0.0249702443680766,0.18666666666666668,achievable,"
+        "comm-hard/achievable/log-K-window,21.333628077303029,"
+        "0.94359208828306296,12,4\n"),
+    "sweep/comm_vm_coherence": (
+        "model,detector,policy,N_or_n,K_or_k,tau,kappa,trials,pfa_hat,"
+        "pfa_lo,pfa_hi,pmiss_hat,pmiss_lo,pmiss_hi,total_err,verdict,"
+        "verdict_citation,bound_pfa,bound_pmiss,seed,cell_index\n"
+        "comm-vm,coherence,a1,12,6,,1,150,1,0.97502975563192351,1,0,0,"
+        "0.0249702443680766,1,impossible,comm-vm/impossible/log-K-diffuse,"
+        "29290.948572834001,0.97691928041518439,11,0\n"
+        "comm-vm,coherence,a1,12,6,,2,150,0.51333333333333331,"
+        "0.43401791270739321,0.5919828807761246,0.046666666666666669,"
+        "0.022786549161261972,0.093186472399127473,0.55999999999999994,"
+        "impossible,comm-vm/impossible/log-K-diffuse,1746.863738853318,"
+        "0.94453988886107287,11,1\n"
+        "comm-vm,coherence,a1,12,6,,3,150,0.11333333333333333,"
+        "0.071974239140374097,0.17400274983760514,0.02,"
+        "0.0068247513229674588,0.057146683270386078,0.13333333333333333,"
+        "achievable,comm-vm/achievable/large-K-coherence,"
+        "332.65970054211721,0.92599733072648749,11,2\n"
+        "comm-vm,coherence,a1,12,6,,4,150,0.013333333333333334,"
+        "0.0036641291512270503,0.047306908700367509,0.0066666666666666671,"
+        "0.0011778013350174366,0.036792839774818148,0.02,achievable,"
+        "comm-vm/achievable/large-K-coherence,138.22204474879612,"
+        "0.91632574983171355,11,3\n"),
     "gen/comm_hard":
         "08463817a14106ab07b860938628879856403286d018ec017c54305527ff7e9c",
     "gen/comm_vm":
@@ -474,3 +536,13 @@ def test_classify(name, capsys):
 def test_verify(suite, capsys):
     assert run(capsys, ["verify", suite, "--seed", "1"]) == \
         EXPECTED[f"verify/{suite}"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep(name, threads, tmp_path, capsys):
+    config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+    config.write_text("\n".join(SWEEPS[name]) + "\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(config), "--threads", threads,
+                     "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == EXPECTED[f"sweep/{name}"]

@@ -835,6 +835,17 @@ class TestSubsetTableSharing:
         assert det.subset_edge_table.cache_info().misses == 0
         assert det.revolving_door_subsets.cache_info().misses == 0
 
+    @pytest.mark.parametrize("name", ["coherence", "variance"])
+    def test_concurrent_decisions_build_the_offsets_once(self, name):
+        decide, test, _ = DECISIONS[name]
+        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
+        threshold = test(s, 6, 1.0).statistic  # children near it are expanded
+        det._prefix_levels.cache_clear()
+        det._child_offsets.cache_clear()
+        self.run_together(lambda: decide(s, 6, threshold))
+        assert det._prefix_levels.cache_info().misses == 1
+        assert det._child_offsets.cache_info().misses == 1
+
 
 def table_formula(n, k):
     """The edge table as one int64 expression, cast to int32 at the end."""
@@ -996,6 +1007,119 @@ class TestCoherencePrefixScan:
             subs = tuple_revolving_door(n, k)
             assert np.array_equal(det._revolving_door_rank(subs),
                                   np.arange(subs.shape[0]))
+
+
+# decision name: (the decision, its test, smallest k)
+DECISIONS = {"coherence": (det.coherence_rejects, det.coherence_test, 2),
+             "variance": (det.variance_rejects, det.variance_test, 3)}
+
+
+def around(value):
+    """A threshold at ``value`` and at its two float neighbours."""
+    return (value, float(np.nextafter(value, -math.inf)),
+            float(np.nextafter(value, math.inf)))
+
+
+def decisions_match(sample, k, thresholds, names=tuple(DECISIONS)):
+    """Each decision equals its test's ``rejected`` at every threshold.
+
+    Thresholds at each statistic and its neighbours are added, so the
+    band path of the decisions runs."""
+    for name in names:
+        decide, test, k_min = DECISIONS[name]
+        if k < k_min:
+            continue
+        stat = test(sample, k, 1.0).statistic
+        for t in (*thresholds, *around(stat)):
+            if name == "variance" and not t > 0.0:
+                continue
+            assert decide(sample, k, t) == test(sample, k, t).rejected, (name, t)
+
+
+class TestSubsetDecisions:
+    """``coherence_rejects`` and ``variance_rejects`` against the statistic
+    path's ``rejected``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_scan_cases(), st.lists(st.one_of(
+        st.floats(min_value=1e-9, max_value=50.0),
+        st.sampled_from([1e-300, 0.5, 2.0, math.inf, -math.inf, math.nan])),
+        max_size=3))
+    def test_equals_statistic_decision(self, case, thresholds):
+        sample, k, rows = case
+        with mock.patch.object(det, "_CHUNK_ROWS", rows):
+            decisions_match(sample, k, thresholds)
+
+    @pytest.mark.parametrize("n,k,kappas", [
+        (16, 8, (0.1, 2.0)), (24, 6, (2.0,)), (12, 10, (20.0,)),
+        (10, 6, (30.0, 2.0))])
+    def test_generated_samples(self, n, k, kappas):
+        for seed in range(3):
+            for kappa in kappas:
+                for planted in (False, True):
+                    s = mod.gen_community(n, k, mod.VonMises(kappa), planted,
+                                          mod.rng_for(seed, 60))
+                    betas = [det.coherence_threshold(k, kappa, eps)
+                             for eps in (0.1, 0.5, 0.9)]
+                    decisions_match(s, k, betas, ("coherence",))
+                    if math.comb(n, k) <= 20_000:
+                        decisions_match(s, k, (0.05, 0.3), ("variance",))
+
+    @pytest.mark.parametrize("n,k,rows", [(9, 4, 5), (7, 2, 2), (8, 8, 16384),
+                                          (12, 6, 13), (10, 9, 3)])
+    def test_lone_last_block(self, monkeypatch, n, k, rows):
+        # As in TestCoherencePrefixScan: the lone last table row is planted,
+        # so the thresholds at the statistic decide on its pairwise sums.
+        monkeypatch.setattr(det, "_CHUNK_ROWS", rows)
+        assert math.comb(n, k) % rows == 1
+        lone = np.array([*range(k - 1), n - 1])
+        a_idx, b_idx = np.triu_indices(k, 1)
+        for seed in range(30):
+            rng = mod.rng_for(seed, 61)
+            angles = rng.random(n * (n - 1) // 2) * TWO_PI
+            angles[mod.edge_position(n, lone[a_idx], lone[b_idx])] = \
+                mod.sample_von_mises(1.0, 30.0, rng, a_idx.size)
+            decisions_match(mod.EdgeSample(n, angles), k, ())
+
+    def test_single_survivor_sums_column_by_column(self):
+        # One planted subset of 15 edges survives the variance bound alone;
+        # numpy would sum it pairwise in a one-row block.
+        blocks = []
+        evaluate = det._block_variances
+
+        def recorded(x, n, subsets):
+            blocks.append(subsets.shape[0])
+            return evaluate(x, n, subsets)
+
+        with mock.patch.object(det, "_block_variances", recorded):
+            for seed in range(30):
+                s = mod.gen_community(10, 6, mod.VonMises(300.0), True,
+                                      mod.rng_for(seed, 62))
+                blocks.clear()
+                decisions_match(s, 6, (), ("variance",))
+                assert 2 in blocks
+
+    @pytest.mark.parametrize("name,n,k,threshold,error,message", [
+        ("coherence", 30, 15, 1.0, CapabilityError, "budget is 1e+08"),
+        ("variance", 30, 15, 0.1, CapabilityError, "budget is 1e+08"),
+        ("coherence", 6, 1, 1.0, ParameterError, "need 2 <= k <= n"),
+        ("coherence", 6, 7, 1.0, ParameterError, "need 2 <= k <= n"),
+        ("variance", 6, 2, 0.1, ParameterError, "variance scan needs 3"),
+        ("variance", 6, 7, 0.1, ParameterError, "variance scan needs 3"),
+        ("variance", 6, 3, 0.0, DomainError, "sigma2 must be > 0"),
+        ("variance", 6, 3, -1.0, DomainError, "sigma2 must be > 0"),
+        ("variance", 6, 3, math.nan, DomainError, "sigma2 must be > 0"),
+        ("variance", 6, 2, 0.0, DomainError, "sigma2 must be > 0"),
+    ])
+    def test_errors_match_test(self, name, n, k, threshold, error, message):
+        decide, test, _ = DECISIONS[name]
+        s = mod.gen_community(n, 3, mod.VonMises(1.0), False, mod.rng_for(0, 63))
+        with pytest.raises(error) as expected:
+            test(s, k, threshold)
+        with pytest.raises(error) as got:
+            decide(s, k, threshold)
+        assert message in str(got.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestRevolvingDoor:

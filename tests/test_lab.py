@@ -98,13 +98,13 @@ class TestDetectorTable:
         ("interval_test_community", "interval_test_community",
          dict(model="comm-hard", detector="interval", n=8, k=4, tau=0.1),
          ["--tau", "0.1"]),
-        ("coherence_test", "coherence_test",
+        ("coherence_rejects", "coherence_test",
          dict(model="comm-vm", detector="coherence", n=8, k=4, kappa=2.0),
          ["--kappa", "2"]),
         ("rayleigh_test", "rayleigh_test",
          dict(model="comm-vm", detector="rayleigh", n=8, k=4, kappa=2.0),
          ["--kappa", "2"]),
-        ("variance_test", "variance_test",
+        ("variance_rejects", "variance_test",
          dict(model="comm-vm", detector="variance", n=8, k=4, kappa=2.0,
               sigma2=0.5), ["--sigma2", "0.5"]),
     ], ids=["flat-interval", "known-theta", "comm-interval", "coherence",
@@ -148,6 +148,31 @@ class TestThresholdsResolvedOncePerCell:
             assert point.failed is None
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+class TestThresholdPolicyWithGamma:
+    """A cell built in code that sets both gamma and a policy is rejected,
+    as config files and ``detect`` reject it."""
+
+    @pytest.mark.parametrize("model,policy", [
+        ("flat-hard", "a1"), ("flat-hard", "a2"), ("flat-hard", "fixed:3"),
+        ("flat-vm", "vm")])
+    def test_policy_with_gamma_is_config_error(self, model, policy):
+        config = ExperimentConfig(model=model, N=200, K=8, tau=0.02,
+                                  kappa=5.0, policy=policy, gamma=5.0)
+        with pytest.raises(ConfigError, match=r"^set policy or gamma, not both$"):
+            lab._threshold(config)
+
+    def test_gamma_without_policy_is_the_threshold(self):
+        assert lab._threshold(ExperimentConfig(
+            model="flat-hard", N=200, K=8, tau=0.02, policy=None,
+            gamma=5.0)) == 5.0
+
+    def test_default_policy_with_gamma_fails_the_cell_call(self):
+        config = ExperimentConfig(model="flat-hard", N=200, K=8, tau=0.02,
+                                  gamma=5.0, trials=4)
+        with pytest.raises(ConfigError):
+            lab.estimate_errors(config)
 
 
 class TestCellAnnotations:
