@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from typing import Optional
 
 from . import detectors as det
 from . import lab
@@ -29,20 +30,15 @@ def _add_model_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kappa", type=float)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="circlab",
-        description="Planted circular-structure detection laboratory")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a dataset file")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     _add_model_params(p)
     p.add_argument("--h1", action="store_true", help="plant the alternative")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--reveal-truth", action="store_true")
 
-    p = sub.add_parser("detect", help="run one detector on a dataset file")
+
+def _detect_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--test", required=True, choices=list(lab.DETECTORS))
     p.add_argument("--tau", type=float)
@@ -54,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.5)
 
-    p = sub.add_parser("bounds", help="evaluate analytic error bounds")
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     _add_model_params(p)
     p.add_argument("--gamma", type=float)
     p.add_argument("--c-n", dest="c_n", type=float)
@@ -62,26 +59,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=float)
     p.add_argument("--detector", choices=list(lab.DETECTORS), default="interval")
 
-    p = sub.add_parser("classify", help="classify a parameter point")
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     _add_model_params(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eps-n", dest="eps_n", type=float)
     p.add_argument("--slack", type=float)
 
-    for name in ("sweep", "phase-diagram"):
-        p = sub.add_parser(name, help=f"run a parameter {name}")
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out")
-        if name == "phase-diagram":
-            p.add_argument("--svg", action="store_true")
 
-    p = sub.add_parser("verify", help="run a verification suite")
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--threads", type=int)
+    p.add_argument("--out")
+
+
+def _phase_diagram_arguments(p: argparse.ArgumentParser) -> None:
+    _sweep_arguments(p)
+    p.add_argument("--svg", action="store_true")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=list(lab.VERIFY_SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=lab.DEFAULT_VERIFY_SEED)
     p.add_argument("--threads", type=int)
-    return top
 
 
 def _model_config(args, **fields) -> lab.ExperimentConfig:
@@ -176,6 +177,14 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _default_threads() -> int:
+    """The CPUs this process may use; os.cpu_count() without an affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _load_sweep_config(args):
     data = lab.parse_config_file(args.config)
     axes = data.pop("sweep_axes", [])
@@ -190,7 +199,7 @@ def _load_sweep_config(args):
     if args.threads is not None:
         threads = args.threads
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = _default_threads()
     out = args.out or data.get("out")
     return config, axes, threads, out, svg, tunables
 
@@ -219,7 +228,7 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else _default_threads()
     reports = lab.verify(args.suite, seed=args.seed, threads=threads)
     ok = True
     for rep in reports:
@@ -230,19 +239,48 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# Subcommand name -> (help, adds its arguments, runs it), in help order.
+_COMMANDS = {
+    "gen": ("generate a dataset file", _gen_arguments, _cmd_gen),
+    "detect": ("run one detector on a dataset file", _detect_arguments,
+               _cmd_detect),
+    "bounds": ("evaluate analytic error bounds", _bounds_arguments,
+               _cmd_bounds),
+    "classify": ("classify a parameter point", _classify_arguments,
+                 _cmd_classify),
+    "sweep": ("run a parameter sweep", _sweep_arguments, _cmd_sweep),
+    "phase-diagram": ("run a parameter phase-diagram",
+                      _phase_diagram_arguments, _cmd_phase_diagram),
+    "verify": ("run a verification suite", _verify_arguments, _cmd_verify),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``circlab`` parser; each subcommand's ``handler`` default names the
+    function that runs it.
+
+    Every subcommand is listed, but only ``command``'s arguments are added,
+    or every subcommand's when ``command`` is None. A process runs one
+    command, and most of a full build is the other commands' arguments.
+    """
+    top = argparse.ArgumentParser(
+        prog="circlab",
+        description="Planted circular-structure detection laboratory")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(handler=handler)
+    return top
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "detect": _cmd_detect,
-        "bounds": _cmd_bounds,
-        "classify": _cmd_classify,
-        "sweep": _cmd_sweep,
-        "phase-diagram": _cmd_phase_diagram,
-        "verify": _cmd_verify,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3

@@ -350,6 +350,11 @@ def _run_chunk(config: ExperimentConfig, runner, cell_index: int, hyp: int,
     return rejects
 
 
+def _check_threads(threads: Optional[int]) -> None:
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+
+
 def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
                     threads: Optional[int] = None,
                     tunables: Optional[th.RegimeTunables] = None) -> PhasePoint:
@@ -360,9 +365,10 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     derived from (seed, cell, hypothesis, trial) and counts reduce by sums.
     Capability, domain, numeric and parameter errors mark the point failed
     instead of raising; the same errors, or an overflow, while annotating
-    the verdict and bounds are kept in ``annotation_error``. A ConfigError
-    still raises.
+    the verdict and bounds are kept in ``annotation_error``. A ConfigError,
+    such as ``threads`` below 1, still raises.
     """
+    _check_threads(threads)
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
     try:
@@ -1109,6 +1115,7 @@ def verify(suite: str, seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] =
         raise ConfigError(
             f"unknown suite {suite!r}; choose from "
             f"{', '.join(list(VERIFY_SUITES) + ['all'])}")
+    _check_threads(threads)
     reports = []
     for name in names:
         fn = VERIFY_SUITES[name]

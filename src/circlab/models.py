@@ -540,7 +540,7 @@ def read_dataset(fh: TextIO) -> tuple:
     if model == "flat":
         sample: Union[FlatSample, EdgeSample] = FlatSample(
             angles=flat_angles, truth=truth and PlantedFlat(*truth))
-        if "N" in meta and meta["N"] != str(sample.n_points):
+        if "N" in meta and _header(meta, "N", int) != sample.n_points:
             raise ParameterError(
                 f"header says N={meta['N']}, file has {sample.n_points} angles")
     else:

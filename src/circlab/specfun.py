@@ -27,6 +27,12 @@ the independent check in the tests; swapping them in would move the last
 digits of the 17-digit output. The one array evaluation, ``_log_i0`` for the
 Monte Carlo likelihood ratios, whose output is an estimate, uses
 ``scipy.special.i0e``.
+
+scipy is imported on first use, in ``_quad_checked`` and ``_log_i0``, so a
+process that never integrates or takes log I0 of an array loads none of it:
+``gen``, ``classify``, ``detect`` (except the flat ``vm`` policy) and every
+edge detector.
+
 All functions are pure and safe for concurrent use.
 """
 
@@ -35,8 +41,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import i0e
 
 from .errors import DomainError, NumericError
 
@@ -127,6 +131,8 @@ def _i1_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
 
 def _log_i0(x: np.ndarray) -> np.ndarray:
     """log I0(x) over an array of nonnegative x, from scipy; never overflows."""
+    from scipy.special import i0e
+
     x = np.asarray(x, dtype=float)
     return x + np.log(i0e(x))
 
@@ -207,6 +213,8 @@ def _quad_checked(fn, a: float, b: float, what: str, err_ok,
     IntegrationWarning, so the check needs no warning filter and holds in
     every thread.
     """
+    from scipy.integrate import quad
+
     val, err, _, *message = quad(fn, a, b, full_output=1, **options)
     if message or not (math.isfinite(val) and err_ok(val, err)):
         reason = f" ({' '.join(message[0].split())})" if message else ""

@@ -770,3 +770,146 @@ class TestCLIDispatch:
     def test_bounds_undefined_pair_is_usage_error(self, argv, capsys):
         assert cli.main(["bounds", *argv]) == 2
         assert capsys.readouterr().out == ""
+
+
+def _scipy_after(*argvs, module="circlab.cli"):
+    """In a fresh interpreter, import ``module``, then run ``cli.main`` on
+    each argv in turn. Returns, after the import and after each command, the
+    comma-joined names of scipy.integrate and scipy.special if loaded.
+
+    pytest's IntegrationWarning filter has loaded scipy in this process, so
+    the check needs a new one.
+    """
+    code = (f"import sys, {module}\n"
+            "def loaded():\n"
+            "    print('loaded=' + ','.join(m for m in ('scipy.integrate',"
+            " 'scipy.special') if m in sys.modules))\n"
+            "loaded()\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    assert circlab.cli.main(argv) == 0, argv\n"
+            "    loaded()\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    return [ln[len("loaded="):] for ln in r.stdout.splitlines()
+            if ln.startswith("loaded=")]
+
+
+class TestColdStart:
+    """Only a command that integrates or takes log I0 of an array loads scipy."""
+
+    @pytest.mark.parametrize("module", ["circlab", "circlab.cli"])
+    def test_import_loads_no_scipy(self, module):
+        assert _scipy_after(module=module) == [""]
+
+    def test_gen_classify_and_detectors_load_no_scipy(self, tmp_path):
+        flat, comm = str(tmp_path / "flat.txt"), str(tmp_path / "comm.txt")
+        argvs = [
+            ["gen", "--model", "flat-hard", "--N", "200", "--K", "8",
+             "--tau", "0.02", "--h1", "--seed", "3", "--out", flat],
+            ["gen", "--model", "comm-vm", "--n", "8", "--k", "4",
+             "--kappa", "8", "--h1", "--seed", "5", "--out", comm],
+            ["classify", "--model", "comm-vm", "--n", "16", "--k", "8",
+             "--kappa", "2.0"],
+            ["detect", "--data", flat, "--test", "interval", "--tau", "0.02"],
+            ["detect", "--data", comm, "--test", "interval", "--tau", "0.15"],
+            ["detect", "--data", comm, "--test", "coherence", "--kappa", "8"],
+            ["detect", "--data", comm, "--test", "rayleigh", "--kappa", "8"],
+            ["detect", "--data", comm, "--test", "variance",
+             "--sigma2", "0.3"],
+        ]
+        assert _scipy_after(*argvs) == [""] * (1 + len(argvs))
+
+    def test_vm_policy_loads_scipy_integrate_then(self, tmp_path, capsys):
+        flat = str(tmp_path / "flat.txt")
+        vm = ["detect", "--data", flat, "--test", "interval", "--tau", "0.1",
+              "--kappa", "5", "--policy", "vm"]
+        loaded = _scipy_after(
+            ["gen", "--model", "flat-vm", "--N", "100", "--K", "20",
+             "--kappa", "5", "--h1", "--seed", "4", "--out", flat],
+            vm[:-2] + ["--policy", "a2"], vm)
+        assert loaded[:3] == ["", "", ""]
+        assert "scipy.integrate" in loaded[3].split(",")
+        capsys.readouterr()
+        assert cli.main(vm) == 0
+        assert capsys.readouterr().out.startswith("statistic=")
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_command_build_gives_the_full_help(self, command, capsys):
+        helps = []
+        for parser in (cli.build_parser(), cli.build_parser(command)):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "-h"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith(f"usage: circlab {command} [-h]")
+
+    def test_one_command_build_adds_no_other_arguments(self, capsys):
+        parser = cli.build_parser("detect")
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["classify", "--model", "comm-vm"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --model comm-vm" in \
+            capsys.readouterr().err
+        args = cli.build_parser().parse_args(["classify", "--model", "comm-vm"])
+        assert args.handler is cli._cmd_classify
+
+    @pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0),
+                                           (["nonsense"], 2)])
+    def test_no_command_lists_every_command(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert "{gen,detect,bounds,classify,sweep,phase-diagram,verify}" in \
+            captured.out + captured.err
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_sweep_threads_below_one_is_usage_error(self, tmp_path, capsys,
+                                                    threads, where):
+        p = tmp_path / "c.cfg"
+        text = ("model = flat-hard\ndetector = interval\nN = 30\nK = 3\n"
+                "tau = 0.1\ntrials = 5\nsweep_K = 3, 4\nsweep_tau = 0.1, 0.2\n")
+        flags = []
+        if where == "config":
+            text += f"threads = {threads}\n"
+        else:
+            flags = ["--threads", threads]
+        p.write_text(text)
+        for command in ("sweep", "phase-diagram"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(p), "--out", str(out),
+                             *flags]) == 2
+            assert f"threads must be at least 1, got {threads}" in \
+                capsys.readouterr().err
+            assert not list(tmp_path.glob(f"{command}*"))
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_verify_threads_below_one_is_usage_error(self, threads, capsys):
+        assert cli.main(["verify", "overlap", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"threads must be at least 1, got {threads}" in captured.err
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_library_rejects_threads_below_one(self, threads):
+        config = lab.ExperimentConfig(model="flat-hard", detector="interval",
+                                      N=30, K=3, tau=0.1, trials=5)
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            lab.estimate_errors(config, threads=threads)
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            lab.sweep([("tau", [0.1, 0.2])], config, threads=threads)
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            lab.verify("overlap", threads=threads)
+
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._default_threads() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._default_threads() == (os.cpu_count() or 1)

@@ -469,6 +469,19 @@ class TestDatasetIO:
         with pytest.raises(ParameterError):
             mod.read_dataset(io.StringIO(text))
 
+    @pytest.mark.parametrize("header", ["03", "+3"])
+    def test_flat_count_header_read_as_integer(self, header):
+        text = f"# model=flat\n# N={header}\n0.5\n1\n2\n"
+        sample, _ = mod.read_dataset(io.StringIO(text))
+        assert sample.n_points == 3
+
+    @pytest.mark.parametrize("header", ["abc", "3.0"])
+    def test_flat_count_header_not_an_integer(self, header):
+        text = f"# model=flat\n# N={header}\n0.5\n1\n2\n"
+        with pytest.raises(ParameterError,
+                           match="header N must be an integer"):
+            mod.read_dataset(io.StringIO(text))
+
     def test_edge_listed_twice_rejected(self):
         # Six lines for n = 4: {0, 1} twice, as 0,1 and 1,0, and {2, 3} absent.
         text = ("# model=community\n# n=4\n0,1,0.5\n0,2,0.5\n0,3,0.5\n"
