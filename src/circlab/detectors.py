@@ -13,24 +13,24 @@ Conventions shared by every statistic:
   its left end hits a data point without losing any point), so exact
   evaluation anchors at each observation.
 * Subset searches are exact: maximum-coherence and minimum-variance scans
-  cover all C(n,k) subsets and report the first optimizer in revolving-door
-  (minimal-change) order, found by its closed-form rank. Both walk one
-  prefix tree of the sorted subsets and match the subset-edge table scans
-  bit for bit: the variance scan sums each subset's edge angles as the
-  table scan would; the coherence scan adds each subset's phasors to its
-  prefix's sum, then sums every subset within a rigorous rounding bound
-  delta of the largest again in the table's order. The community interval
-  scan decides existence edge by edge, with a (k-2)-clique search through
-  each anchor edge on a sliding bitmask adjacency, and then reports the first
-  window that holds a k-clique, with the first clique in its degree ranking,
-  found by the same search on the same adjacency. Budgets turn oversized
-  requests into CapabilityError, never into silent sampling.
+  report the first optimizer over all C(n,k) subsets in revolving-door
+  (minimal-change) order, found by its closed-form rank, and match the
+  subset-edge table scans bit for bit on one prefix tree of the sorted
+  subsets. The coherence scan sums every subset within a rigorous rounding
+  bound delta of the largest prefix-order sum again in the table's order.
+  The variance scan evaluates only the subsets that d^2 >= 2 (1 - cos d)
+  and the triangle inequality (a child adds k-1 unit phasors to its prefix)
+  cannot put above an incumbent, some subset's value, so no minimizer or
+  tie is lost. The community interval scan decides existence edge by edge,
+  with a (k-2)-clique search through each anchor edge on a sliding bitmask
+  adjacency, then reports the first window that holds a k-clique, with the
+  first clique in its degree ranking, found by the same search on the same
+  adjacency. Budgets turn oversized requests into CapabilityError, never
+  into silent sampling.
 * Monte Carlo trials only need a decision. ``interval_rejects_flat``,
   ``coherence_rejects`` and ``variance_rejects`` return their test's
-  ``rejected`` without the statistic or its witness: the subset decisions
-  build the prefix tree up to k-1 and expand only the prefixes whose
-  children can cross the threshold, by the triangle inequality (a child
-  adds k-1 unit phasors) and, for the variance, d^2 >= 2 (1 - cos d).
+  ``rejected`` without the statistic or its witness; the subset decisions
+  prune the same way against the threshold (the variance bar is sigma2).
 
 All functions are pure; independent calls may run concurrently.
 """
@@ -81,6 +81,9 @@ __all__ = [
 DEFAULT_SUBSET_BUDGET = 100_000_000  # subset-edge operations per exact scan
 DEFAULT_CLIQUE_LIMIT_N = 48          # exact community search size cap
 _CHUNK_ROWS = 16_384
+# The variance statistic prunes from C(n,k) >= this on. Full scan -> pruned,
+# per call on 2 vCPUs: 0.24 -> 0.46 ms at C(10,6) = 210, 0.47 -> 0.47 at 792.
+_PRUNE_FLOOR = 500
 # Pool threads that start one scan together would each build the same prefix
 # levels before the cache holds them.
 _TABLE_LOCK = threading.Lock()
@@ -96,8 +99,9 @@ class TestReport:
     """Outcome of one detector run.
 
     ``decision`` is REJECT_H0 exactly when ``statistic`` compares against
-    ``threshold`` per ``comparison`` ("ge" or "le"); ``work_counter``
-    counts candidate windows/subsets examined.
+    ``threshold`` per ``comparison`` ("ge" or "le"). ``work_counter`` is the
+    size of the candidate set (C(n,k) for the subset scans), not the number
+    of candidates a pruned search evaluates.
     """
 
     statistic: float
@@ -496,14 +500,6 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _check_budget(n: int, k: int) -> None:
-    total = math.comb(n, k) * math.comb(k, 2)
-    if total > DEFAULT_SUBSET_BUDGET:
-        raise CapabilityError(
-            f"exact subset scan needs {total:.3g} subset-edge operations, "
-            f"budget is {DEFAULT_SUBSET_BUDGET:.3g}")
-
-
 @lru_cache(maxsize=8)
 def _prefix_levels(n: int, k: int) -> tuple:
     """Prefix tree of the sorted k-subsets of range(n): levels 2 .. k.
@@ -567,32 +563,34 @@ def _level_sums(z: np.ndarray, levels: tuple, roots: int) -> np.ndarray:
 
 
 def _children(z: np.ndarray, levels: tuple, sums: np.ndarray,
-              offsets: np.ndarray, parents: np.ndarray) -> tuple:
-    """The level-k rows below ``parents``, parent by parent, and their moduli.
-
-    A child's sum is its parent's in ``sums`` plus its k-1 new edges, added
-    as ``_level_sums`` adds them.
-    """
-    starts = offsets[parents]
-    counts = offsets[parents + 1] - starts
-    rows = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
-            + np.arange(int(counts.sum())))
-    block = np.repeat(sums[parents], counts)
-    for col in levels[-1][2].T:
-        block += z.take(col.take(rows))
-    return rows, np.abs(block)
-
-
-def _prefix_groups(parents: np.ndarray, offsets: np.ndarray, first: int = 0):
-    """Yield the first ``first`` of ``parents`` as one group, then the rest
-    in groups of about _CHUNK_ROWS children, so a group stays in cache."""
-    if first:
-        yield parents[:first]
+              offsets: np.ndarray, parents: np.ndarray, first: int = 0):
+    """Yield the level-k rows below ``parents`` and their moduli: below the
+    first ``first`` parents, then in groups of about _CHUNK_ROWS rows that
+    stay in cache. A child's sum is its parent's in ``sums`` plus its k-1
+    new edges, added as ``_level_sums`` adds them."""
+    ends = [first] if first else []
     rest = parents[first:]
     if rest.size:
-        counts = np.cumsum(offsets[rest + 1] - offsets[rest])
-        bounds = np.arange(_CHUNK_ROWS, int(counts[-1]), _CHUNK_ROWS)
-        yield from np.split(rest, np.searchsorted(counts, bounds, side="right"))
+        sizes = np.cumsum(offsets[rest + 1] - offsets[rest])
+        bounds = np.arange(_CHUNK_ROWS, int(sizes[-1]), _CHUNK_ROWS)
+        ends += (np.searchsorted(sizes, bounds, side="right") + first).tolist()
+        ends.append(parents.size)
+        del sizes  # hold neither them nor, as np.split would, every group
+    for lo, hi in zip([0, *ends], ends):
+        group = parents[lo:hi]
+        starts = offsets[group]
+        counts = offsets[group + 1] - starts
+        rows = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+                + np.arange(int(counts.sum())))
+        block = np.repeat(sums[group], counts)
+        for col in levels[-1][2].T:
+            block += z.take(col.take(rows))
+        yield rows, np.abs(block)
+
+
+def _lone_last(n: int, k: int) -> bool:
+    """Whether the table's last block is its one row {0, .., k-2, n-1}."""
+    return math.comb(n, k) % _CHUNK_ROWS == 1
 
 
 def _revolving_door_rank(subsets: np.ndarray) -> np.ndarray:
@@ -624,9 +622,7 @@ def _level_subsets(levels: tuple, rows: np.ndarray) -> np.ndarray:
 
 def _door_first(subsets: np.ndarray) -> tuple:
     """The row of ``subsets`` that comes first in revolving-door order."""
-    best = 0
-    if subsets.shape[0] > 1:
-        best = int(np.argmin(_revolving_door_rank(subsets)))
+    best = int(np.argmin(_revolving_door_rank(subsets))) if len(subsets) > 1 else 0
     return tuple(int(v) for v in subsets[best])
 
 
@@ -636,10 +632,8 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     Returns (maximum, first argmax subset in revolving-door order). A
     subset's value adds its phasors in ``subset_edge_table`` row order, one
     after the other, as numpy sums a block of several table rows column by
-    column. The one exception is the last revolving-door subset
-    {0, .., k-2, n-1} when it fills the table's last block of _CHUNK_ROWS
-    alone (C(n,k) % _CHUNK_ROWS == 1, e.g. k = n): numpy reduces that one
-    contiguous row pairwise.
+    column; only a lone last block (``_lone_last``, e.g. k = n) is reduced
+    pairwise.
 
     The scan walks ``_prefix_levels``: a j-subset's sum is its parent's plus
     its j-1 edges to the new vertex, which adds the same m = C(k,2) phasors
@@ -675,7 +669,11 @@ def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
         raise ParameterError(
             f"need 2 <= k <= n, got k={k}, n={n}" if low == 2 else
             f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
-    _check_budget(n, k)
+    total = math.comb(n, k) * math.comb(k, 2)
+    if total > DEFAULT_SUBSET_BUDGET:
+        raise CapabilityError(
+            f"exact subset scan needs {total:.3g} subset-edge operations, "
+            f"budget is {DEFAULT_SUBSET_BUDGET:.3g}")
     with _TABLE_LOCK:
         levels = _prefix_levels(n, k)
     return k, n, np.asarray(sample.edge_angles, dtype=float), levels
@@ -683,13 +681,13 @@ def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
 
 def _table_coherence(z: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
     """Modulus of each sorted subset's phasor sum, added in table order as
-    ``coherence_stat`` describes (the lone last table row pairwise)."""
+    ``coherence_stat`` describes (a lone last table row pairwise)."""
     k = subsets.shape[1]
     values = np.empty(subsets.shape[0])
     for lo in range(0, values.size, _CHUNK_ROWS):  # every row may be a candidate
         edges = subset_edges(n, subsets[lo:lo + _CHUNK_ROWS])
         values[lo:lo + _CHUNK_ROWS] = np.abs(np.cumsum(z[edges], axis=1)[:, -1])
-    if math.comb(n, k) % _CHUNK_ROWS == 1:
+    if _lone_last(n, k):
         lone = (subsets[:, k - 2] == k - 2) & (subsets[:, -1] == n - 1)
         values[lone] = np.abs(z[subset_edges(n, subsets[lone])].sum(axis=1))
     return values
@@ -735,8 +733,7 @@ def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
         return False
     live = live[np.argpartition(-fast[live], min(7, live.size - 1))]
     band = []
-    for group in _prefix_groups(live, offsets, 8):
-        rows, moduli = _children(z, levels, sums, offsets, group)
+    for rows, moduli in _children(z, levels, sums, offsets, live, 8):
         if (moduli >= beta + delta).any():
             return True
         band.append(rows[moduli >= beta - delta])
@@ -777,23 +774,16 @@ def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     mean-squared deviation evaluated in O(1) from prefix sums; the best cut
     realizes the circular optimum.
 
-    Returns (minimum, first minimizer in revolving-door order). The sorted
-    subsets of ``_prefix_levels`` are taken _CHUNK_ROWS at a time, and their
-    edge angles gathered into an F-order block, which numpy sums column by
-    column once sorted, as it sums ``subset_edge_table`` blocks. The table's
-    lone last row {0, .., k-2, n-1} (C(n,k) % _CHUNK_ROWS == 1) also comes
-    last, alone, so numpy sums it pairwise, as in the table. Only one block
-    and the rows tied at the running minimum are held.
+    Returns (minimum, first minimizer in revolving-door order), each value
+    as the ``subset_edge_table`` scan computes it. The search's bar is an
+    incumbent, the least value of the 64 children with the largest moduli
+    under the 8 largest (k-1)-prefixes: some subset's value, so every
+    minimizer and tie survives. One block and the rows tied at the running
+    minimum are held.
     """
     k, n, x, levels = _scan_inputs(sample, k, 3)
-    total = math.comb(n, k)
-    lone = total % _CHUNK_ROWS == 1  # the table's lone last row: lex row n-k
     value, ties = math.inf, []
-    for lo in range(0, total, _CHUNK_ROWS):
-        rows = np.arange(lo, min(lo + _CHUNK_ROWS, total))
-        if lone:  # move that row to the end, where it forms a block alone
-            rows = np.where(rows == total - 1, n - k, rows + (rows >= n - k))
-        values = _block_variances(x, n, _level_subsets(levels, rows))
+    for rows, values in _variance_search(x, n, k, levels):
         low = float(values.min())
         if low < value:
             value, ties = low, []
@@ -823,63 +813,73 @@ def _block_variances(x: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
     return ss.min(axis=1) / (m - 1)
 
 
-def variance_rejects(sample: EdgeSample, k: int, sigma2: float) -> bool:
-    """``variance_test(sample, k, sigma2).rejected``, without the statistic.
+def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
+                     bar: Optional[float] = None):
+    """Yield (level-k rows, values) in blocks of at most _CHUNK_ROWS rows that
+    hold every subset with V_C <= ``bar`` (None: ``variance_stat``'s incumbent).
 
-    The test rejects exactly when some subset's value V_C, computed by
-    ``_block_variances`` as ``variance_stat`` computes it, is <= sigma2.
-    With m = C(k,2), S_C the phasor sum of the subset's edges and d the
-    minimal angular difference, d^2 >= 2 (1 - cos d), so every cut's sum of
-    squares is >= min_theta sum_e d(X_e, theta)^2 >= 2 (m - |S_C|), and the
-    exact variance is >= 2 (m - |S_C|) / (m - 1).
-
-    Rounding: every term ``_block_variances`` sums is below (4 pi)^2 < 2^8,
-    so each cut's sum of squares is within gamma_{3m+5} 2^8 m < 2^11 m^2 u
-    of its exact value (u = 2^-53, m >= 3), and TWO_PI in place of 2 pi
-    moves the exact one by less than 2^7 m u. After the division by
-    m - 1 >= 2, V_C is within m^2 2^-42 + u V_C of the exact variance. So
-    V_C <= sigma2 needs |S_C| >= L = m - (sigma2 + eps) (m - 1) / 2 with
-    eps = m^2 2^-40, which covers u V_C < 3u when sigma2 < 3; when
-    sigma2 >= 3, L <= 0 and nothing is pruned. The
-    computed modulus of S_C, in prefix order from phasors within 2 ulps of
-    exp(i X_e), is within delta/8 of |S_C| (delta = m^2 2^-48, as in
-    ``coherence_rejects``), and a child's modulus within k - 1 + delta/4 of
-    its (k-1)-prefix's. Prefixes below L - k + 1 - 2 delta, then children
-    below L - delta, are dropped; the survivors are evaluated in blocks,
-    the table's lone last row alone (pairwise, as in ``variance_stat``) and
-    any other single row paired with itself (column by column). Errors are
-    those of ``variance_test``.
+    With m = C(k,2) and S_C the subset's phasor sum, d^2 >= 2 (1 - cos d)
+    makes every cut's sum of squares >= 2 (m - |S_C|). Every term
+    ``_block_variances`` sums is below (4 pi)^2 < 2^8, so each such sum is
+    within gamma_{3m+5} 2^8 m < 2^11 m^2 u of exact (u = 2^-53, m >= 3),
+    TWO_PI moves the exact one by < 2^7 m u, and V_C is within m^2 2^-42 +
+    u V_C of the exact variance. So V_C <= bar needs |S_C| >= L = m - (bar +
+    eps) (m - 1) / 2, eps = m^2 2^-40 (which covers u V_C < 3u; for bar >=
+    3, L <= 0). By the modulus bounds of ``coherence_rejects``, prefixes
+    below L - k + 1 - 2 delta, then children below L - delta, are dropped.
+    A bar that cannot prune, and the statistic below _PRUNE_FLOOR subsets,
+    skip the modulus pass and stream every row in lexicographic order. Each
+    value is the table scan's: the ``_lone_last`` row is evaluated alone,
+    and any other row left alone is paired with itself.
     """
-    if not (sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    k, n, x, levels = _scan_inputs(sample, k, 3)
+    m = k * (k - 1) // 2
+    delta = m * m * 2.0 ** -48
+    total = math.comb(n, k)
+    lone = np.array([n - k]) if _lone_last(n, k) else None
+
+    def need(bar):  # L - delta
+        return m - (bar + m * m * 2.0 ** -40) * (m - 1) / 2 - delta
+
+    def evaluate(batches):
+        for batch in batches:
+            if lone is not None and (batch == lone[0]).any():
+                batch = batch[batch != lone[0]]
+                yield lone, _block_variances(x, n, _level_subsets(levels, lone))
+            for lo in range(0, batch.size, _CHUNK_ROWS):
+                rows = batch[lo:lo + _CHUNK_ROWS]
+                rows = rows.repeat(2) if rows.size == 1 else rows  # else pairwise
+                yield rows, _block_variances(x, n, _level_subsets(levels, rows))
+
+    bar = math.inf if bar is None and total < _PRUNE_FLOOR else bar
+    if bar is not None and not need(bar) > 0:
+        yield from evaluate(np.arange(lo, min(lo + _CHUNK_ROWS, total))
+                            for lo in range(0, total, _CHUNK_ROWS))
+        return
     with _TABLE_LOCK:
         offsets = _child_offsets(n, k)
     z = np.exp(1j * x)
-    m = k * (k - 1) // 2
-    delta = m * m * 2.0 ** -48
-    need = m - (sigma2 + m * m * 2.0 ** -40) * (m - 1) / 2 - delta
     sums = _level_sums(z, levels[:-1], n - k + 1)
-    live = np.flatnonzero(np.abs(sums) >= need - (k - 1) - delta)
-    if live.size == 0:
-        return False
-    kept = []
-    for group in _prefix_groups(live, offsets):
-        rows, moduli = _children(z, levels, sums, offsets, group)
-        kept.append(rows[moduli >= need])
-    rows = np.concatenate(kept)
-    if math.comb(n, k) % _CHUNK_ROWS == 1 and (rows == n - k).any():
-        lone = _level_subsets(levels, np.array([n - k]))
-        if _block_variances(x, n, lone)[0] <= sigma2:
-            return True
-        rows = rows[rows != n - k]
-    for lo in range(0, rows.size, _CHUNK_ROWS):
-        block = rows[lo:lo + _CHUNK_ROWS]
-        # One row alone would be summed pairwise: pair it with itself.
-        subsets = _level_subsets(levels, np.resize(block, max(block.size, 2)))
-        if (_block_variances(x, n, subsets) <= sigma2).any():
-            return True
-    return False
+    if bar is None:
+        top = np.argpartition(-np.abs(sums), min(7, sums.size - 1))[:8]
+        rows, moduli = next(_children(z, levels, sums, offsets, top, 8))
+        best = rows[np.argpartition(-moduli, min(63, rows.size - 1))[:64]]
+        bar = min(float(values.min()) for _, values in evaluate([best]))
+    floor = need(bar)
+    live = np.flatnonzero(np.abs(sums) >= floor - (k - 1) - delta)
+    if live.size:
+        yield from evaluate(rows[moduli >= floor] for rows, moduli
+                            in _children(z, levels, sums, offsets, live))
+
+
+def variance_rejects(sample: EdgeSample, k: int, sigma2: float) -> bool:
+    """``variance_test(sample, k, sigma2).rejected``, without the statistic:
+    the search with bar sigma2, up to the first value <= sigma2, and the
+    errors of ``variance_test``."""
+    if not (sigma2 > 0.0):
+        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
+    k, n, x, levels = _scan_inputs(sample, k, 3)
+    return any((values <= sigma2).any() for _, values
+               in _variance_search(x, n, k, levels, float(sigma2)))
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float) -> TestReport:

@@ -768,19 +768,57 @@ class TestVariance:
         with pytest.raises(ParameterError):
             det.variance_stat(s, 2)
 
-    def test_peak_memory_is_one_block(self, monkeypatch):
-        # The scan holds one block of _CHUNK_ROWS subsets and the rows tied
-        # at its running minimum, never an array over all C(n, k) subsets.
+    @pytest.mark.parametrize("sigma2", [0.05, 5.0, math.inf])
+    @pytest.mark.parametrize("run", [det.variance_test, det.variance_rejects],
+                             ids=["statistic", "decision"])
+    def test_peak_memory_is_one_block(self, monkeypatch, run, sigma2):
+        # The search holds the (k-1)-prefix sums, one group of their children,
+        # one block of _CHUNK_ROWS survivors and the rows tied at the running
+        # minimum, never an array over all C(n, k) subsets: sigma2 = 5 and
+        # inf prune nothing, 0.05 prunes almost every subset.
         monkeypatch.setattr(det, "_CHUNK_ROWS", 1024)
         s = mod.gen_community(120, 3, mod.VonMises(2.0), False, mod.rng_for(3, 52))
         det._prefix_levels(120, 3)  # cached; shared with the coherence scan
+        det._child_offsets(120, 3)  # cached, as the levels
         tracemalloc.start()
         try:
-            det.variance_stat(s, 3)
+            run(s, 3, sigma2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * math.comb(120, 3)  # a quarter of a float per subset
+
+    @staticmethod
+    def evaluated_blocks(sample, k):
+        """Row counts of the blocks ``variance_stat`` passes to
+        ``_block_variances``."""
+        blocks = []
+        evaluate = det._block_variances
+
+        def recorded(x, n, subsets):
+            blocks.append(subsets.shape[0])
+            return evaluate(x, n, subsets)
+
+        with mock.patch.object(det, "_block_variances", recorded):
+            det.variance_stat(sample, k)
+        return blocks
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["H0", "H1"])
+    def test_statistic_prunes_at_24_6(self, planted):
+        # The incumbent bar leaves few subsets to evaluate; the value and
+        # witness are checked against the table scan in TestCoherencePrefixScan.
+        for seed in range(4):
+            s = mod.gen_community(24, 6, mod.VonMises(5.0), planted,
+                                  mod.rng_for(seed, 64))
+            assert sum(self.evaluated_blocks(s, 6)) < math.comb(24, 6) / 10
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["H0", "H1"])
+    def test_statistic_below_the_floor_is_one_full_block(self, planted):
+        # C(10, 6) = 210 is below _PRUNE_FLOOR: no modulus pass, every row
+        # in one block.
+        s = mod.gen_community(10, 6, mod.VonMises(30.0), planted,
+                              mod.rng_for(0, 64))
+        assert self.evaluated_blocks(s, 6) == [math.comb(10, 6)]
 
     def test_threshold_mechanics(self):
         s = mod.gen_community(7, 3, mod.VonMises(0.5), False, mod.rng_for(3, 43))
@@ -964,7 +1002,8 @@ class TestCoherencePrefixScan:
 
     @pytest.mark.parametrize("scan,n,k", scan_params([
         ("coherence", (16, 8)), ("coherence", (24, 6)),
-        ("variance", (10, 6)), ("variance", (16, 6))]))
+        ("variance", (10, 6)), ("variance", (16, 6)), ("variance", (16, 8)),
+        ("variance", (24, 6))]))
     def test_generated_samples(self, scan, n, k):
         for seed in range(6):
             for planted, kappa in ((False, 1.0), (True, 2.0), (True, 50.0)):
@@ -1021,7 +1060,9 @@ def around(value):
 
 
 def decisions_match(sample, k, thresholds, names=tuple(DECISIONS)):
-    """Each decision equals its test's ``rejected`` at every threshold.
+    """Each decision equals its test's ``rejected`` at every threshold, and
+    both equal the verdict of the table-scan oracle, which shares no code
+    with the prefix-tree search.
 
     Thresholds at each statistic and its neighbours are added, so the
     band path of the decisions runs."""
@@ -1030,10 +1071,13 @@ def decisions_match(sample, k, thresholds, names=tuple(DECISIONS)):
         if k < k_min:
             continue
         stat = test(sample, k, 1.0).statistic
+        oracle = SCANS[name][1](sample, k)[0]
         for t in (*thresholds, *around(stat)):
             if name == "variance" and not t > 0.0:
                 continue
-            assert decide(sample, k, t) == test(sample, k, t).rejected, (name, t)
+            want = oracle <= t if name == "variance" else oracle >= t
+            got = decide(sample, k, t)
+            assert got == test(sample, k, t).rejected == want, (name, t)
 
 
 class TestSubsetDecisions:
@@ -1062,8 +1106,7 @@ class TestSubsetDecisions:
                     betas = [det.coherence_threshold(k, kappa, eps)
                              for eps in (0.1, 0.5, 0.9)]
                     decisions_match(s, k, betas, ("coherence",))
-                    if math.comb(n, k) <= 20_000:
-                        decisions_match(s, k, (0.05, 0.3), ("variance",))
+                    decisions_match(s, k, (0.05, 0.3), ("variance",))
 
     @pytest.mark.parametrize("n,k,rows", [(9, 4, 5), (7, 2, 2), (8, 8, 16384),
                                           (12, 6, 13), (10, 9, 3)])
