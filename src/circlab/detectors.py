@@ -14,10 +14,12 @@ Conventions shared by every statistic:
   evaluation anchors at each observation.
 * Subset searches are exact: maximum-coherence and minimum-variance scans
   report the first optimizer over all C(n,k) subsets in revolving-door
-  (minimal-change) order, found by its closed-form rank, and match the
-  subset-edge table scans bit for bit on one prefix tree of the sorted
-  subsets. The coherence scan sums every subset within a rigorous rounding
-  bound delta of the largest prefix-order sum again in the table's order.
+  (minimal-change) order, found by its closed-form rank. A subset's value
+  adds its C(k,2) edge terms one after the other in ``triu_indices`` order,
+  whatever block of subsets it is evaluated in; the scans walk one prefix
+  tree of the sorted subsets. The coherence scan sums every subset within a
+  rigorous rounding bound delta of the largest prefix-order sum again in
+  that order.
   The variance scan evaluates only the subsets that d^2 >= 2 (1 - cos d)
   and the triangle inequality (a child adds k-1 unit phasors to its prefix)
   cannot put above an incumbent, some subset's value, so no minimizer or
@@ -477,7 +479,7 @@ def revolving_door_subsets(n: int, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((1, 0), dtype=np.int32)
     # Uncached: the levels of sizes only the tables use need not stay.
-    lex = _level_subsets(_prefix_levels.__wrapped__(n, k),
+    lex = _level_subsets(_prefix_levels.__wrapped__(n, k)[0],
                          np.arange(math.comb(n, k)))
     out = np.empty_like(lex)
     out[_revolving_door_rank(lex)] = lex
@@ -489,9 +491,9 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
     """Edge indices of E(C) for every k-subset C, shape (C(n,k), C(k,2)).
 
     Row r lists the edges {s_a, s_b}, a < b, of the r-th revolving-door
-    subset in ``triu_indices`` order. The table is column-major, and that
-    layout fixes numpy's summation order in every scan over it: keep it.
-    It is filled in int32 blocks of _CHUNK_ROWS rows.
+    subset in ``triu_indices`` order. The table is column-major; of all its
+    users, only ``lab._vm_lsq``'s comm-vm sums take their summation order
+    from that layout. It is filled in int32 blocks of _CHUNK_ROWS rows.
     """
     subs = revolving_door_subsets(n, k)
     table = np.empty((subs.shape[0], k * (k - 1) // 2), dtype=np.int32, order="F")
@@ -502,7 +504,7 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _prefix_levels(n: int, k: int) -> tuple:
-    """Prefix tree of the sorted k-subsets of range(n): levels 2 .. k.
+    """Prefix tree of the sorted k-subsets of range(n): (levels 2 .. k, offsets).
 
     Level j lists, in lexicographic order, the sorted j-subsets
     s_0 < ... < s_{j-1} that extend to a k-subset (s_{j-1} <= n-k+j-1), as
@@ -510,17 +512,20 @@ def _prefix_levels(n: int, k: int) -> tuple:
     j-1, the new largest vertex s_{j-1}, and the positions of the edges
     {s_i, s_{j-1}}, i < j-1, one column-major int32 column each. Level 1 is
     implicit (row p is the vertex p, p <= n-k) and level k holds all C(n,k)
-    subsets.
+    subsets. The children of (k-1)-prefix p are the level-k rows offsets[p]
+    .. offsets[p+1] - 1. Callers hold _TABLE_LOCK.
     """
     vertex_base = vertex_bases(n)
     prev_last = np.arange(n - k + 1, dtype=np.int32)
     prev_bases = [vertex_base[:n - k + 1]]  # base of each s_i, per row
     levels = []
+    ends = np.array([n - k + 1])  # level 1: the children of the empty prefix
     for j in range(2, k + 1):
         counts = (n - k + j - 1) - prev_last
+        ends = np.cumsum(counts)
         parent = np.repeat(np.arange(prev_last.size, dtype=np.int32), counts)
         # The children of one parent take the vertices parent_last + 1, + 2, ...
-        skip = (np.cumsum(counts) - counts - prev_last - 1).astype(np.int32)
+        skip = (ends - counts - prev_last - 1).astype(np.int32)
         last = np.arange(parent.size, dtype=np.int32) - np.repeat(skip, counts)
         cols = np.empty((parent.size, j - 1), dtype=np.int32, order="F")
         bases = [base.take(parent) for base in prev_bases]
@@ -529,17 +534,7 @@ def _prefix_levels(n: int, k: int) -> tuple:
         bases.append(vertex_base.take(last))
         levels.append((parent, last, cols))
         prev_last, prev_bases = last, bases
-    return tuple(levels)
-
-
-@lru_cache(maxsize=8)
-def _child_offsets(n: int, k: int) -> np.ndarray:
-    """Children of each (k-1)-prefix: level k rows offsets[p] .. offsets[p+1] - 1.
-
-    Callers hold _TABLE_LOCK, as for ``_prefix_levels``.
-    """
-    parent = _prefix_levels(n, k)[-1][0]
-    return np.searchsorted(parent, np.arange(parent[-1] + 2, dtype=parent.dtype))
+    return tuple(levels), np.concatenate([[0], ends])
 
 
 def _level_sums(z: np.ndarray, levels: tuple, roots: int) -> np.ndarray:
@@ -588,11 +583,6 @@ def _children(z: np.ndarray, levels: tuple, sums: np.ndarray,
         yield rows, np.abs(block)
 
 
-def _lone_last(n: int, k: int) -> bool:
-    """Whether the table's last block is its one row {0, .., k-2, n-1}."""
-    return math.comb(n, k) % _CHUNK_ROWS == 1
-
-
 def _revolving_door_rank(subsets: np.ndarray) -> np.ndarray:
     """Revolving-door rank of each sorted k-subset, one per row.
 
@@ -630,10 +620,8 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     """Exact max over k-subsets C of | sum_{e in E(C)} exp(i X_e) |.
 
     Returns (maximum, first argmax subset in revolving-door order). A
-    subset's value adds its phasors in ``subset_edge_table`` row order, one
-    after the other, as numpy sums a block of several table rows column by
-    column; only a lone last block (``_lone_last``, e.g. k = n) is reduced
-    pairwise.
+    subset's value adds its phasors one after the other in
+    ``subset_edge_table`` row order, in a block of any size.
 
     The scan walks ``_prefix_levels``: a j-subset's sum is its parent's plus
     its j-1 edges to the new vertex, which adds the same m = C(k,2) phasors
@@ -647,7 +635,7 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     candidates are summed again in table order, and the exact maximum and
     its first maximizer in revolving-door order are returned.
     """
-    k, n, x, levels = _scan_inputs(sample, k, 2)
+    k, n, x, levels, _ = _scan_inputs(sample, k, 2)
     z = np.exp(1j * x)
     fast = np.abs(_level_sums(z, levels, n - k + 1))
     m = k * (k - 1) // 2
@@ -661,7 +649,7 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
 def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
     """Check k (low <= k <= n) and the budget of an exact subset scan.
 
-    Returns (k, n, edge angles, prefix levels).
+    Returns (k, n, edge angles, prefix levels, child offsets).
     """
     k = int(k)
     n = sample.n
@@ -675,21 +663,16 @@ def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
             f"exact subset scan needs {total:.3g} subset-edge operations, "
             f"budget is {DEFAULT_SUBSET_BUDGET:.3g}")
     with _TABLE_LOCK:
-        levels = _prefix_levels(n, k)
-    return k, n, np.asarray(sample.edge_angles, dtype=float), levels
+        levels, offsets = _prefix_levels(n, k)
+    return k, n, np.asarray(sample.edge_angles, dtype=float), levels, offsets
 
 
 def _table_coherence(z: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
-    """Modulus of each sorted subset's phasor sum, added in table order as
-    ``coherence_stat`` describes (a lone last table row pairwise)."""
-    k = subsets.shape[1]
+    """Modulus of each sorted subset's phasor sum, added in table order."""
     values = np.empty(subsets.shape[0])
     for lo in range(0, values.size, _CHUNK_ROWS):  # every row may be a candidate
         edges = subset_edges(n, subsets[lo:lo + _CHUNK_ROWS])
         values[lo:lo + _CHUNK_ROWS] = np.abs(np.cumsum(z[edges], axis=1)[:, -1])
-    if _lone_last(n, k):
-        lone = (subsets[:, k - 2] == k - 2) & (subsets[:, -1] == n - 1)
-        values[lone] = np.abs(z[subset_edges(n, subsets[lone])].sum(axis=1))
     return values
 
 
@@ -716,9 +699,7 @@ def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
     beyond that every subset falls on one side. Errors are those of
     ``coherence_test``.
     """
-    k, n, x, levels = _scan_inputs(sample, k, 2)
-    with _TABLE_LOCK:
-        offsets = _child_offsets(n, k)
+    k, n, x, levels, offsets = _scan_inputs(sample, k, 2)
     z = np.exp(1j * x)
     beta = float(beta)
     m = k * (k - 1) // 2
@@ -775,15 +756,14 @@ def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     realizes the circular optimum.
 
     Returns (minimum, first minimizer in revolving-door order), each value
-    as the ``subset_edge_table`` scan computes it. The search's bar is an
-    incumbent, the least value of the 64 children with the largest moduli
-    under the 8 largest (k-1)-prefixes: some subset's value, so every
-    minimizer and tie survives. One block and the rows tied at the running
-    minimum are held.
+    as ``_block_variances`` computes it. The search's bar is an incumbent,
+    the least value of the 64 children with the largest moduli under the 8
+    largest (k-1)-prefixes: some subset's value, so every minimizer and tie
+    survives. One block and the rows tied at the running minimum are held.
     """
-    k, n, x, levels = _scan_inputs(sample, k, 3)
+    k, n, x, levels, offsets = _scan_inputs(sample, k, 3)
     value, ties = math.inf, []
-    for rows, values in _variance_search(x, n, k, levels):
+    for rows, values in _variance_search(x, n, k, levels, offsets):
         low = float(values.min())
         if low < value:
             value, ties = low, []
@@ -793,29 +773,36 @@ def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
 
 
 def _block_variances(x: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
-    """Circular sample variance of each sorted subset of one block.
+    """Circular sample variance of each sorted subset, one row each.
 
-    The edge angles are gathered into an F-order block and sorted per row;
-    numpy sums a block of several rows column by column, and a one-row block
-    pairwise, so a row's value depends on whether it is alone.
+    A row's m edge angles v_0 <= .. <= v_{m-1} are sorted, and every sum
+    over them adds its terms one after the other (``np.cumsum``), so a row
+    has the same value in a block of any size. The cut before v_c moves
+    v_0 .. v_{c-1} up by 2 pi: sum y = s1 + 2 pi c and sum y^2 = s2 + 4 pi
+    (v_0 + .. + v_{c-1}) + 4 pi^2 c, with s1, s2 the sums of v and v^2.
     """
     m = subsets.shape[1] * (subsets.shape[1] - 1) // 2
     cuts = np.arange(m)
-    vals = np.asfortranarray(x[subset_edges(n, subsets)])
+    vals = x[subset_edges(n, subsets)]
     vals.sort(axis=1)
-    s1 = vals.sum(axis=1, keepdims=True)
-    s2 = (vals * vals).sum(axis=1, keepdims=True)
-    prefix = np.concatenate(
-        [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)[:, :-1]], axis=1)
-    sum_y = s1 + TWO_PI * cuts
-    sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
-    ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
-    return ss.min(axis=1) / (m - 1)
+    # ss holds v_0 + .. + v_{c-1}, then each cut's sum of squared deviations.
+    ss = np.empty_like(vals)
+    ss[:, 0] = 0.0
+    np.cumsum(vals[:, :-1], axis=1, out=ss[:, 1:])
+    sum_y = ss[:, -1:] + vals[:, -1:] + TWO_PI * cuts
+    vals *= vals
+    ss *= 2.0 * TWO_PI
+    ss += np.cumsum(vals, axis=1, out=vals)[:, -1:]
+    ss += TWO_PI * TWO_PI * cuts
+    sum_y *= sum_y
+    sum_y /= m
+    ss -= sum_y
+    return np.maximum(ss.min(axis=1), 0.0) / (m - 1)
 
 
 def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
-                     bar: Optional[float] = None):
-    """Yield (level-k rows, values) in blocks of at most _CHUNK_ROWS rows that
+                     offsets: np.ndarray, bar: Optional[float] = None):
+    """Yield (level-k rows, values) in blocks of about _CHUNK_ROWS rows that
     hold every subset with V_C <= ``bar`` (None: ``variance_stat``'s incumbent).
 
     With m = C(k,2) and S_C the subset's phasor sum, d^2 >= 2 (1 - cos d)
@@ -828,26 +815,18 @@ def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
     3, L <= 0). By the modulus bounds of ``coherence_rejects``, prefixes
     below L - k + 1 - 2 delta, then children below L - delta, are dropped.
     A bar that cannot prune, and the statistic below _PRUNE_FLOOR subsets,
-    skip the modulus pass and stream every row in lexicographic order. Each
-    value is the table scan's: the ``_lone_last`` row is evaluated alone,
-    and any other row left alone is paired with itself.
+    skip the modulus pass and stream every row in lexicographic order.
     """
     m = k * (k - 1) // 2
     delta = m * m * 2.0 ** -48
     total = math.comb(n, k)
-    lone = np.array([n - k]) if _lone_last(n, k) else None
 
     def need(bar):  # L - delta
         return m - (bar + m * m * 2.0 ** -40) * (m - 1) / 2 - delta
 
     def evaluate(batches):
-        for batch in batches:
-            if lone is not None and (batch == lone[0]).any():
-                batch = batch[batch != lone[0]]
-                yield lone, _block_variances(x, n, _level_subsets(levels, lone))
-            for lo in range(0, batch.size, _CHUNK_ROWS):
-                rows = batch[lo:lo + _CHUNK_ROWS]
-                rows = rows.repeat(2) if rows.size == 1 else rows  # else pairwise
+        for rows in batches:
+            if rows.size:
                 yield rows, _block_variances(x, n, _level_subsets(levels, rows))
 
     bar = math.inf if bar is None and total < _PRUNE_FLOOR else bar
@@ -855,8 +834,6 @@ def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
         yield from evaluate(np.arange(lo, min(lo + _CHUNK_ROWS, total))
                             for lo in range(0, total, _CHUNK_ROWS))
         return
-    with _TABLE_LOCK:
-        offsets = _child_offsets(n, k)
     z = np.exp(1j * x)
     sums = _level_sums(z, levels[:-1], n - k + 1)
     if bar is None:
@@ -877,9 +854,9 @@ def variance_rejects(sample: EdgeSample, k: int, sigma2: float) -> bool:
     errors of ``variance_test``."""
     if not (sigma2 > 0.0):
         raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    k, n, x, levels = _scan_inputs(sample, k, 3)
+    k, n, x, levels, offsets = _scan_inputs(sample, k, 3)
     return any((values <= sigma2).any() for _, values
-               in _variance_search(x, n, k, levels, float(sigma2)))
+               in _variance_search(x, n, k, levels, offsets, float(sigma2)))
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float) -> TestReport:

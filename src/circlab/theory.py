@@ -22,6 +22,7 @@ max(1, log log size) between growing scales.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -204,7 +205,8 @@ def comm_interval_bounds(n: int, k: int, tau: float,
         out["pmiss"] = BoundValue(0.0)
         return out
     if not (kappa > 0.0):
-        raise DomainError(f"kappa must be > 0 for the von Mises miss bound")
+        raise DomainError(
+            f"kappa must be > 0 for the von Mises miss bound, got {kappa!r}")
     out["pmiss"] = BoundValue(min(m * (1.0 - arc_prob(kappa, tau)), 1.0))
     sin_term = abs(math.sin(math.pi * tau))
     if sin_term == 0.0:
@@ -215,6 +217,12 @@ def comm_interval_bounds(n: int, k: int, tau: float,
                - math.log(kappa) - math.log(sin_term))
     out["pmiss_asymptotic"] = BoundValue(_safe_exp(log_val), applicable=False)
     return out
+
+
+def _check_polygon(B) -> None:
+    """The inscribed B-gon of the pfa bounds needs an integer B >= 3."""
+    if not isinstance(B, numbers.Integral) or B < 3:
+        raise DomainError(f"B must be an integer >= 3, got {B!r}")
 
 
 def comm_coherence_bounds(n: int, k: int, kappa: float, epsilon: float,
@@ -230,8 +238,7 @@ def comm_coherence_bounds(n: int, k: int, kappa: float, epsilon: float,
         raise DomainError(f"kappa must be > 0, got {kappa!r}")
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    if B < 3:
-        raise DomainError(f"B must be an integer >= 3, got {B!r}")
+    _check_polygon(B)
     a = mean_resultant(kappa)
     m = k * (k - 1) / 2.0
     expo = k * (math.log(n * math.e / k)
@@ -257,7 +264,7 @@ def rayleigh_bounds(n: int, k: int, kappa: float) -> dict:
     beta = rayleigh_threshold(k, kappa)
     mu1 = 2.0 * beta
     out = {
-        "pfa": BoundValue(min(4.0 * math.exp(-beta * beta / (2.0 * n_edges)), math.inf)),
+        "pfa": BoundValue(4.0 * math.exp(-beta * beta / (2.0 * n_edges))),
         "total_default": BoundValue(5.0 * math.exp(-mu1 * mu1 / (8.0 * n_edges))),
     }
     ok = beta < mu1
@@ -293,14 +300,15 @@ def comm_variance_bounds(n: int, k: int, sigma2: float,
 
     Since cos x >= 1 - x^2/2, a subset with circular variance <= sigma2 has
     coherence >= K - (K-1) sigma2 / 2, so the false alarm probability is
-    bounded by the coherence tail at that equivalent threshold. The miss
-    side applies Hoeffding to the planted subset's squared deviations
-    (values in [0, pi^2], mean from the signal law).
+    bounded by the coherence tail (inscribed B-gon) at that equivalent
+    threshold. The miss side applies Hoeffding to the planted subset's
+    squared deviations (values in [0, pi^2], mean from the signal law).
     """
     if not (3 <= k <= n):
         raise ParameterError(f"need 3 <= k <= n, got n={n}, k={k}")
     if not (sigma2 > 0.0):
         raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
+    _check_polygon(B)
     m = k * (k - 1) / 2.0
     beta_eq = m - (m - 1.0) * sigma2 / 2.0
     out: dict = {}

@@ -779,7 +779,6 @@ class TestVariance:
         monkeypatch.setattr(det, "_CHUNK_ROWS", 1024)
         s = mod.gen_community(120, 3, mod.VonMises(2.0), False, mod.rng_for(3, 52))
         det._prefix_levels(120, 3)  # cached; shared with the coherence scan
-        det._child_offsets(120, 3)  # cached, as the levels
         tracemalloc.start()
         try:
             run(s, 3, sigma2)
@@ -862,27 +861,25 @@ class TestSubsetTableSharing:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 4 and len(set(results)) == 1
 
-    @pytest.mark.parametrize("scan", ["coherence", "variance"])
+    @pytest.mark.parametrize("scan", ["coherence", "variance",
+                                      "coherence-decision", "variance-decision"])
     def test_concurrent_scans_build_the_levels_once(self, scan):
+        # The tree and the child offsets of its last level are one cache entry.
         s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
+        name, _, decision = scan.partition("-")
+        if decision:
+            decide, test, _ = DECISIONS[name]
+            threshold = test(s, 6, 1.0).statistic  # children near it are expanded
+            run = lambda: decide(s, 6, threshold)  # noqa: E731
+        else:
+            run = lambda: SCANS[name][0](s, 6)  # noqa: E731
         det._prefix_levels.cache_clear()
         det.subset_edge_table.cache_clear()
         det.revolving_door_subsets.cache_clear()
-        self.run_together(lambda: SCANS[scan][0](s, 6))
+        self.run_together(run)
         assert det._prefix_levels.cache_info().misses == 1
         assert det.subset_edge_table.cache_info().misses == 0
         assert det.revolving_door_subsets.cache_info().misses == 0
-
-    @pytest.mark.parametrize("name", ["coherence", "variance"])
-    def test_concurrent_decisions_build_the_offsets_once(self, name):
-        decide, test, _ = DECISIONS[name]
-        s = mod.gen_community(16, 6, mod.VonMises(1.0), False, mod.rng_for(0, 48))
-        threshold = test(s, 6, 1.0).statistic  # children near it are expanded
-        det._prefix_levels.cache_clear()
-        det._child_offsets.cache_clear()
-        self.run_together(lambda: decide(s, 6, threshold))
-        assert det._prefix_levels.cache_info().misses == 1
-        assert det._child_offsets.cache_info().misses == 1
 
 
 def table_formula(n, k):
@@ -917,43 +914,37 @@ class TestSubsetEdgeTable:
 
 
 def table_coherence(sample, k):
-    """The coherence scan over ``subset_edge_table``, block by block: the
-    oracle for the prefix scan, to the last bit."""
+    """The coherence scan over the whole ``subset_edge_table``, each row's
+    phasors added one after the other: the oracle for the prefix scan, to
+    the last bit."""
     table = det.subset_edge_table(sample.n, k)
     z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
-    best_val, best_row = -math.inf, 0
-    for lo in range(0, table.shape[0], det._CHUNK_ROWS):
-        vals = np.abs(z[table[lo:lo + det._CHUNK_ROWS]].sum(axis=1))
-        row = int(np.argmax(vals))
-        if vals[row] > best_val:
-            best_val, best_row = float(vals[row]), lo + row
+    vals = np.abs(np.cumsum(z[table], axis=1)[:, -1])
+    row = int(np.argmax(vals))
     subs = det.revolving_door_subsets(sample.n, k)
-    return best_val, tuple(int(v) for v in subs[best_row])
+    return float(vals[row]), tuple(int(v) for v in subs[row])
 
 
 def table_variance(sample, k):
-    """The variance scan over ``subset_edge_table``, block by block: the
-    oracle for the prefix scan, to the last bit."""
+    """The variance scan over the whole ``subset_edge_table``, each sum over
+    a row's sorted angles taken one term after the other: the oracle for
+    the prefix scan, to the last bit."""
     table = det.subset_edge_table(sample.n, k)
     x = np.asarray(sample.edge_angles, dtype=float)
     m = k * (k - 1) // 2
     cuts = np.arange(m)
-    best_val, best_row = math.inf, 0
-    for lo in range(0, table.shape[0], det._CHUNK_ROWS):
-        vals = np.sort(x[table[lo:lo + det._CHUNK_ROWS]], axis=1)
-        s1 = vals.sum(axis=1, keepdims=True)
-        s2 = (vals * vals).sum(axis=1, keepdims=True)
-        prefix = np.concatenate(
-            [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)[:, :-1]], axis=1)
-        sum_y = s1 + TWO_PI * cuts
-        sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
-        ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
-        var = ss.min(axis=1) / (m - 1)
-        row = int(np.argmin(var))
-        if var[row] < best_val:
-            best_val, best_row = float(var[row]), lo + row
+    vals = np.sort(x[table], axis=1)
+    cum = np.cumsum(vals, axis=1)
+    s1 = cum[:, -1:]
+    s2 = np.cumsum(vals * vals, axis=1)[:, -1:]
+    prefix = np.concatenate([np.zeros((vals.shape[0], 1)), cum[:, :-1]], axis=1)
+    sum_y = s1 + TWO_PI * cuts
+    sum_y2 = s2 + 2.0 * TWO_PI * prefix + TWO_PI * TWO_PI * cuts
+    ss = np.maximum(sum_y2 - sum_y * sum_y / m, 0.0)
+    var = ss.min(axis=1) / (m - 1)
+    row = int(np.argmin(var))
     subs = det.revolving_door_subsets(sample.n, k)
-    return best_val, tuple(int(v) for v in subs[best_row])
+    return float(var[row]), tuple(int(v) for v in subs[row])
 
 
 # scan name: (prefix-tree scan, table-scan oracle, smallest k)
@@ -971,8 +962,9 @@ def subset_scan_cases(draw):
         values = st.sampled_from(draw(st.lists(canonical_angles, min_size=1,
                                                max_size=4)))
     angles = draw(st.lists(values, min_size=m, max_size=m))
-    # Small blocks give a lone last block whenever C(n, k) % rows == 1.
-    rows = draw(st.sampled_from([2, 3, 4, 5, 7, 13, det._CHUNK_ROWS]))
+    # Blocks of one row, and a one-row last block whenever C(n, k) % rows
+    # == 1, must give every subset the value it has in any other block.
+    rows = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 13, det._CHUNK_ROWS]))
     return mod.EdgeSample(n, np.array(angles)), k, rows
 
 
@@ -1026,9 +1018,9 @@ class TestCoherencePrefixScan:
         ("coherence", (8, 8, 16384)), ("variance", (9, 4, 5)),
         ("variance", (12, 6, 13)), ("variance", (8, 8, 16384))]))
     def test_lone_last_block(self, monkeypatch, scan, n, k, rows):
-        # C(n, k) % rows == 1: the last table block is one row, the subset
-        # {0, .., k-2, n-1}, which numpy sums pairwise instead of column by
-        # column. The community is planted there, so that row is optimal.
+        # C(n, k) % rows == 1: the last block is one row, the subset
+        # {0, .., k-2, n-1}, which numpy would reduce pairwise. The community
+        # is planted there, so that row is optimal.
         monkeypatch.setattr(det, "_CHUNK_ROWS", rows)
         assert math.comb(n, k) % rows == 1
         lone = np.array([*range(k - 1), n - 1])
@@ -1039,6 +1031,25 @@ class TestCoherencePrefixScan:
             angles[mod.edge_position(n, lone[a_idx], lone[b_idx])] = \
                 mod.sample_von_mises(1.0, 3.0, rng, a_idx.size)
             assert equals_table_scan(scan, mod.EdgeSample(n, angles), k)
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (6, 3), (9, 4), (12, 6), (16, 8),
+                                     (8, 8), (10, 9)])
+    def test_row_alone_equals_row_in_block(self, n, k):
+        # A subset's value adds its C(k,2) terms one after the other in any
+        # block; numpy would reduce a one-row block pairwise.
+        subsets = det.revolving_door_subsets(n, k)
+        rows = np.linspace(0, len(subsets) - 1, min(len(subsets), 60)).astype(int)
+        for seed in range(3):
+            x = mod.rng_for(seed, 53).random(n * (n - 1) // 2) * TWO_PI
+            z = np.exp(1j * x)
+            block = det._table_coherence(z, n, subsets)
+            alone = [det._table_coherence(z, n, subsets[r:r + 1])[0] for r in rows]
+            assert np.array_equal(alone, block[rows])
+            if k >= 3:
+                block = det._block_variances(x, n, subsets)
+                alone = [det._block_variances(x, n, subsets[r:r + 1])[0]
+                         for r in rows]
+                assert np.array_equal(alone, block[rows])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_revolving_door_rank(self, n):
@@ -1111,8 +1122,8 @@ class TestSubsetDecisions:
     @pytest.mark.parametrize("n,k,rows", [(9, 4, 5), (7, 2, 2), (8, 8, 16384),
                                           (12, 6, 13), (10, 9, 3)])
     def test_lone_last_block(self, monkeypatch, n, k, rows):
-        # As in TestCoherencePrefixScan: the lone last table row is planted,
-        # so the thresholds at the statistic decide on its pairwise sums.
+        # As in TestCoherencePrefixScan: the one-row last block is planted,
+        # so the thresholds at the statistic decide on its sums.
         monkeypatch.setattr(det, "_CHUNK_ROWS", rows)
         assert math.comb(n, k) % rows == 1
         lone = np.array([*range(k - 1), n - 1])
@@ -1125,8 +1136,9 @@ class TestSubsetDecisions:
             decisions_match(mod.EdgeSample(n, angles), k, ())
 
     def test_single_survivor_sums_column_by_column(self):
-        # One planted subset of 15 edges survives the variance bound alone;
-        # numpy would sum it pairwise in a one-row block.
+        # One planted subset of 15 edges survives the variance bound alone and
+        # is evaluated as a one-row block, its terms added one after the
+        # other as in any block (numpy would reduce the row pairwise).
         blocks = []
         evaluate = det._block_variances
 
@@ -1140,7 +1152,7 @@ class TestSubsetDecisions:
                                       mod.rng_for(seed, 62))
                 blocks.clear()
                 decisions_match(s, 6, (), ("variance",))
-                assert 2 in blocks
+                assert 1 in blocks
 
     @pytest.mark.parametrize("name,n,k,threshold,error,message", [
         ("coherence", 30, 15, 1.0, CapabilityError, "budget is 1e+08"),

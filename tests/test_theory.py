@@ -411,3 +411,18 @@ class TestDomainErrors:
             th.flat_hard_bounds(5, 9, 0.1, 3)
         with pytest.raises(ParameterError):
             th.OverlapLaw(3, 5)
+
+    @pytest.mark.parametrize("B", [0, 1, 2, 2.5, 3.5])
+    @pytest.mark.parametrize("bounds", [
+        lambda B: th.comm_coherence_bounds(16, 6, 30.0, 0.5, B=B),
+        lambda B: th.comm_variance_bounds(16, 6, 0.05, kappa=30.0, B=B)],
+        ids=["coherence", "variance"])
+    def test_polygon_needs_integer_at_least_3(self, bounds, B):
+        # A B-gon with B < 3 inscribes no circle: B = 1 used to give a
+        # variance pfa of 0.0049 where B = 8 gives 0.318.
+        with pytest.raises(DomainError, match=f"B must be an integer >= 3, got {B!r}"):
+            bounds(B)
+
+    def test_interval_kappa_error_names_the_value(self):
+        with pytest.raises(DomainError, match="got -1.0"):
+            th.comm_interval_bounds(10, 4, 0.1, kappa=-1.0)
