@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 suite/assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -177,14 +176,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    """The CPUs this process may use; os.cpu_count() without an affinity call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _load_sweep_config(args):
     data = lab.parse_config_file(args.config)
     axes = data.pop("sweep_axes", [])
@@ -199,7 +190,7 @@ def _load_sweep_config(args):
     if args.threads is not None:
         threads = args.threads
     if threads is None:
-        threads = _default_threads()
+        threads = lab.usable_cpus()
     out = args.out or data.get("out")
     return config, axes, threads, out, svg, tunables
 
@@ -228,7 +219,7 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = args.threads if args.threads is not None else lab.usable_cpus()
     reports = lab.verify(args.suite, seed=args.seed, threads=threads)
     ok = True
     for rep in reports:

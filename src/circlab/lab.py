@@ -19,6 +19,7 @@ through integer counters, so outputs are identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "PhasePoint",
     "wilson_interval",
     "estimate_errors",
+    "usable_cpus",
     "sweep",
     "empirical_second_moment",
     "phase_diagram",
@@ -51,6 +53,16 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 64
+# A cell's chunks go to the thread pool only when each trial's numpy calls
+# are large enough to run with the GIL released; smaller calls hold it, and
+# threads contend instead of overlapping (README, "threads"). The bounds are
+# measured on 2 vCPUs: angles drawn per trial (N, or C(n,2) edges; the
+# rayleigh test's complex exponential of every edge overlaps from fewer),
+# and subset-edge operations C(n,k)*C(k,2) of an exact coherence or
+# variance scan, the unit of det.DEFAULT_SUBSET_BUDGET.
+_POOL_MIN_ANGLES = 1 << 14
+_POOL_MIN_ANGLES_RAYLEIGH = 1 << 12
+_POOL_MIN_SCAN = 2_000_000
 # Subset resultants per chunk of likelihood-ratio draws: 256 KiB of float64
 # stays in cache; larger chunks were slower at C(60,3) subsets.
 _LR_CHUNK_ELEMS = 1 << 15
@@ -350,6 +362,35 @@ def _run_chunk(config: ExperimentConfig, runner, cell_index: int, hyp: int,
     return rejects
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may use: its affinity set, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_workers(c: ExperimentConfig, threads: Optional[int],
+                  chunks: int) -> int:
+    """Workers for a cell's chunks; 1 runs them in the calling thread.
+
+    Reads only the cell's parameters, never a clock, and never raises: a
+    cell it cannot size runs serially and fails, if it must, in its trials.
+    """
+    size, k = (c.N, c.K) if c.is_flat else (c.n, c.k)
+    if (threads is None or threads < 2 or not isinstance(size, int)
+            or not isinstance(k, int) or not 0 <= k <= size):
+        return 1
+    angles = size if c.is_flat else math.comb(size, 2)
+    scan = (math.comb(size, k) * math.comb(k, 2)
+            if c.detector in ("coherence", "variance") else 0)
+    min_angles = (_POOL_MIN_ANGLES_RAYLEIGH if c.detector == "rayleigh"
+                  else _POOL_MIN_ANGLES)
+    if angles < min_angles and scan < _POOL_MIN_SCAN:
+        return 1
+    return min(threads, chunks, usable_cpus())
+
+
 def _check_threads(threads: Optional[int]) -> None:
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -360,8 +401,15 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
                     tunables: Optional[th.RegimeTunables] = None) -> PhasePoint:
     """Estimate (pfa, pmiss) of the configured detector by seeded Monte Carlo.
 
-    Runs ``trials`` datasets under each hypothesis. Identical (config, seed)
-    give identical results for any thread count: per-trial generators are
+    Runs ``trials`` datasets under each hypothesis, in chunks of
+    ``_TRIAL_CHUNK``. ``threads`` caps the workers of a cell whose trials
+    draw at least ``_POOL_MIN_ANGLES`` angles (``_POOL_MIN_ANGLES_RAYLEIGH``
+    for the rayleigh test) or run an exact coherence or variance scan of at
+    least ``_POOL_MIN_SCAN`` subset-edge operations; those chunks run on
+    min(threads, chunks, usable CPUs) threads. Other cells hold the GIL in
+    small numpy calls and run their chunks in the calling thread at any
+    ``threads``. Identical (config, seed) give
+    identical results for any thread count: per-trial generators are
     derived from (seed, cell, hypothesis, trial) and counts reduce by sums.
     Capability, domain, numeric and parameter errors mark the point failed
     instead of raising; the same errors, or an overflow, while annotating
@@ -377,8 +425,9 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
                   for hyp in (0, 1)
                   for start in range(0, config.trials, _TRIAL_CHUNK)]
         results: dict = {0: 0, 1: 0}
-        if threads is not None and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = _pool_workers(config, threads, len(chunks))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [(hyp, pool.submit(_run_chunk, config, runner,
                                              cell_index, hyp, start, count))
                            for hyp, start, count in chunks]

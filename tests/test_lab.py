@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,11 +51,15 @@ class TestEstimateErrors:
         se = math.sqrt(max(p.pfa_hat * (1 - p.pfa_hat), 1e-12) / 2000)
         assert p.pfa_hat <= p.bound_pfa + 3 * se
 
-    def test_capability_marks_failed(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_capability_marks_failed(self, threads):
+        # an over-budget scan is on the pool side: it fails the same way
         cfg = ExperimentConfig(model="comm-vm", detector="coherence",
                                n=30, k=15, kappa=1.0, trials=5, seed=6)
-        p = lab.estimate_errors(cfg)
-        assert p.failed is not None and math.isnan(p.pfa_hat)
+        p = lab.estimate_errors(cfg, threads=threads)
+        assert p.failed == ("exact subset scan needs 1.63e+10 subset-edge "
+                            "operations, budget is 1e+08")
+        assert math.isnan(p.pfa_hat)
 
     def test_threads_do_not_change_counts(self):
         cfg = ExperimentConfig(model="comm-vm", detector="rayleigh",
@@ -910,6 +915,126 @@ class TestThreads:
 
     def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert cli._default_threads() == len(os.sched_getaffinity(0))
-            monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._default_threads() == (os.cpu_count() or 1)
+            assert lab.usable_cpus() == len(os.sched_getaffinity(0))
+            with monkeypatch.context() as m:
+                m.delattr(os, "sched_getaffinity")
+                assert lab.usable_cpus() == (os.cpu_count() or 1)
+        seen = []
+        monkeypatch.setattr(lab, "usable_cpus", lambda: 5)
+        monkeypatch.setattr(lab, "verify", lambda suite, seed, threads:
+                            seen.append(threads) or [])
+        assert cli.main(["verify", "overlap"]) == 0
+        assert seen == [5]
+
+
+def _record_pools(monkeypatch, cpus: int) -> list:
+    """Replace the pool by one that runs each chunk at submit, in the calling
+    thread, and records its max_workers; report ``cpus`` usable CPUs."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(lab, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lab, "usable_cpus", lambda: cpus)
+    return made
+
+
+# The flat cell of c12, comm-exact's coherence (16, 8), and one angle below
+# each angle bound hold the GIL.
+_SERIAL_CELLS = [
+    dict(model="flat-hard", detector="interval", policy="a1", N=150, K=6,
+         tau=0.01, trials=300, seed=42),
+    dict(model="comm-vm", detector="coherence", n=16, k=8, kappa=2.0,
+         epsilon=0.5, trials=64, seed=1),
+    dict(model="flat-hard", detector="interval", policy="a1",
+         N=(1 << 14) - 1, K=40, tau=0.001, trials=3, seed=1),
+    dict(model="comm-vm", detector="rayleigh", n=91, k=10, kappa=2.0,
+         trials=3, seed=1),  # C(91,2) = 4095 edges
+]
+# At the angle bounds (N = 2^14; C(92,2) = 4186 edges for rayleigh) and
+# past the scan bound: comm-exact's coherence (24, 6), C(24,6)*C(6,2) =
+# 2.02e6 subset-edge operations.
+_POOLED_CELLS = [
+    dict(model="flat-hard", detector="interval", policy="a1", N=1 << 14,
+         K=40, tau=0.001, trials=3, seed=1),
+    dict(model="comm-vm", detector="rayleigh", n=92, k=10, kappa=2.0,
+         trials=3, seed=1),
+    dict(model="comm-vm", detector="coherence", n=24, k=6, kappa=2.0,
+         epsilon=0.5, trials=3, seed=1),
+]
+
+
+class TestThreadPool:
+    """Only cells whose numpy work overlaps use the pool; output never moves."""
+
+    @pytest.mark.parametrize("params", _SERIAL_CELLS,
+                             ids=["c12", "coh16_8", "flat_below", "ray_below"])
+    def test_serial_cell_makes_no_pool(self, monkeypatch, params):
+        config = ExperimentConfig(**params)
+        expected = lab._point_row(lab.estimate_errors(config, threads=1))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("serial cell constructed a pool")
+
+        monkeypatch.setattr(lab, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(lab, "usable_cpus", lambda: 8)
+        point = lab.estimate_errors(config, threads=8)
+        assert lab._point_row(point) == expected
+
+    @pytest.mark.parametrize("params", _POOLED_CELLS,
+                             ids=["flat", "rayleigh", "coh24_6"])
+    def test_pooled_cell_is_identical_at_any_thread_count(self, monkeypatch,
+                                                          params):
+        config = ExperimentConfig(**params)
+        made = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(lab, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+        points = {t: lab.estimate_errors(config, threads=t) for t in (1, 2, 8)}
+        assert made == [2, 2]  # two chunks, one per hypothesis
+        assert points[1].failed is None
+        rows = {t: lab._point_row(p) for t, p in points.items()}
+        assert rows[1] == rows[2] == rows[8]
+
+    @pytest.mark.parametrize("threads,cpus,trials,workers", [
+        (1000, 2, 10_000, [2]),   # 314 chunks
+        (1000, 64, 100, [4]),     # 4 chunks
+        (3, 64, 10_000, [3]),
+        (8, 1, 10_000, []),       # one CPU: no pool
+        (1, 64, 10_000, []),
+    ])
+    def test_workers_are_capped_by_threads_chunks_and_cpus(
+            self, monkeypatch, threads, cpus, trials, workers):
+        made = _record_pools(monkeypatch, cpus)
+        monkeypatch.setattr(lab, "_run_chunk", lambda *args: 0)
+        config = ExperimentConfig(**dict(_POOLED_CELLS[0], trials=trials))
+        point = lab.estimate_errors(config, threads=threads)
+        assert point.failed is None and made == workers
+
+    @pytest.mark.parametrize("k", [-1, 0, 17])
+    def test_malformed_k_fails_the_same_way(self, monkeypatch, k):
+        made = _record_pools(monkeypatch, 2)
+        config = ExperimentConfig(model="comm-vm", detector="coherence", n=16,
+                                  k=k, kappa=1.0, trials=4)
+        failed = {t: lab.estimate_errors(config, threads=t).failed
+                  for t in (1, 2)}
+        assert failed[1] == failed[2] == f"need 2 <= k <= n, got n=16, k={k}"
+        assert made == []
