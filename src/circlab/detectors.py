@@ -30,9 +30,13 @@ Conventions shared by every statistic:
   adjacency. Budgets turn oversized requests into CapabilityError, never
   into silent sampling.
 * Monte Carlo trials only need a decision. ``interval_rejects_flat``,
-  ``coherence_rejects`` and ``variance_rejects`` return their test's
-  ``rejected`` without the statistic or its witness; the subset decisions
-  prune the same way against the threshold (the variance bar is sigma2).
+  ``interval_rejects_community``, ``coherence_rejects`` and
+  ``variance_rejects`` return their test's ``rejected`` without the
+  statistic or its witness; the subset decisions prune the same way against
+  the threshold (the variance bar is sigma2). ``coherence_rejects_chunk``
+  decides a chunk of trials: a greedy witness whose exact value reaches the
+  threshold certifies a rejection, and the other trials run the pruned
+  search.
 
 All functions are pure; independent calls may run concurrently.
 """
@@ -40,6 +44,7 @@ All functions are pure; independent calls may run concurrently.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -67,9 +72,11 @@ __all__ = [
     "known_theta_test_flat",
     "interval_stat_community",
     "interval_test_community",
+    "interval_rejects_community",
     "coherence_stat",
     "coherence_test",
     "coherence_rejects",
+    "coherence_rejects_chunk",
     "rayleigh_test",
     "variance_stat",
     "variance_test",
@@ -86,6 +93,10 @@ _CHUNK_ROWS = 16_384
 # The variance statistic prunes from C(n,k) >= this on. Full scan -> pruned,
 # per call on 2 vCPUs: 0.24 -> 0.46 ms at C(10,6) = 210, 0.47 -> 0.47 at 792.
 _PRUNE_FLOOR = 500
+# Greedy coherence witnesses: starting vertices per sample, and edge angles
+# per block of a chunk (1 MiB of phasors).
+_WITNESS_SEEDS = 4
+_WITNESS_ANGLES = 1 << 16
 # Pool threads that start one scan together would each build the same prefix
 # levels before the cache holds them.
 _TABLE_LOCK = threading.Lock()
@@ -374,8 +385,13 @@ def _edge_list(n: int) -> tuple:
     return tuple(map(tuple, edge_pairs(n).tolist()))
 
 
-def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
-    """``interval_stat_community`` plus the number of clique searches run."""
+def _community_windows(sample: EdgeSample, k: int, tau: float) -> tuple:
+    """Check a community scan's arguments and lay out its windows.
+
+    Returns (k, sorted edge angles, ends, edges): window i holds the edges
+    at sorted positions [i, ends[i]) mod m, and ``edges`` lists their
+    (a, b) pairs in sorted-angle order twice over.
+    """
     n = sample.n
     k = int(k)
     if not (2 <= k <= n):
@@ -386,37 +402,57 @@ def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
             f"got n = {n}. Use a smaller instance.")
     if not (0.0 < tau <= 1.0):
         raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    m_need = k * (k - 1) // 2
     ang = np.asarray(sample.edge_angles, dtype=float)
     order = np.argsort(ang, kind="stable")
     sa = ang[order]
     m = sa.size
     doubled = np.concatenate([sa, sa + TWO_PI])
     counts = np.searchsorted(doubled, sa + TWO_PI * tau, side="right") - np.arange(m)
-    # Window i holds the edges at sorted positions [i, ends[i]) mod m. The
-    # wrapped anchors p = m .. ends[m-1] - 1 hold [p, ends[m-1]), a tail of
-    # window m-1 that lies past 2 pi.
+    # The wrapped anchors p = m .. ends[m-1] - 1 hold [p, ends[m-1]), a tail
+    # of window m-1 that lies past 2 pi.
     ends = (np.arange(m) + np.minimum(counts, m)).tolist()
     ends += [ends[-1]] * (ends[-1] - m)
     pair_of = _edge_list(n)
-    edges = [pair_of[q] for q in order.tolist()] * 2
+    return k, sa, ends, [pair_of[q] for q in order.tolist()] * 2
+
+
+def _first_anchor(edges: list, n: int, ends: list, k: int) -> tuple:
+    """Pass 1 of the community scan: (the first anchor j whose edge closes a
+    k-clique in window j, or None; the number of clique searches run)."""
+    m_need = k * (k - 1) // 2
     searches = 0
     for j, adj in _sliding_adjacency(edges, n, ends, 0):
         if ends[j] - j >= m_need:
             searches += 1
             a, b = edges[j]
             if _has_clique(adj, adj[a] & adj[b], k - 2):
-                break
-    else:
+                return j, searches
+    return None, searches
+
+
+def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
+    """``interval_stat_community`` plus the number of clique searches run."""
+    k, sa, ends, edges = _community_windows(sample, k, tau)
+    n, m = sample.n, sa.size
+    j, searches = _first_anchor(edges, n, ends, k)
+    if j is None:
         return False, None, None, searches
     first = bisect.bisect_right(ends, j, 0, m)
     for i, adj in _sliding_adjacency(edges, n, ends[:min(j, m - 1) + 1], first):
-        if ends[i] - i >= m_need:
+        if ends[i] - i >= k * (k - 1) // 2:
             searches += 1
             clique = _find_k_clique(adj, k)
             if clique is not None:
                 return True, float(sa[i]), clique, searches
     raise AssertionError("anchored clique outside every candidate window")
+
+
+def interval_rejects_community(sample: EdgeSample, k: int, tau: float) -> bool:
+    """``interval_test_community(sample, k, tau).rejected``, without the
+    window or its clique: pass 1 of the scan, up to its first hit, and the
+    errors of ``interval_test_community``."""
+    k, _, ends, edges = _community_windows(sample, k, tau)
+    return _first_anchor(edges, sample.n, ends, k)[0] is not None
 
 
 def interval_stat_community(sample: EdgeSample, k: int, tau: float,
@@ -700,8 +736,12 @@ def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
     ``coherence_test``.
     """
     k, n, x, levels, offsets = _scan_inputs(sample, k, 2)
-    z = np.exp(1j * x)
-    beta = float(beta)
+    return _prefix_rejects(np.exp(1j * x), n, k, float(beta), levels, offsets)
+
+
+def _prefix_rejects(z: np.ndarray, n: int, k: int, beta: float, levels: tuple,
+                    offsets: np.ndarray) -> bool:
+    """The pruned search of ``coherence_rejects`` on the phasors z."""
     m = k * (k - 1) // 2
     delta = m * m * 2.0 ** -48
     sums = _level_sums(z, levels[:-1], n - k + 1)
@@ -720,6 +760,117 @@ def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
         band.append(rows[moduli >= beta - delta])
     subsets = _level_subsets(levels, np.concatenate(band))
     return bool((_table_coherence(z, n, subsets) >= beta).any())
+
+
+@lru_cache(maxsize=8)
+def _witness_index(n: int) -> tuple:
+    """(pos, lower, lower_starts) for the greedy witnesses of n vertices.
+
+    ``pos[i, j]`` is the position of edge {i, j}, and ``pos[i, i]`` is
+    C(n,2), the zero that pads a phasor row. ``lower`` lists the positions of
+    the edges {j, i}, j < i, by i then j; vertex i's group starts at
+    ``lower_starts[i - 1]``.
+    """
+    m = n * (n - 1) // 2
+    pos = np.full((n, n), m, dtype=np.int32)
+    a, b = np.triu_indices(n, 1)
+    pos[a, b] = pos[b, a] = np.arange(m, dtype=np.int32)
+    lower = pos.T[np.tril_indices(n, -1)]
+    lower_starts = np.arange(1, n) * np.arange(n - 1) // 2
+    for array in (pos, lower, lower_starts):
+        array.flags.writeable = False
+    return pos, lower, lower_starts
+
+
+def _phasor_block(samples: list) -> np.ndarray:
+    """exp(i X_e) of each sample's edges, one row each, padded by one zero.
+
+    Each phasor is ``np.exp(1j * x)`` of its angle, as the scans take it.
+    """
+    x = np.stack([s.edge_angles for s in samples])
+    z = np.zeros((x.shape[0], x.shape[1] + 1), dtype=complex)
+    np.exp(np.multiply(x, 1j, out=z[:, :-1]), out=z[:, :-1])
+    return z
+
+
+def _greedy_witnesses(z: np.ndarray, n: int, k: int) -> tuple:
+    """Greedy k-subsets of each row of a ``_phasor_block``, and their moduli
+    as ``_table_coherence`` sums them.
+
+    Each row starts one witness from each of its _WITNESS_SEEDS vertices of
+    largest |sum_j z_ij| (ties by index), then adds, k - 1 times, the vertex
+    that maximises the modulus of the witness's sum (Asahiro et al.,
+    "Greedily finding a dense subgraph", J. Algorithms 2000). A witness's
+    gains to every vertex are a row of z gathered through ``pos``, so the
+    memory is O(trials (C(n,2) + seeds n)). Returns the sorted subsets
+    (trials, seeds, k) and their moduli (trials, seeds).
+    """
+    trials, m = z.shape[0], z.shape[1] - 1
+    pos, lower, lower_starts = _witness_index(n)
+    vertex = np.zeros((trials, n), dtype=complex)
+    # Vertex i's edges {i, j}, j > i, lie from position pos[i, i+1] on.
+    upper_starts = pos[np.arange(n - 1), np.arange(1, n)]
+    vertex[:, :-1] = np.add.reduceat(z[:, :m], upper_starts, axis=1)
+    vertex[:, 1:] += np.add.reduceat(z.take(lower, axis=1), lower_starts, axis=1)
+    seeds = np.argsort(-np.abs(vertex), axis=1, kind="stable")[:, :_WITNESS_SEEDS]
+    # One row r per witness; flat indices address z, ``taken`` and ``gain``.
+    rows = seeds.size
+    z_row = np.repeat(np.arange(0, z.size, m + 1), seeds.shape[1])[:, None]
+    row_n = np.arange(0, rows * n, n)
+    flat = z.ravel()
+    members = np.empty((rows, k), dtype=np.int32)
+    members[:, 0] = seeds.ravel()
+    taken = np.zeros(rows * n, dtype=bool)
+    taken[row_n + members[:, 0]] = True
+    total = np.zeros(rows, dtype=complex)
+    gain = flat.take(z_row + pos[members[:, 0]])  # gain[r, c]: r's edges to c
+    for step in range(1, k):
+        moduli = np.abs(gain + total[:, None])
+        moduli.ravel()[taken] = -1.0
+        best = moduli.argmax(axis=1)
+        members[:, step] = best
+        taken[row_n + best] = True
+        total += gain.ravel().take(row_n + best)
+        if step < k - 1:
+            gain += flat.take(z_row + pos[best])
+    members.sort(axis=1)
+    members = members.reshape(*seeds.shape, k)
+    edges = subset_edges(n, members) + z_row.reshape(trials, -1, 1)
+    return members, np.abs(np.cumsum(flat.take(edges), axis=2)[..., -1])
+
+
+def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
+    """``coherence_rejects(s, k, beta)`` of each sample of an iterable, as a
+    bool array: the decisions of a chunk of Monte Carlo trials.
+
+    The samples share n. k and the scan budget are checked on the first, as
+    ``coherence_test`` checks them, before any other work. Blocks of at most
+    _WITNESS_ANGLES edge angles (at least one sample) are drawn from the
+    iterable, and ``_greedy_witnesses`` runs once per block. A sample rejects
+    when one of its witnesses has modulus >= beta: that modulus is the
+    witness's ``_table_coherence`` value, bit for bit, and the statistic is
+    the largest such value over all k-subsets, so the test rejects too. Every
+    other sample is decided by the search of ``coherence_rejects``, so no
+    decision rests on the greedy search alone.
+    """
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
+        return np.zeros(0, dtype=bool)
+    k, n, _, levels, offsets = _scan_inputs(first, k, 2)
+    beta = float(beta)
+    pending = itertools.chain([first], samples)
+    per_block = max(1, _WITNESS_ANGLES // first.n_edges)
+    decisions = []
+    while block := list(itertools.islice(pending, per_block)):
+        if any(s.n != n for s in block):
+            raise ParameterError(f"a chunk's samples must share n = {n}")
+        z = _phasor_block(block)
+        _, values = _greedy_witnesses(z, n, k)
+        certified = (values >= beta).any(axis=1).tolist()
+        decisions += [hit or _prefix_rejects(row[:-1], n, k, beta, levels, offsets)
+                      for row, hit in zip(z, certified)]
+    return np.array(decisions, dtype=bool)
 
 
 def coherence_test(sample: EdgeSample, k: int, beta: float) -> TestReport:

@@ -57,11 +57,12 @@ _TRIAL_CHUNK = 64
 # are large enough to run with the GIL released; smaller calls hold it, and
 # threads contend instead of overlapping (README, "threads"). The bounds are
 # measured on 2 vCPUs: angles drawn per trial (N, or C(n,2) edges; the
-# rayleigh test's complex exponential of every edge overlaps from fewer),
-# and subset-edge operations C(n,k)*C(k,2) of an exact coherence or
-# variance scan, the unit of det.DEFAULT_SUBSET_BUDGET.
-_POOL_MIN_ANGLES = 1 << 14
-_POOL_MIN_ANGLES_RAYLEIGH = 1 << 12
+# rayleigh test's complex exponential of every edge overlaps from fewer, and
+# a known-theta trial, one window count, only from more), and subset-edge
+# operations C(n,k)*C(k,2) of an exact coherence or variance scan, the unit
+# of det.DEFAULT_SUBSET_BUDGET.
+_POOL_MIN_ANGLES = {"rayleigh": 1 << 12, "known-theta": 1 << 15}
+_POOL_MIN_ANGLES_DEFAULT = 1 << 14
 _POOL_MIN_SCAN = 2_000_000
 # Subset resultants per chunk of likelihood-ratio draws: 256 KiB of float64
 # stays in cache; larger chunks were slower at C(60,3) subsets.
@@ -83,16 +84,23 @@ _CELL_ERRORS = (CapabilityError, DomainError, NumericError, ParameterError)
 
 
 # Detector -> (the parameter its test needs, {sample kind: (its test on
-# ``det``, the Monte Carlo decision on ``det``, or None for the test's
-# ``rejected``)}). Every test and decision takes (sample, tau or k,
-# threshold); see _threshold.
+# ``det``, the Monte Carlo decision on ``det`` or None for the test's
+# ``rejected``, the chunk decision on ``det`` or None to run the decision on
+# each sample as it is drawn)}). Every test and decision takes (sample, tau
+# or k, threshold), and a chunk decision (iterable of samples, k,
+# threshold); see _threshold. Only the coherence decision has a chunk form:
+# one greedy witness search over the chunk decides most of its trials. The
+# variance and flat decisions stay per trial; their block forms were
+# measured slower (README, the dispatch paragraph).
 _DETECTOR_TABLE = {
-    "interval": ("tau", {"flat": ("interval_test_flat", "interval_rejects_flat"),
-                         "edge": ("interval_test_community", None)}),
-    "coherence": ("kappa", {"edge": ("coherence_test", "coherence_rejects")}),
-    "rayleigh": ("kappa", {"edge": ("rayleigh_test", None)}),
-    "variance": ("sigma2", {"edge": ("variance_test", "variance_rejects")}),
-    "known-theta": ("tau", {"flat": ("known_theta_test_flat", None)}),
+    "interval": ("tau", {
+        "flat": ("interval_test_flat", "interval_rejects_flat", None),
+        "edge": ("interval_test_community", "interval_rejects_community", None)}),
+    "coherence": ("kappa", {"edge": ("coherence_test", "coherence_rejects",
+                                     "coherence_rejects_chunk")}),
+    "rayleigh": ("kappa", {"edge": ("rayleigh_test", None, None)}),
+    "variance": ("sigma2", {"edge": ("variance_test", "variance_rejects", None)}),
+    "known-theta": ("tau", {"flat": ("known_theta_test_flat", None, None)}),
 }
 DETECTORS = tuple(_DETECTOR_TABLE)
 _NEEDS = {"tau": "tau (window fraction)", "kappa": "kappa for its threshold",
@@ -271,10 +279,11 @@ def _make_test(c: ExperimentConfig, name: Optional[str] = None) -> Callable:
     """Build the sample -> TestReport call of a cell or ``detect`` call.
 
     ``name`` calls another function of the same arguments on ``det`` instead
-    of the test: a Monte Carlo decision. The threshold is resolved here,
-    once, not per sample. The known-theta call also takes the phase to test
-    at (default ``c.theta``). The call is looked up on ``det`` per sample, so
-    a tracer that rebinds it sees each one.
+    of the test: a Monte Carlo decision, or a chunk decision, which takes an
+    iterable of samples in place of the sample. The threshold is resolved
+    here, once, not per sample. The known-theta call also takes the phase to
+    test at (default ``c.theta``). The call is looked up on ``det`` per
+    sample, so a tracer that rebinds it sees each one.
     """
     threshold = _threshold(c)
     name = name or _DETECTOR_TABLE[c.detector][1][_kind(c)][0]
@@ -302,6 +311,22 @@ def _make_runner(config: ExperimentConfig) -> Callable:
             sample, c.theta if sample.truth is None
             else sample.truth.theta_star).rejected
     return lambda sample: test(sample).rejected
+
+
+def _make_chunk_runner(config: ExperimentConfig) -> Callable:
+    """Build the samples -> rejections call of a chunk of a cell's trials.
+
+    It takes an iterable of samples. A detector with a chunk decision in the
+    table hands it the iterable; the others decide each sample with
+    ``_make_runner``'s call as it is drawn, and hold no more than one.
+    """
+    c = config
+    chunk = _DETECTOR_TABLE[c.detector][1][_kind(c)][2]
+    if chunk is not None:
+        decide = _make_test(c, chunk)
+        return lambda samples: int(np.count_nonzero(decide(samples)))
+    runner = _make_runner(c)
+    return lambda samples: sum(1 for sample in samples if runner(sample))
 
 
 def _gen_sample(config: ExperimentConfig, under_h1: bool, rng):
@@ -353,13 +378,14 @@ def _bound_digest(bounds: dict) -> tuple[float, float]:
 
 def _run_chunk(config: ExperimentConfig, runner, cell_index: int, hyp: int,
                start: int, count: int) -> int:
-    rejects = 0
-    for trial in range(start, start + count):
-        rng = mod.rng_for(config.seed, _STREAM_TRIAL, cell_index, hyp, trial)
-        sample = _gen_sample(config, under_h1=bool(hyp), rng=rng)
-        if runner(sample):
-            rejects += 1
-    return rejects
+    """Rejections among trials start .. start + count - 1 of one hypothesis.
+
+    Each trial draws its sample from its own stream, and ``runner`` (a
+    ``_make_chunk_runner`` call) takes them all as one iterable.
+    """
+    return runner(_gen_sample(config, bool(hyp), mod.rng_for(
+        config.seed, _STREAM_TRIAL, cell_index, hyp, trial))
+        for trial in range(start, start + count))
 
 
 def usable_cpus() -> int:
@@ -384,8 +410,7 @@ def _pool_workers(c: ExperimentConfig, threads: Optional[int],
     angles = size if c.is_flat else math.comb(size, 2)
     scan = (math.comb(size, k) * math.comb(k, 2)
             if c.detector in ("coherence", "variance") else 0)
-    min_angles = (_POOL_MIN_ANGLES_RAYLEIGH if c.detector == "rayleigh"
-                  else _POOL_MIN_ANGLES)
+    min_angles = _POOL_MIN_ANGLES.get(c.detector, _POOL_MIN_ANGLES_DEFAULT)
     if angles < min_angles and scan < _POOL_MIN_SCAN:
         return 1
     return min(threads, chunks, usable_cpus())
@@ -402,15 +427,20 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     """Estimate (pfa, pmiss) of the configured detector by seeded Monte Carlo.
 
     Runs ``trials`` datasets under each hypothesis, in chunks of
-    ``_TRIAL_CHUNK``. ``threads`` caps the workers of a cell whose trials
-    draw at least ``_POOL_MIN_ANGLES`` angles (``_POOL_MIN_ANGLES_RAYLEIGH``
-    for the rayleigh test) or run an exact coherence or variance scan of at
-    least ``_POOL_MIN_SCAN`` subset-edge operations; those chunks run on
-    min(threads, chunks, usable CPUs) threads. Other cells hold the GIL in
-    small numpy calls and run their chunks in the calling thread at any
-    ``threads``. Identical (config, seed) give
-    identical results for any thread count: per-trial generators are
-    derived from (seed, cell, hypothesis, trial) and counts reduce by sums.
+    ``_TRIAL_CHUNK``. Each trial draws its sample from a generator derived
+    from (seed, cell, hypothesis, trial), and a chunk's samples go to one
+    chunk runner: the detector's chunk decision (coherence: one greedy
+    witness search over the chunk, the exact search for the trials it
+    leaves open), else its per-trial decision on each sample as it is
+    drawn. ``threads`` caps the workers of a cell whose trials draw at
+    least ``_POOL_MIN_ANGLES`` angles (per detector, else
+    ``_POOL_MIN_ANGLES_DEFAULT``) or run an exact coherence or variance
+    scan of at least ``_POOL_MIN_SCAN`` subset-edge operations; those
+    chunks run on min(threads, chunks, usable CPUs) threads. Other cells
+    hold the GIL in small numpy calls and run their chunks in the calling
+    thread at any ``threads``. Identical (config, seed) give identical
+    results for any thread count: every decision is exact, and counts
+    reduce by sums.
     Capability, domain, numeric and parameter errors mark the point failed
     instead of raising; the same errors, or an overflow, while annotating
     the verdict and bounds are kept in ``annotation_error``. A ConfigError,
@@ -420,7 +450,7 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
     try:
-        runner = _make_runner(config)
+        runner = _make_chunk_runner(config)
         chunks = [(hyp, start, min(_TRIAL_CHUNK, config.trials - start))
                   for hyp in (0, 1)
                   for start in range(0, config.trials, _TRIAL_CHUNK)]
@@ -1064,8 +1094,8 @@ def verify_bounds(seed: int = DEFAULT_VERIFY_SEED, trials: int = 10_000,
                          tau=0.05, trials=trials, seed=seed),
     ]
     for i, config in enumerate(zero_miss):
-        misses = trials - _run_chunk(config, _make_runner(config), 900 + i, 1,
-                                     0, trials)
+        misses = trials - _run_chunk(config, _make_chunk_runner(config),
+                                     900 + i, 1, 0, trials)
         rep.add(f"zero_miss_{config.model}_misses_of_{trials}", misses,
                 misses == 0)
     for idx, cell in enumerate(_criterion8_cells()):

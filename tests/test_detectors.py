@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -610,6 +611,54 @@ class TestIntervalCommunity:
         assert len(calls) == 1
 
 
+class TestIntervalRejectsCommunity:
+    """Pass 1 of the community scan alone against the test's ``rejected``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_samples, window_fractions)
+    def test_equals_test_decision(self, case, tau):
+        n, k, angles = case
+        s = mod.EdgeSample(n, np.array(angles))
+        assert (det.interval_rejects_community(s, k, tau)
+                == det.interval_test_community(s, k, tau).rejected)
+
+    @pytest.mark.parametrize("n,k,tau,signal", [
+        (16, 5, 0.05, mod.HardCluster(0.05)),
+        (16, 5, 0.1, mod.VonMises(40.0)),
+        (10, 3, 0.05, mod.HardCluster(0.05)),
+        (9, 9, 0.9, mod.VonMises(2.0)),
+    ])
+    def test_equals_test_decision_generated(self, n, k, tau, signal):
+        seen = set()
+        for seed in range(30):
+            s = mod.gen_community(n, k, signal, seed % 2 == 1,
+                                  mod.rng_for(seed, 48))
+            got = det.interval_rejects_community(s, k, tau)
+            assert got == det.interval_test_community(s, k, tau).rejected
+            seen.add(got)
+        assert seen == {False, True}
+
+    def test_full_circle_always_rejects(self):
+        for k in (2, 4, 6):
+            s = mod.gen_community(6, k, mod.VonMises(1.0), False,
+                                  mod.rng_for(k, 49))
+            assert det.interval_rejects_community(s, k, 1.0)
+            assert det.interval_test_community(s, k, 1.0).rejected
+
+    @pytest.mark.parametrize("n,k,tau,error", [
+        (6, 1, 0.1, ParameterError), (6, 7, 0.1, ParameterError),
+        (49, 3, 0.1, CapabilityError), (6, 3, 0.0, DomainError),
+        (6, 3, 1.5, DomainError), (6, 3, math.nan, DomainError),
+        (49, 50, math.nan, ParameterError)])
+    def test_errors_match_test(self, n, k, tau, error):
+        s = mod.gen_community(n, 3, mod.VonMises(1.0), False, mod.rng_for(0, 50))
+        with pytest.raises(error) as expected:
+            det.interval_test_community(s, k, tau)
+        with pytest.raises(error) as got:
+            det.interval_rejects_community(s, k, tau)
+        assert str(got.value) == str(expected.value)
+
+
 class TestCoherence:
     def test_all_aligned(self):
         s = mod.EdgeSample(5, np.full(10, 0.7))
@@ -1059,9 +1108,18 @@ class TestCoherencePrefixScan:
                                   np.arange(subs.shape[0]))
 
 
-# decision name: (the decision, its test, smallest k)
+def chunk_of_one(sample, k, beta):
+    """``coherence_rejects_chunk`` of a chunk that holds ``sample`` alone."""
+    decisions = det.coherence_rejects_chunk([sample], k, beta)
+    assert decisions.shape == (1,) and decisions.dtype == bool
+    return bool(decisions[0])
+
+
+# decision name: (the decision, its test, smallest k); the oracle of
+# "<scan>-chunk" is the scan's
 DECISIONS = {"coherence": (det.coherence_rejects, det.coherence_test, 2),
-             "variance": (det.variance_rejects, det.variance_test, 3)}
+             "variance": (det.variance_rejects, det.variance_test, 3),
+             "coherence-chunk": (chunk_of_one, det.coherence_test, 2)}
 
 
 def around(value):
@@ -1082,7 +1140,7 @@ def decisions_match(sample, k, thresholds, names=tuple(DECISIONS)):
         if k < k_min:
             continue
         stat = test(sample, k, 1.0).statistic
-        oracle = SCANS[name][1](sample, k)[0]
+        oracle = SCANS[name.split("-")[0]][1](sample, k)[0]
         for t in (*thresholds, *around(stat)):
             if name == "variance" and not t > 0.0:
                 continue
@@ -1165,6 +1223,11 @@ class TestSubsetDecisions:
         ("variance", 6, 3, -1.0, DomainError, "sigma2 must be > 0"),
         ("variance", 6, 3, math.nan, DomainError, "sigma2 must be > 0"),
         ("variance", 6, 2, 0.0, DomainError, "sigma2 must be > 0"),
+        ("coherence-chunk", 30, 15, 1.0, CapabilityError, "budget is 1e+08"),
+        # Every subset reaches -inf, so a witness exists; the checks come first.
+        ("coherence-chunk", 30, 15, -math.inf, CapabilityError, "budget is 1e+08"),
+        ("coherence-chunk", 6, 1, -math.inf, ParameterError, "need 2 <= k <= n"),
+        ("coherence-chunk", 6, 7, -math.inf, ParameterError, "need 2 <= k <= n"),
     ])
     def test_errors_match_test(self, name, n, k, threshold, error, message):
         decide, test, _ = DECISIONS[name]
@@ -1175,6 +1238,96 @@ class TestSubsetDecisions:
             decide(s, k, threshold)
         assert message in str(got.value)
         assert str(got.value) == str(expected.value)
+
+
+def coherence_chunk(n, k, kappa, seeds):
+    """A chunk of null and planted samples, alternating."""
+    return [mod.gen_community(n, k, mod.VonMises(kappa), planted,
+                              mod.rng_for(seed, 64))
+            for seed in seeds for planted in (False, True)]
+
+
+class TestCoherenceChunk:
+    """``coherence_rejects_chunk`` against ``coherence_test`` per sample."""
+
+    @pytest.mark.parametrize("n,k,kappa,block", [
+        (16, 8, 2.0, None), (16, 8, 0.1, 5), (24, 6, 2.0, None),
+        (12, 10, 20.0, 1), (7, 2, 1.0, 3), (8, 8, 5.0, None), (9, 9, 0.5, 4),
+        (3, 3, 1.0, None)])
+    def test_mixed_chunk_equals_tests(self, monkeypatch, n, k, kappa, block):
+        # ``block`` samples per witness block, else the whole chunk at once.
+        if block is not None:
+            monkeypatch.setattr(det, "_WITNESS_ANGLES", block * n * (n - 1) // 2)
+        samples = coherence_chunk(n, k, kappa, range(6))
+        reports = [det.coherence_test(s, k, 1.0) for s in samples]
+        thresholds = [math.nan, math.inf, -math.inf, 0.0,
+                      *(det.coherence_threshold(k, kappa, eps)
+                        for eps in (0.1, 0.5, 0.9)),
+                      *(t for r in reports for t in around(r.statistic))]
+        seen = set()
+        for t in thresholds:
+            want = [replace(r, threshold=t).rejected for r in reports]
+            got = det.coherence_rejects_chunk(iter(samples), k, t)
+            assert got.dtype == bool and got.tolist() == want, t
+            seen.update(want)
+        assert seen == {False, True}
+
+    def test_witnesses_decide_most_trials(self, monkeypatch):
+        # At (24, 6), kappa = 2 every trial rejects, nearly all by a witness.
+        searched = []
+        search = det._prefix_rejects
+        monkeypatch.setattr(det, "_prefix_rejects",
+                            lambda *args: searched.append(1) or search(*args))
+        samples = coherence_chunk(24, 6, 2.0, range(32))
+        beta = det.coherence_threshold(6, 2.0)
+        got = det.coherence_rejects_chunk(samples, 6, beta)
+        assert got.all() and len(searched) <= 8
+        assert got.tolist() == [det.coherence_rejects(s, 6, beta) for s in samples]
+
+    def test_witness_at_beta_decides_alone(self, monkeypatch):
+        # A witness whose value equals beta certifies; no search runs.
+        monkeypatch.setattr(det, "_prefix_rejects", None)
+        for s in coherence_chunk(16, 8, 2.0, range(3)):
+            _, values = det._greedy_witnesses(det._phasor_block([s]), 16, 8)
+            beta = float(values.max())
+            assert det.coherence_rejects_chunk([s], 8, beta).tolist() == [True]
+
+    @pytest.mark.parametrize("n,k,kappa", [(16, 8, 2.0), (24, 6, 0.1),
+                                           (12, 10, 20.0), (5, 2, 1.0),
+                                           (6, 6, 3.0), (2, 2, 1.0)])
+    def test_certificates_are_table_values(self, n, k, kappa):
+        samples = coherence_chunk(n, k, kappa, range(20))
+        z = det._phasor_block(samples)
+        members, values = det._greedy_witnesses(z, n, k)
+        seeds = min(n, det._WITNESS_SEEDS)
+        assert members.shape == (len(samples), seeds, k)
+        assert values.shape == (len(samples), seeds)
+        assert not z[:, -1].any()
+        for t, s in enumerate(samples):
+            alone = np.exp(1j * s.edge_angles)
+            assert np.array_equal(z[t, :-1], alone)
+            assert (np.diff(members[t], axis=1) > 0).all()
+            assert members[t].min() >= 0 and members[t].max() < n
+            assert np.array_equal(values[t],
+                                  det._table_coherence(alone, n, members[t]))
+
+    def test_seeds_are_the_largest_vertex_sums(self):
+        s = coherence_chunk(10, 4, 2.0, [3])[1]
+        z = np.exp(1j * s.edge_angles)
+        sums = [abs(sum(z[mod.edge_index(10, i, j)] for j in range(10) if j != i))
+                for i in range(10)]
+        members, _ = det._greedy_witnesses(det._phasor_block([s]), 10, 4)
+        first = sorted(range(10), key=lambda i: -sums[i])[:det._WITNESS_SEEDS]
+        assert all(v in row for v, row in zip(first, members[0].tolist()))
+
+    def test_empty_chunk(self):
+        got = det.coherence_rejects_chunk(iter([]), 6, 1.0)
+        assert got.shape == (0,) and got.dtype == bool
+
+    def test_samples_must_share_n(self):
+        samples = coherence_chunk(8, 4, 1.0, [0]) + coherence_chunk(9, 4, 1.0, [0])
+        with pytest.raises(ParameterError, match="must share n = 8"):
+            det.coherence_rejects_chunk(samples, 4, 1.0)
 
 
 class TestRevolvingDoor:

@@ -100,10 +100,10 @@ class TestDetectorTable:
         ("known_theta_test_flat", "known_theta_test_flat",
          dict(model="flat-hard", detector="known-theta", N=40, K=5, tau=0.05),
          ["--tau", "0.05"]),
-        ("interval_test_community", "interval_test_community",
+        ("interval_rejects_community", "interval_test_community",
          dict(model="comm-hard", detector="interval", n=8, k=4, tau=0.1),
          ["--tau", "0.1"]),
-        ("coherence_rejects", "coherence_test",
+        ("coherence_rejects_chunk", "coherence_test",
          dict(model="comm-vm", detector="coherence", n=8, k=4, kappa=2.0),
          ["--kappa", "2"]),
         ("rayleigh_test", "rayleigh_test",
@@ -121,7 +121,10 @@ class TestDetectorTable:
         with monkeypatch.context() as m:
             calls = _count_calls(m, getattr(det, cell_test))
             point = lab.estimate_errors(config)
-        assert point.failed is None and len(calls) == 2 * config.trials
+        # A chunk decision takes each hypothesis's one chunk in one call.
+        per_trial = not cell_test.endswith("_chunk")
+        assert point.failed is None
+        assert len(calls) == 2 * (config.trials if per_trial else 1)
         data = tmp_path / "data.txt"
         sample = lab._gen_sample(config, True, mod.rng_for(2, 0))
         with open(data, "w", encoding="utf-8") as fh:
@@ -963,8 +966,11 @@ _SERIAL_CELLS = [
          N=(1 << 14) - 1, K=40, tau=0.001, trials=3, seed=1),
     dict(model="comm-vm", detector="rayleigh", n=91, k=10, kappa=2.0,
          trials=3, seed=1),  # C(91,2) = 4095 edges
+    dict(model="flat-hard", detector="known-theta", N=(1 << 15) - 1, K=40,
+         tau=0.001, trials=3, seed=1),
 ]
-# At the angle bounds (N = 2^14; C(92,2) = 4186 edges for rayleigh) and
+# At the angle bounds (N = 2^14, 2^15 for known-theta; C(92,2) = 4186
+# edges for rayleigh) and
 # past the scan bound: comm-exact's coherence (24, 6), C(24,6)*C(6,2) =
 # 2.02e6 subset-edge operations.
 _POOLED_CELLS = [
@@ -974,6 +980,8 @@ _POOLED_CELLS = [
          trials=3, seed=1),
     dict(model="comm-vm", detector="coherence", n=24, k=6, kappa=2.0,
          epsilon=0.5, trials=3, seed=1),
+    dict(model="flat-hard", detector="known-theta", N=1 << 15, K=40,
+         tau=0.001, trials=3, seed=1),
 ]
 
 
@@ -981,7 +989,8 @@ class TestThreadPool:
     """Only cells whose numpy work overlaps use the pool; output never moves."""
 
     @pytest.mark.parametrize("params", _SERIAL_CELLS,
-                             ids=["c12", "coh16_8", "flat_below", "ray_below"])
+                             ids=["c12", "coh16_8", "flat_below", "ray_below",
+                                  "kt_below"])
     def test_serial_cell_makes_no_pool(self, monkeypatch, params):
         config = ExperimentConfig(**params)
         expected = lab._point_row(lab.estimate_errors(config, threads=1))
@@ -995,7 +1004,7 @@ class TestThreadPool:
         assert lab._point_row(point) == expected
 
     @pytest.mark.parametrize("params", _POOLED_CELLS,
-                             ids=["flat", "rayleigh", "coh24_6"])
+                             ids=["flat", "rayleigh", "coh24_6", "kt"])
     def test_pooled_cell_is_identical_at_any_thread_count(self, monkeypatch,
                                                           params):
         config = ExperimentConfig(**params)
@@ -1038,3 +1047,56 @@ class TestThreadPool:
                   for t in (1, 2)}
         assert failed[1] == failed[2] == f"need 2 <= k <= n, got n=16, k={k}"
         assert made == []
+
+
+class TestChunkRunner:
+    """A chunk's samples go to one runner, pooled or not, and the counts are
+    those of the per-trial decisions on the same streams."""
+
+    @pytest.mark.parametrize("n,k,pooled", [(24, 6, True), (16, 8, False)],
+                             ids=["coh24_6", "coh16_8"])
+    def test_threads_give_the_per_trial_counts(self, monkeypatch, n, k, pooled):
+        # At kappa = 2 witnesses decide nearly every (24, 6) trial and most
+        # (16, 8) H1 trials; the (16, 8) H0 trials need the exact search.
+        config = ExperimentConfig(model="comm-vm", detector="coherence", n=n,
+                                  k=k, kappa=2.0, epsilon=0.5, trials=70,
+                                  seed=5)
+        made = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(lab, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
+        points = {t: lab.estimate_errors(config, threads=t) for t in (1, 2)}
+        assert made == ([2] if pooled else [])
+        assert points[1].failed is None
+        assert lab._point_row(points[1]) == lab._point_row(points[2])
+        runner = lab._make_runner(config)
+        rejects = [0, 0]
+        for hyp in (0, 1):
+            for trial in range(config.trials):
+                rng = mod.rng_for(config.seed, lab._STREAM_TRIAL, 0, hyp, trial)
+                rejects[hyp] += bool(runner(lab._gen_sample(config, bool(hyp), rng)))
+        assert 0 < rejects[0] and 0 < rejects[1]
+        assert points[1].pfa_hat == rejects[0] / config.trials
+        assert points[1].pmiss_hat == (config.trials - rejects[1]) / config.trials
+
+    def test_default_runner_decides_each_sample_as_drawn(self, monkeypatch):
+        # Without a chunk decision the runner holds one sample at a time.
+        config = ExperimentConfig(model="flat-hard", detector="interval",
+                                  N=40, K=5, tau=0.05, trials=3, seed=2)
+        drawn, decided = [], []
+        decide = det.interval_rejects_flat
+        monkeypatch.setattr(det, "interval_rejects_flat", lambda *args: (
+            decided.append(len(drawn)) or decide(*args)))
+
+        def samples():
+            for trial in range(5):
+                drawn.append(trial)
+                yield lab._gen_sample(config, True, mod.rng_for(2, trial))
+
+        assert lab._make_chunk_runner(config)(samples()) == 5
+        assert decided == [1, 2, 3, 4, 5]
