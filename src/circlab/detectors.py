@@ -528,8 +528,9 @@ def subset_edge_table(n: int, k: int) -> np.ndarray:
 
     Row r lists the edges {s_a, s_b}, a < b, of the r-th revolving-door
     subset in ``triu_indices`` order. The table is column-major; of all its
-    users, only ``lab._vm_lsq``'s comm-vm sums take their summation order
-    from that layout. It is filled in int32 blocks of _CHUNK_ROWS rows.
+    users, only the community blocks of ``lab._null_lr`` (comm-vm's phasor
+    sums, comm-hard's gap sums) take their summation order from that
+    layout. It is filled in int32 blocks of _CHUNK_ROWS rows.
     """
     subs = revolving_door_subsets(n, k)
     table = np.empty((subs.shape[0], k * (k - 1) // 2), dtype=np.int32, order="F")
@@ -549,12 +550,11 @@ def _prefix_levels(n: int, k: int) -> tuple:
     {s_i, s_{j-1}}, i < j-1, one column-major int32 column each. Level 1 is
     implicit (row p is the vertex p, p <= n-k) and level k holds all C(n,k)
     subsets. The children of (k-1)-prefix p are the level-k rows offsets[p]
-    .. offsets[p+1] - 1. Callers hold _TABLE_LOCK.
+    .. offsets[p+1] - 1. Cached calls go through ``_tree``, under _TABLE_LOCK.
     """
     vertex_base = vertex_bases(n)
     prev_last = np.arange(n - k + 1, dtype=np.int32)
-    prev_bases = [vertex_base[:n - k + 1]]  # base of each s_i, per row
-    levels = []
+    levels, prev_cols = [], ()  # level 1 has no edge columns
     ends = np.array([n - k + 1])  # level 1: the children of the empty prefix
     for j in range(2, k + 1):
         counts = (n - k + j - 1) - prev_last
@@ -564,12 +564,15 @@ def _prefix_levels(n: int, k: int) -> tuple:
         skip = (ends - counts - prev_last - 1).astype(np.int32)
         last = np.arange(parent.size, dtype=np.int32) - np.repeat(skip, counts)
         cols = np.empty((parent.size, j - 1), dtype=np.int32, order="F")
-        bases = [base.take(parent) for base in prev_bases]
-        for i, base in enumerate(bases):
-            np.add(base, last, out=cols[:, i])
-        bases.append(vertex_base.take(last))
+        # In blocks: base[s_i] is the parent's column i less its last vertex.
+        for lo in range(0, parent.size, _CHUNK_ROWS):
+            up, rows = parent[lo:lo + _CHUNK_ROWS], slice(lo, lo + _CHUNK_ROWS)
+            up_last = prev_last.take(up)
+            for i, base in enumerate([*(c.take(up) - up_last for c in prev_cols),
+                                      vertex_base.take(up_last)]):
+                np.add(base, last[rows], out=cols[rows, i])
         levels.append((parent, last, cols))
-        prev_last, prev_bases = last, bases
+        prev_last, prev_cols = last, cols.T
     return tuple(levels), np.concatenate([[0], ends])
 
 
@@ -682,13 +685,9 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     return float(value), _door_first(subsets[values == value])
 
 
-def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
-    """Check k (low <= k <= n) and the budget of an exact subset scan.
-
-    Returns (k, n, edge angles, prefix levels, child offsets).
-    """
+def _check_scan(n: int, k: int, low: int) -> int:
+    """Check k (low <= k <= n) and the budget of an exact subset scan; k."""
     k = int(k)
-    n = sample.n
     if not (low <= k <= n):
         raise ParameterError(
             f"need 2 <= k <= n, got k={k}, n={n}" if low == 2 else
@@ -698,9 +697,19 @@ def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
         raise CapabilityError(
             f"exact subset scan needs {total:.3g} subset-edge operations, "
             f"budget is {DEFAULT_SUBSET_BUDGET:.3g}")
+    return k
+
+
+def _tree(n: int, k: int) -> tuple:
+    """(prefix levels, child offsets) of ``_prefix_levels``, built once."""
     with _TABLE_LOCK:
-        levels, offsets = _prefix_levels(n, k)
-    return k, n, np.asarray(sample.edge_angles, dtype=float), levels, offsets
+        return _prefix_levels(n, k)
+
+
+def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
+    """``_check_scan``, then (k, n, edge angles, prefix levels, child offsets)."""
+    k, n = _check_scan(sample.n, k, low), sample.n
+    return k, n, np.asarray(sample.edge_angles, dtype=float), *_tree(n, k)
 
 
 def _table_coherence(z: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
@@ -844,7 +853,8 @@ def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
     bool array: the decisions of a chunk of Monte Carlo trials.
 
     The samples share n. k and the scan budget are checked on the first, as
-    ``coherence_test`` checks them, before any other work. Blocks of at most
+    ``coherence_test`` checks them, before any other work; the prefix tree
+    is built only when a witness leaves a sample open. Blocks of at most
     _WITNESS_ANGLES edge angles (at least one sample) are drawn from the
     iterable, and ``_greedy_witnesses`` runs once per block. A sample rejects
     when one of its witnesses has modulus >= beta: that modulus is the
@@ -857,8 +867,7 @@ def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
     first = next(samples, None)
     if first is None:
         return np.zeros(0, dtype=bool)
-    k, n, _, levels, offsets = _scan_inputs(first, k, 2)
-    beta = float(beta)
+    k, n, beta = _check_scan(first.n, k, 2), first.n, float(beta)
     pending = itertools.chain([first], samples)
     per_block = max(1, _WITNESS_ANGLES // first.n_edges)
     decisions = []
@@ -868,7 +877,7 @@ def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
         z = _phasor_block(block)
         _, values = _greedy_witnesses(z, n, k)
         certified = (values >= beta).any(axis=1).tolist()
-        decisions += [hit or _prefix_rejects(row[:-1], n, k, beta, levels, offsets)
+        decisions += [hit or _prefix_rejects(row[:-1], n, k, beta, *_tree(n, k))
                       for row, hit in zip(z, certified)]
     return np.array(decisions, dtype=bool)
 

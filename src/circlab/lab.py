@@ -674,28 +674,27 @@ def phase_diagram(grid: Sequence[tuple], base: ExperimentConfig, out: str,
 # ---------------------------------------------------------------------------
 
 
-def _flat_hard_L(x: np.ndarray, K: int, tau: float) -> float:
-    """L(X) for the flat hard-cluster model by exact window-count integration.
+def _flat_hard_L(x: np.ndarray, K: int, tau: float) -> np.ndarray:
+    """L(X) of each row of ``x`` for the flat hard-cluster model, by exact
+    window-count integration.
 
     The window count as a function of the anchor is piecewise constant with
-    2N breakpoints, so the mixture likelihood integrates exactly:
-    L = sum_segments C(count, K) len / (2 pi C(N, K) tau^K).
+    2N breakpoints, so L = sum_segments C(count, K) len / (2 pi C(N, K)
+    tau^K). A row's counts are a cumsum of +-1 over its events in stable
+    sorted order, from the count of windows covering angle 0, and one cumsum
+    adds its segments from angle 0 on. C(count, K) <= C(N, K) is within the
+    enumeration budget, so every binomial is an exact float.
     """
-    n = x.size
-    w = mod.TWO_PI * tau
-    starts = mod.canonical_angle(x - w)
-    events = np.concatenate([starts, x])
-    deltas = np.concatenate([np.ones(n), -np.ones(n)])
-    order = np.argsort(events, kind="stable")
-    ev, dl = events[order], deltas[order]
-    count = int(np.count_nonzero(starts > x))  # intervals covering angle 0
-    total = 0.0
-    prev = 0.0
-    for i in range(ev.size):
-        total += math.comb(count, K) * (ev[i] - prev)
-        count += int(dl[i])
-        prev = ev[i]
-    total += math.comb(count, K) * (mod.TWO_PI - prev)
+    rows, n = x.shape
+    starts = mod.canonical_angle(x - mod.TWO_PI * tau)
+    events = np.concatenate([starts, x], axis=1)
+    order = np.argsort(events, axis=1, kind="stable")
+    counts = np.cumsum(np.column_stack([np.count_nonzero(starts > x, axis=1),
+                                        np.where(order < n, 1, -1)]), axis=1)
+    ends = np.column_stack([np.zeros(rows), np.take_along_axis(events, order, axis=1),
+                            np.full(rows, mod.TWO_PI)])
+    comb = np.array([float(math.comb(j, K)) for j in range(n + 1)])
+    total = np.cumsum(comb[counts] * np.diff(ends, axis=1), axis=1)[:, -1]
     return total / (mod.TWO_PI * math.comb(n, K) * tau ** K)
 
 
@@ -712,29 +711,33 @@ def _gap_coverage_fraction(sorted_vals: np.ndarray, w: float) -> np.ndarray:
     return excess.sum(axis=-1) / mod.TWO_PI
 
 
-def _vm_lsq(out: np.ndarray, rng: np.random.Generator, size: int,
-            table: np.ndarray, kappa: float) -> None:
-    """Fill ``out`` with L^2 of von Mises signals over the rows of ``table``.
+def _row_means(a: np.ndarray) -> np.ndarray:
+    """Each row's mean, taken on its own as one trial's array would be."""
+    return np.array([row.mean() for row in a])
 
-    Each trial draws ``size`` uniform angles; row C of ``table`` indexes the
-    angles of one subset, with L = mean_C I0(kappa |sum_C e^{i x}|) / I0(kappa)^|C|.
-    Trials are drawn in chunks of at most _TRIAL_CHUNK, one (c, size) draw
-    being the stream of c draws of ``size``, and log I0 is evaluated once
-    per chunk. The subset sums stay per trial: ``z[table]`` is laid out like
-    ``table`` (column-major for edge tables), and that layout fixes numpy's
-    summation order. Each row is averaged on its own, so the result does
-    not depend on the chunk size, to the last bit.
-    """
-    width = table.shape[1]
-    log_i0_k = sf.log_bessel_i0(kappa)
-    rows = max(1, min(_TRIAL_CHUNK, _LR_CHUNK_ELEMS // table.shape[0]))
-    for lo in range(0, out.size, rows):
-        c = min(rows, out.size - lo)
-        z = np.exp(1j * rng.random((c, size)) * mod.TWO_PI)
-        r = np.abs(np.stack([zt[table].sum(axis=1) for zt in z]))
-        terms = np.exp(sf._log_i0(kappa * r) - width * log_i0_k)
-        for i in range(c):
-            out[lo + i] = terms[i].mean() ** 2
+
+def _null_lr(model: str, size: int, k: int, x: float) -> tuple:
+    """(work per draw, block) of a second moment: ``block`` maps a (c, m)
+    array, one null draw of m angles per row, to each row's L. Edge tables
+    are column-major, so neither community block sums along its innermost
+    axis, and each row adds its terms as one trial's array would."""
+    if model == "flat-hard":
+        return 2 * size + 1, lambda a: _flat_hard_L(a, k, x)
+    if model == "comm-hard":
+        table = det.subset_edge_table(size, k)
+        w, scale = mod.TWO_PI * x, x ** (-table.shape[1])
+        return table.size, lambda a: _row_means(
+            _gap_coverage_fraction(np.sort(a[:, table], axis=2), w)) * scale
+    # von Mises: L = mean_C I0(kappa |sum_C e^{i x}|) / I0(kappa)^|C|.
+    table = (det.revolving_door_subsets(size, k) if model == "flat-vm"
+             else det.subset_edge_table(size, k))
+    log_i0_k = sf.log_bessel_i0(x)
+
+    def block(a: np.ndarray) -> np.ndarray:
+        r = np.abs(np.stack([zt[table].sum(axis=1) for zt in np.exp(1j * a)]))
+        return _row_means(np.exp(sf._log_i0(x * r) - table.shape[1] * log_i0_k))
+
+    return table.shape[0], block
 
 
 def empirical_second_moment(model: str, params: dict, trials: int,
@@ -744,53 +747,38 @@ def empirical_second_moment(model: str, params: dict, trials: int,
     Draws null datasets, evaluates the likelihood ratio L exactly (subset
     enumeration; the phase integral reduces to window-coverage geometry for
     hard-cluster signals and to I0 of the subset resultant for von Mises),
-    and averages L^2. Requires C(N,K) (or C(n,k)) <= DEFAULT_ENUMERATION_BUDGET.
+    and averages L^2. ``params`` holds N, K (flat) or n, k (community) and
+    tau or kappa, checked as ``th.second_moment_exact_<model>`` checks them.
+    Requires C(N,K) (or C(n,k)) <= DEFAULT_ENUMERATION_BUDGET.
     """
     trials = int(trials)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if model.startswith("flat"):
-        N, K = int(params["N"]), int(params["K"])
-        n_subsets = math.comb(N, K)
-    else:
-        n, k = int(params["n"]), int(params["k"])
-        n_subsets = math.comb(n, k)
-    if n_subsets > DEFAULT_ENUMERATION_BUDGET:
-        raise CapabilityError(f"exact enumeration needs {n_subsets} subsets, "
-                              f"budget {DEFAULT_ENUMERATION_BUDGET}")
+    if model not in th.MODELS:
+        raise ParameterError(f"unknown model {model!r}")
+    keys = (("N", "K") if model.startswith("flat") else ("n", "k")) + (
+        ("tau",) if model.endswith("hard") else ("kappa",))
+    if missing := [key for key in keys if key not in params]:
+        raise ParameterError(f"{model} needs {', '.join(missing)}")
+    size, k, x = int(params[keys[0]]), int(params[keys[1]]), float(params[keys[2]])
+    th.check_second_moment(model, size, k, x)
+    if math.comb(size, k) > DEFAULT_ENUMERATION_BUDGET:
+        raise CapabilityError(f"exact enumeration needs {math.comb(size, k)} "
+                              f"subsets, budget {DEFAULT_ENUMERATION_BUDGET}")
+    if x == (1.0 if model.endswith("hard") else 0.0):
+        return 1.0, 0.0  # a full-circle arc or kappa = 0: L is identically 1
+    draw = size if model.startswith("flat") else size * (size - 1) // 2
+    work, block = _null_lr(model, size, k, x)
     rng = mod.rng_for(seed, _STREAM_SECOND_MOMENT)
     lsq = np.empty(trials)
-    if model == "flat-hard":
-        tau = float(params["tau"])
-        if tau == 1.0:
-            return 1.0, 0.0
-        for t in range(trials):
-            x = rng.random(N) * mod.TWO_PI
-            lsq[t] = _flat_hard_L(x, K, tau) ** 2
-    elif model == "flat-vm":
-        kappa = float(params["kappa"])
-        if kappa == 0.0:
-            return 1.0, 0.0
-        _vm_lsq(lsq, rng, N, det.revolving_door_subsets(N, K), kappa)
-    elif model == "comm-hard":
-        tau = float(params["tau"])
-        if tau == 1.0:
-            return 1.0, 0.0
-        table = det.subset_edge_table(n, k)
-        m = table.shape[1]
-        w = mod.TWO_PI * tau
-        for t in range(trials):
-            x = rng.random(n * (n - 1) // 2) * mod.TWO_PI
-            vals = np.sort(x[table], axis=1)
-            frac = _gap_coverage_fraction(vals, w)
-            lsq[t] = (frac.mean() * tau ** (-m)) ** 2
-    elif model == "comm-vm":
-        kappa = float(params["kappa"])
-        if kappa == 0.0:
-            return 1.0, 0.0
-        _vm_lsq(lsq, rng, n * (n - 1) // 2, det.subset_edge_table(n, k), kappa)
-    else:
-        raise ParameterError(f"unknown model {model!r}")
+    # A (c, draw) draw is the stream of c successive draws of ``draw``
+    # angles, and each row is evaluated on its own, so no bit depends on the
+    # chunk size. float_power is libm's pow, as a scalar ``L ** 2`` is; an
+    # array's ``** 2`` multiplies, which can differ in the last bit.
+    rows = max(1, min(_TRIAL_CHUNK, _LR_CHUNK_ELEMS // work))
+    for lo in range(0, trials, rows):
+        angles = rng.random((min(rows, trials - lo), draw)) * mod.TWO_PI
+        lsq[lo:lo + angles.shape[0]] = np.float_power(block(angles), 2)
     estimate = float(lsq.mean())
     # Jackknife SE of a sample mean reduces to s / sqrt(n).
     se = float(lsq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf

@@ -47,6 +47,7 @@ __all__ = [
     "OverlapLaw",
     "hypergeom_logpmf",
     "hypergeom_pmf",
+    "check_second_moment",
     "second_moment_exact_flat_hard",
     "second_moment_exact_flat_vm",
     "second_moment_exact_comm_hard",
@@ -413,18 +414,28 @@ def _logsumexp(terms) -> float:
     return float(hi + math.log(np.exp(arr - hi).sum()))
 
 
+def check_second_moment(model: str, size: int, k: int, x: float) -> None:
+    """Raise what ``second_moment_exact_<model>(size, k, x)`` raises for its
+    arguments; x is tau (hard-cluster models) or kappa (von Mises)."""
+    low, big, small = (1, "N", "K") if model.startswith("flat") else (2, "n", "k")
+    if not (low <= k <= size):
+        raise ParameterError(
+            f"need {low} <= {small} <= {big}, got {big}={size}, {small}={k}")
+    if model.endswith("hard") and not (0.0 < x <= 1.0):
+        raise DomainError(f"tau must be in (0, 1], got {x!r}")
+    if model.endswith("vm") and x < 0.0:
+        raise DomainError(f"kappa must be >= 0, got {x!r}")
+
+
 def second_moment_exact_flat_hard(N: int, K: int, tau: float) -> float:
     """Exact E_Q[L^2] for the flat hard-cluster model.
 
     E_Q[L^2] = sum_j P(J=j) tau^{-2j} E[delta^j] with J ~ hypergeom(N, K, K);
     evaluated in log space, always >= 1.
     """
-    if not (1 <= K <= N):
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
+    check_second_moment("flat-hard", N, K, tau)
     if tau == 1.0:
         return 1.0  # planted arc is the whole circle; L is identically 1
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
     law = OverlapLaw(N, K)
     logs = [hypergeom_logpmf(law, j) + _log_delta_ratio(tau, j)
             for j in range(0, K + 1)]
@@ -436,12 +447,9 @@ def second_moment_exact_comm_hard(n: int, k: int, tau: float) -> float:
 
     Same overlap expansion with J = C(S,2) pair overlaps, S ~ hypergeom(n,k,k).
     """
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
+    check_second_moment("comm-hard", n, k, tau)
     if tau == 1.0:
         return 1.0
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
     law = OverlapLaw(n, k)
     logs = [hypergeom_logpmf(law, s) + _log_delta_ratio(tau, s * (s - 1) // 2)
             for s in range(0, k + 1)]
@@ -484,10 +492,7 @@ def second_moment_exact_comm_vm(n: int, k: int, kappa: float) -> float:
     with the integral factored around its peak so arbitrarily large
     C(k,2) log R(kappa) stays in range (result may be +inf).
     """
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa!r}")
+    check_second_moment("comm-vm", n, k, kappa)
     if kappa == 0.0:
         return 1.0
     law = OverlapLaw(n, k)
@@ -497,10 +502,7 @@ def second_moment_exact_comm_vm(n: int, k: int, kappa: float) -> float:
 
 def second_moment_exact_flat_vm(N: int, K: int, kappa: float) -> float:
     """Exact E_Q[L^2] for the von Mises flat model (overlap in index counts)."""
-    if not (1 <= K <= N):
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa!r}")
+    check_second_moment("flat-vm", N, K, kappa)
     if kappa == 0.0:
         return 1.0
     law = OverlapLaw(N, K)

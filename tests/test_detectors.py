@@ -962,6 +962,57 @@ class TestSubsetEdgeTable:
         assert peak <= 2 * table.nbytes
 
 
+def lex_prefix_tree(n, k):
+    """_prefix_levels from itertools.combinations: (parent, last, cols) of
+    levels 2 .. k as lists, and the child offsets of level k-1."""
+    base = mod.vertex_bases(n)
+    rows = {(v,): v for v in range(n - k + 1)}
+    levels = []
+    for j in range(2, k + 1):
+        level = [c for c in combinations(range(n), j) if c[-1] <= n - k + j - 1]
+        levels.append(([rows[c[:-1]] for c in level], [c[-1] for c in level],
+                       [[int(base[s]) + c[-1] for s in c[:-1]] for c in level]))
+        rows = {c: r for r, c in enumerate(level)}
+    parents = levels[-1][0] if levels else [0] * (n - k + 1)
+    offsets = np.searchsorted(parents, np.arange(len(set(parents)) + 1))
+    return levels, offsets
+
+
+class TestPrefixLevels:
+    @pytest.mark.parametrize("rows", [1, 3, 16384])
+    @pytest.mark.parametrize("n,k", [(2, 2), (5, 1), (6, 3), (7, 7), (9, 4),
+                                     (10, 6), (12, 2)])
+    def test_equals_combinations(self, monkeypatch, n, k, rows):
+        monkeypatch.setattr(det, "_CHUNK_ROWS", rows)  # blocks of the build
+        levels, offsets = det._prefix_levels.__wrapped__(n, k)
+        want, want_offsets = lex_prefix_tree(n, k)
+        assert len(levels) == len(want) == k - 1
+        for (parent, last, cols), (w_parent, w_last, w_cols) in zip(levels, want):
+            assert parent.dtype == last.dtype == cols.dtype == np.int32
+            assert cols.flags.f_contiguous and cols.shape == (len(w_cols), cols.shape[1])
+            assert parent.tolist() == w_parent and last.tolist() == w_last
+            assert cols.tolist() == w_cols
+        assert offsets.tolist() == want_offsets.tolist()
+
+    # Trees of 10^5 rows and more: on small ones a block's temporaries are
+    # a larger share.
+    @pytest.mark.parametrize("n,k", [(24, 6), (20, 10)])
+    def test_build_peak_is_about_the_tree(self, n, k):
+        mod.vertex_bases(n)  # cached; not part of the build
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            levels, offsets = det._prefix_levels.__wrapped__(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        size = offsets.nbytes + sum(a.nbytes for level in levels for a in level)
+        assert peak <= 1.25 * size
+
+
 def table_coherence(sample, k):
     """The coherence scan over the whole ``subset_edge_table``, each row's
     phasors added one after the other: the oracle for the prefix scan, to
@@ -1283,6 +1334,19 @@ class TestCoherenceChunk:
         got = det.coherence_rejects_chunk(samples, 6, beta)
         assert got.all() and len(searched) <= 8
         assert got.tolist() == [det.coherence_rejects(s, 6, beta) for s in samples]
+
+    @pytest.mark.parametrize("n,k,beta,builds", [
+        (40, 6, None, 0), (24, 6, 0.0, 0), (24, 6, math.inf, 1)])
+    def test_tree_built_only_for_open_trials(self, n, k, beta, builds):
+        # At (40, 6), kappa = 2 and its threshold the witnesses certify
+        # every trial; every modulus is >= 0, and none reaches inf.
+        samples = coherence_chunk(n, k, 2.0, range(32))
+        if beta is None:
+            beta = det.coherence_threshold(k, 2.0)
+        det._prefix_levels.cache_clear()
+        got = det.coherence_rejects_chunk(samples, k, beta)
+        assert got.tolist() == [beta < math.inf] * len(samples)
+        assert det._prefix_levels.cache_info().misses == builds
 
     def test_witness_at_beta_decides_alone(self, monkeypatch):
         # A witness whose value equals beta certifies; no search runs.

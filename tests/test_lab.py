@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from circlab import cli, detectors as det, lab, models as mod, specfun as sf
 from circlab import theory as th
-from circlab.errors import CapabilityError, ConfigError, ParameterError
+from circlab.errors import (CapabilityError, CirclabError, ConfigError,
+                             ParameterError)
 from circlab.lab import ExperimentConfig
 
 
@@ -337,6 +338,8 @@ class TestEmpiricalSecondMoment:
          ("0x1.c3b555f21e791p+1", "0x1.56ebb2f34759ap+0")),
         ("comm-vm", {"n": 9, "k": 5, "kappa": 1.5},
          ("0x1.23b1d972e5ccep+2", "0x1.519a91244fa51p+1")),
+        ("flat-hard", {"N": 10, "K": 3, "tau": 0.2},
+         ("0x1.8ef3db360cd8ap+0", "0x1.bd53dd064dff4p-2")),
     ])
     def test_pinned_bits(self, model, params, bits):
         """Estimate and standard error at seed 11, to the bit. Both average
@@ -352,27 +355,113 @@ class TestEmpiricalSecondMoment:
         ("comm-vm", {"n": 10, "k": 3, "kappa": 0.5}, 130),
         ("comm-vm", {"n": 8, "k": 5, "kappa": 1.5}, 64),
         ("comm-vm", {"n": 7, "k": 7, "kappa": 0.3}, 1),
+        ("flat-hard", {"N": 8, "K": 3, "tau": 0.3}, 130),
+        ("flat-hard", {"N": 10, "K": 2, "tau": 0.6}, 1),
+        ("flat-hard", {"N": 20, "K": 5, "tau": 0.1}, 67),
+        ("flat-hard", {"N": 8, "K": 8, "tau": 0.9}, 65),
+        ("flat-hard", {"N": 300, "K": 1, "tau": 0.4}, 70),
+        ("flat-hard", {"N": 1, "K": 1, "tau": 0.5}, 3),
+        ("comm-hard", {"n": 9, "k": 4, "tau": 0.3}, 130),
+        ("comm-hard", {"n": 8, "k": 5, "tau": 0.3}, 1),
+        ("comm-hard", {"n": 10, "k": 6, "tau": 0.5}, 70),
+        ("comm-hard", {"n": 7, "k": 7, "tau": 0.8}, 65),
+        ("comm-hard", {"n": 12, "k": 2, "tau": 0.1}, 130),
     ])
-    def test_chunked_draws_equal_per_trial_loop(self, model, params, trials):
-        """The chunked von Mises draws give the per-trial loop's bits."""
-        if model == "flat-vm":
-            size = params["N"]
-            table = det.revolving_door_subsets(params["N"], params["K"])
-        else:
-            size = params["n"] * (params["n"] - 1) // 2
-            table = det.subset_edge_table(params["n"], params["k"])
-        kappa = params["kappa"]
+    def test_chunked_draws_equal_per_trial_loop(self, monkeypatch, model,
+                                                params, trials):
+        """The chunked draws give the bits of one draw and one L per trial,
+        at the default chunks, one trial per chunk, and chunks of a few."""
         rng = mod.rng_for(7, lab._STREAM_SECOND_MOMENT)
-        log_i0_k = sf.log_bessel_i0(kappa)
         lsq = np.empty(trials)
         for t in range(trials):
-            z = np.exp(1j * rng.random(size) * mod.TWO_PI)
-            r = np.abs(z[table].sum(axis=1))
-            lsq[t] = np.exp(sf._log_i0(kappa * r)
-                            - table.shape[1] * log_i0_k).mean() ** 2
+            lsq[t] = per_trial_L(model, params, rng) ** 2
         se = lsq.std(ddof=1) / math.sqrt(trials) if trials > 1 else math.inf
-        assert lab.empirical_second_moment(model, params, trials, seed=7) == \
-            (float(lsq.mean()), float(se))
+        for elems in (lab._LR_CHUNK_ELEMS, 1, 2000):
+            monkeypatch.setattr(lab, "_LR_CHUNK_ELEMS", elems)
+            assert lab.empirical_second_moment(model, params, trials, seed=7) == \
+                (float(lsq.mean()), float(se)), elems
+
+    def test_square_is_the_scalar_pow(self):
+        """L^2 is formed as one trial's scalar ``L ** 2`` (libm's pow). At
+        seed 1703 that differs from L * L in the last bit."""
+        params = {"N": 8, "K": 3, "tau": 0.3}
+        L = per_trial_L("flat-hard", params,
+                        mod.rng_for(1703, lab._STREAM_SECOND_MOMENT))
+        assert L ** 2 != L * L
+        assert lab.empirical_second_moment("flat-hard", params, 1, 1703)[0] == L ** 2
+
+    @pytest.mark.parametrize("model,params", [
+        ("flat-hard", {"N": 8, "K": 3, "tau": 1.5}),
+        ("flat-hard", {"N": 8, "K": 3, "tau": 0.0}),
+        ("flat-hard", {"N": 8, "K": 3, "tau": math.nan}),
+        ("flat-hard", {"N": 8, "K": 9, "tau": 0.3}),
+        ("flat-hard", {"N": 8, "K": 0, "tau": 0.3}),
+        ("flat-vm", {"N": 8, "K": 0, "kappa": 1.0}),
+        ("flat-vm", {"N": 8, "K": -1, "kappa": 1.0}),
+        ("flat-vm", {"N": 8, "K": 3, "kappa": -1.0}),
+        ("comm-hard", {"n": 8, "k": 1, "tau": 0.3}),
+        ("comm-hard", {"n": 8, "k": 9, "tau": 0.3}),
+        ("comm-hard", {"n": 8, "k": 3, "tau": 2.0}),
+        ("comm-vm", {"n": 8, "k": 1, "kappa": 0.5}),
+        ("comm-vm", {"n": 8, "k": 3, "kappa": -0.5}),
+    ])
+    def test_errors_match_exact(self, monkeypatch, model, params):
+        """The exact second moment's error, raised before any draw."""
+        exact = getattr(th, "second_moment_exact_" + model.replace("-", "_"))
+        with pytest.raises(CirclabError) as want:
+            exact(*params.values())
+        monkeypatch.setattr(mod, "rng_for", None)
+        with pytest.raises(CirclabError) as got:
+            lab.empirical_second_moment(model, params, 10, 0)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("model,params,message", [
+        ("bogus", {}, "unknown model 'bogus'"),
+        ("flat-hard", {"N": 8, "K": 3}, "flat-hard needs tau"),
+        ("flat-vm", {"N": 8, "K": 3, "tau": 0.3}, "flat-vm needs kappa"),
+        ("comm-vm", {"N": 8, "K": 3, "kappa": 0.5}, "comm-vm needs n, k"),
+        ("comm-hard", {}, "comm-hard needs n, k, tau"),
+    ])
+    def test_unknown_model_or_missing_key(self, model, params, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            lab.empirical_second_moment(model, params, 10, 0)
+
+
+def per_trial_L(model, params, rng):
+    """L of one null draw from ``rng``, one trial at a time: the oracle."""
+    flat = model.startswith("flat")
+    size = params["N"] if flat else params["n"] * (params["n"] - 1) // 2
+    if model == "flat-hard":
+        # The window count is piecewise constant between the 2N events.
+        K, tau = params["K"], params["tau"]
+        x = rng.random(size) * mod.TWO_PI
+        starts = mod.canonical_angle(x - mod.TWO_PI * tau)
+        events = np.concatenate([starts, x])
+        deltas = np.concatenate([np.ones(size), -np.ones(size)])
+        order = np.argsort(events, kind="stable")
+        count = int(np.count_nonzero(starts > x))
+        total, prev = 0.0, 0.0
+        for ev, dl in zip(events[order], deltas[order]):
+            total += math.comb(count, K) * (ev - prev)
+            count += int(dl)
+            prev = ev
+        total += math.comb(count, K) * (mod.TWO_PI - prev)
+        return total / (mod.TWO_PI * math.comb(size, K) * tau ** K)
+    if model == "comm-hard":
+        tau = params["tau"]
+        table = det.subset_edge_table(params["n"], params["k"])
+        vals = np.sort((rng.random(size) * mod.TWO_PI)[table], axis=1)
+        gaps = np.concatenate([np.diff(vals, axis=1),
+                               (vals[:, :1] + mod.TWO_PI) - vals[:, -1:]], axis=1)
+        excess = np.clip(gaps - (mod.TWO_PI - mod.TWO_PI * tau), 0.0, None)
+        return (excess.sum(axis=1) / mod.TWO_PI).mean() * tau ** (-table.shape[1])
+    kappa = params["kappa"]
+    table = (det.revolving_door_subsets(params["N"], params["K"]) if flat
+             else det.subset_edge_table(params["n"], params["k"]))
+    r = np.abs(np.exp(1j * rng.random(size) * mod.TWO_PI)[table].sum(axis=1))
+    return np.exp(sf._log_i0(kappa * r)
+                  - table.shape[1] * sf.log_bessel_i0(kappa)).mean()
 
 
 class TestPhaseDiagram:
