@@ -34,9 +34,9 @@ Conventions shared by every statistic:
   ``variance_rejects`` return their test's ``rejected`` without the
   statistic or its witness; the subset decisions prune the same way against
   the threshold (the variance bar is sigma2). ``coherence_rejects_chunk``
-  decides a chunk of trials: a greedy witness whose exact value reaches the
-  threshold certifies a rejection, and the other trials run the pruned
-  search.
+  decides a chunk of trials: one greedy peeled witness per trial whose exact
+  value reaches the threshold certifies a rejection, and the other trials
+  run the pruned search.
 
 All functions are pure; independent calls may run concurrently.
 """
@@ -93,9 +93,7 @@ _CHUNK_ROWS = 16_384
 # The variance statistic prunes from C(n,k) >= this on. Full scan -> pruned,
 # per call on 2 vCPUs: 0.24 -> 0.46 ms at C(10,6) = 210, 0.47 -> 0.47 at 792.
 _PRUNE_FLOOR = 500
-# Greedy coherence witnesses: starting vertices per sample, and edge angles
-# per block of a chunk (1 MiB of phasors).
-_WITNESS_SEEDS = 4
+# Edge angles per block of a coherence chunk's witnesses (1 MiB of phasors).
 _WITNESS_ANGLES = 1 << 16
 # Pool threads that start one scan together would each build the same prefix
 # levels before the cache holds them.
@@ -772,23 +770,15 @@ def _prefix_rejects(z: np.ndarray, n: int, k: int, beta: float, levels: tuple,
 
 
 @lru_cache(maxsize=8)
-def _witness_index(n: int) -> tuple:
-    """(pos, lower, lower_starts) for the greedy witnesses of n vertices.
-
-    ``pos[i, j]`` is the position of edge {i, j}, and ``pos[i, i]`` is
-    C(n,2), the zero that pads a phasor row. ``lower`` lists the positions of
-    the edges {j, i}, j < i, by i then j; vertex i's group starts at
-    ``lower_starts[i - 1]``.
-    """
+def _witness_index(n: int) -> np.ndarray:
+    """``pos[i, j]``, the position of edge {i, j} among n vertices; ``pos[i,
+    i]`` is C(n,2), the zero that pads a phasor row."""
     m = n * (n - 1) // 2
     pos = np.full((n, n), m, dtype=np.int32)
     a, b = np.triu_indices(n, 1)
     pos[a, b] = pos[b, a] = np.arange(m, dtype=np.int32)
-    lower = pos.T[np.tril_indices(n, -1)]
-    lower_starts = np.arange(1, n) * np.arange(n - 1) // 2
-    for array in (pos, lower, lower_starts):
-        array.flags.writeable = False
-    return pos, lower, lower_starts
+    pos.flags.writeable = False
+    return pos
 
 
 def _phasor_block(samples: list) -> np.ndarray:
@@ -803,49 +793,37 @@ def _phasor_block(samples: list) -> np.ndarray:
 
 
 def _greedy_witnesses(z: np.ndarray, n: int, k: int) -> tuple:
-    """Greedy k-subsets of each row of a ``_phasor_block``, and their moduli
-    as ``_table_coherence`` sums them.
+    """One peeled k-subset of each row of a ``_phasor_block``, and its
+    modulus as ``_table_coherence`` sums it.
 
-    Each row starts one witness from each of its _WITNESS_SEEDS vertices of
-    largest |sum_j z_ij| (ties by index), then adds, k - 1 times, the vertex
-    that maximises the modulus of the witness's sum (Asahiro et al.,
-    "Greedily finding a dense subgraph", J. Algorithms 2000). A witness's
-    gains to every vertex are a row of z gathered through ``pos``, so the
-    memory is O(trials (C(n,2) + seeds n)). Returns the sorted subsets
-    (trials, seeds, k) and their moduli (trials, seeds).
+    A row starts from all n vertices, with S its phasor sum and g_v the sum
+    of vertex v's edges. n - k times it drops the live vertex with the
+    largest |S - g_v|, the modulus its removal leaves (ties to the lowest
+    index), and takes that vertex's edges out of S and of every g_v
+    (Asahiro et al., "Greedily finding a dense subgraph", J. Algorithms
+    2000; Charikar, APPROX 2000). The peel weighs every vertex's sum from
+    its first step; an add-greedy's first step is a tie, since every edge to
+    its start has modulus 1. The edges of all vertices are gathered through
+    ``pos`` once, about twice the block's phasors. Returns the sorted
+    subsets (trials, k) and their moduli (trials,).
     """
     trials, m = z.shape[0], z.shape[1] - 1
-    pos, lower, lower_starts = _witness_index(n)
-    vertex = np.zeros((trials, n), dtype=complex)
-    # Vertex i's edges {i, j}, j > i, lie from position pos[i, i+1] on.
-    upper_starts = pos[np.arange(n - 1), np.arange(1, n)]
-    vertex[:, :-1] = np.add.reduceat(z[:, :m], upper_starts, axis=1)
-    vertex[:, 1:] += np.add.reduceat(z.take(lower, axis=1), lower_starts, axis=1)
-    seeds = np.argsort(-np.abs(vertex), axis=1, kind="stable")[:, :_WITNESS_SEEDS]
-    # One row r per witness; flat indices address z, ``taken`` and ``gain``.
-    rows = seeds.size
-    z_row = np.repeat(np.arange(0, z.size, m + 1), seeds.shape[1])[:, None]
-    row_n = np.arange(0, rows * n, n)
-    flat = z.ravel()
-    members = np.empty((rows, k), dtype=np.int32)
-    members[:, 0] = seeds.ravel()
-    taken = np.zeros(rows * n, dtype=bool)
-    taken[row_n + members[:, 0]] = True
-    total = np.zeros(rows, dtype=complex)
-    gain = flat.take(z_row + pos[members[:, 0]])  # gain[r, c]: r's edges to c
-    for step in range(1, k):
-        moduli = np.abs(gain + total[:, None])
-        moduli.ravel()[taken] = -1.0
+    pos = _witness_index(n)
+    flat, rows = z.ravel(), np.arange(trials)
+    z_row = rows[:, None] * (m + 1)  # flat indices address z row by row
+    vertex = z.take(pos, axis=1).sum(axis=2)  # vertex[t, v]: g_v of row t
+    total = z.sum(axis=1)
+    dropped = np.zeros((trials, n))  # -inf at each dropped vertex
+    for _ in range(n - k):
+        moduli = np.abs(total[:, None] - vertex)
+        moduli += dropped
         best = moduli.argmax(axis=1)
-        members[:, step] = best
-        taken[row_n + best] = True
-        total += gain.ravel().take(row_n + best)
-        if step < k - 1:
-            gain += flat.take(z_row + pos[best])
-    members.sort(axis=1)
-    members = members.reshape(*seeds.shape, k)
-    edges = subset_edges(n, members) + z_row.reshape(trials, -1, 1)
-    return members, np.abs(np.cumsum(flat.take(edges), axis=2)[..., -1])
+        dropped[rows, best] = -np.inf
+        total -= vertex[rows, best]
+        vertex -= flat.take(z_row + pos[best])
+    members = np.nonzero(dropped == 0.0)[1].reshape(trials, k)
+    edges = subset_edges(n, members) + z_row
+    return members, np.abs(np.cumsum(flat.take(edges), axis=1)[:, -1])
 
 
 def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
@@ -856,12 +834,12 @@ def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
     ``coherence_test`` checks them, before any other work; the prefix tree
     is built only when a witness leaves a sample open. Blocks of at most
     _WITNESS_ANGLES edge angles (at least one sample) are drawn from the
-    iterable, and ``_greedy_witnesses`` runs once per block. A sample rejects
-    when one of its witnesses has modulus >= beta: that modulus is the
-    witness's ``_table_coherence`` value, bit for bit, and the statistic is
-    the largest such value over all k-subsets, so the test rejects too. Every
-    other sample is decided by the search of ``coherence_rejects``, so no
-    decision rests on the greedy search alone.
+    iterable, and ``_greedy_witnesses`` peels one witness per sample of a
+    block. A sample rejects when its witness has modulus >= beta: that
+    modulus is the witness's ``_table_coherence`` value, bit for bit, and the
+    statistic is the largest such value over all k-subsets, so the test
+    rejects too. Every other sample is decided by the search of
+    ``coherence_rejects``, so no decision rests on the greedy peel alone.
     """
     samples = iter(samples)
     first = next(samples, None)
@@ -875,8 +853,7 @@ def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
         if any(s.n != n for s in block):
             raise ParameterError(f"a chunk's samples must share n = {n}")
         z = _phasor_block(block)
-        _, values = _greedy_witnesses(z, n, k)
-        certified = (values >= beta).any(axis=1).tolist()
+        certified = (_greedy_witnesses(z, n, k)[1] >= beta).tolist()
         decisions += [hit or _prefix_rejects(row[:-1], n, k, beta, *_tree(n, k))
                       for row, hit in zip(z, certified)]
     return np.array(decisions, dtype=bool)

@@ -143,11 +143,13 @@ class ExperimentConfig:
         Deferred from construction so sweep base configs may leave swept
         parameters unset.
         """
-        if self.is_flat:
-            if self.N is None or self.K is None:
-                raise ConfigError(f"model {self.model} needs N and K")
-        elif self.n is None or self.k is None:
-            raise ConfigError(f"model {self.model} needs n and k")
+        sizes = ({"N": self.N, "K": self.K} if self.is_flat
+                 else {"n": self.n, "k": self.k})
+        if None in sizes.values():
+            raise ConfigError(f"model {self.model} needs {' and '.join(sizes)}")
+        for name, value in sizes.items():
+            if not float(value).is_integer():
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.model.endswith("hard") and self.tau is None:
             raise ConfigError(f"model {self.model} needs tau")
         if self.model.endswith("vm") and self.kappa is None:
@@ -760,8 +762,8 @@ def empirical_second_moment(model: str, params: dict, trials: int,
         ("tau",) if model.endswith("hard") else ("kappa",))
     if missing := [key for key in keys if key not in params]:
         raise ParameterError(f"{model} needs {', '.join(missing)}")
-    size, k, x = int(params[keys[0]]), int(params[keys[1]]), float(params[keys[2]])
-    th.check_second_moment(model, size, k, x)
+    x = float(params[keys[2]])
+    size, k = th.check_second_moment(model, params[keys[0]], params[keys[1]], x)
     if math.comb(size, k) > DEFAULT_ENUMERATION_BUDGET:
         raise CapabilityError(f"exact enumeration needs {math.comb(size, k)} "
                               f"subsets, budget {DEFAULT_ENUMERATION_BUDGET}")

@@ -354,6 +354,14 @@ def _signal_draws(signal: SignalKind, theta: float, rng: np.random.Generator,
     raise DomainError(f"unknown signal kind: {signal!r}")
 
 
+def _whole(value, what: str) -> int:
+    """``int(value)`` of an integral value (10, 10.0, a numpy int); any
+    other value is a ParameterError, never truncated."""
+    if not float(value).is_integer():
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def gen_flat(N: int, K: int, signal: SignalKind, under_h1: bool,
              rng: np.random.Generator) -> FlatSample:
     """Generate one flat sample of N angles.
@@ -362,7 +370,7 @@ def gen_flat(N: int, K: int, signal: SignalKind, under_h1: bool,
     H1 a uniform size-K subset is planted at a uniform phase with the given
     signal distribution; remaining angles stay uniform.
     """
-    N, K = int(N), int(K)
+    N, K = _whole(N, "N"), _whole(K, "K")
     if N < 1 or K < 1 or K > N:
         raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
     if not under_h1:
@@ -381,7 +389,7 @@ def gen_community(n: int, k: int, signal: SignalKind, under_h1: bool,
     Under H1 the C(k,2) intra-community edges carry the signal distribution
     anchored at a uniform phase; all other edges stay uniform.
     """
-    n, k = int(n), int(k)
+    n, k = _whole(n, "n"), _whole(k, "k")
     if n < 2 or k < 2 or k > n:
         raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
     m = n * (n - 1) // 2

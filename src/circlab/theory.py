@@ -30,6 +30,7 @@ import numpy as np
 
 from .detectors import default_c_schedule, rayleigh_threshold, resolve_flat_threshold
 from .errors import DomainError, ParameterError
+from .models import _whole
 from .specfun import (TWO_PI, _quad_checked, arc_prob, bessel_i0_scaled,
                       log_bessel_i0, log_ratio_R, mean_resultant, ratio_R)
 
@@ -414,10 +415,12 @@ def _logsumexp(terms) -> float:
     return float(hi + math.log(np.exp(arr - hi).sum()))
 
 
-def check_second_moment(model: str, size: int, k: int, x: float) -> None:
+def check_second_moment(model: str, size: int, k: int, x: float) -> tuple:
     """Raise what ``second_moment_exact_<model>(size, k, x)`` raises for its
-    arguments; x is tau (hard-cluster models) or kappa (von Mises)."""
+    arguments, else return (size, k) as ints; x is tau (hard-cluster models)
+    or kappa (von Mises). A size that is not integral is a ParameterError."""
     low, big, small = (1, "N", "K") if model.startswith("flat") else (2, "n", "k")
+    size, k = _whole(size, big), _whole(k, small)
     if not (low <= k <= size):
         raise ParameterError(
             f"need {low} <= {small} <= {big}, got {big}={size}, {small}={k}")
@@ -425,6 +428,7 @@ def check_second_moment(model: str, size: int, k: int, x: float) -> None:
         raise DomainError(f"tau must be in (0, 1], got {x!r}")
     if model.endswith("vm") and x < 0.0:
         raise DomainError(f"kappa must be >= 0, got {x!r}")
+    return size, k
 
 
 def second_moment_exact_flat_hard(N: int, K: int, tau: float) -> float:
@@ -433,7 +437,7 @@ def second_moment_exact_flat_hard(N: int, K: int, tau: float) -> float:
     E_Q[L^2] = sum_j P(J=j) tau^{-2j} E[delta^j] with J ~ hypergeom(N, K, K);
     evaluated in log space, always >= 1.
     """
-    check_second_moment("flat-hard", N, K, tau)
+    N, K = check_second_moment("flat-hard", N, K, tau)
     if tau == 1.0:
         return 1.0  # planted arc is the whole circle; L is identically 1
     law = OverlapLaw(N, K)
@@ -447,7 +451,7 @@ def second_moment_exact_comm_hard(n: int, k: int, tau: float) -> float:
 
     Same overlap expansion with J = C(S,2) pair overlaps, S ~ hypergeom(n,k,k).
     """
-    check_second_moment("comm-hard", n, k, tau)
+    n, k = check_second_moment("comm-hard", n, k, tau)
     if tau == 1.0:
         return 1.0
     law = OverlapLaw(n, k)
@@ -492,7 +496,7 @@ def second_moment_exact_comm_vm(n: int, k: int, kappa: float) -> float:
     with the integral factored around its peak so arbitrarily large
     C(k,2) log R(kappa) stays in range (result may be +inf).
     """
-    check_second_moment("comm-vm", n, k, kappa)
+    n, k = check_second_moment("comm-vm", n, k, kappa)
     if kappa == 0.0:
         return 1.0
     law = OverlapLaw(n, k)
@@ -502,7 +506,7 @@ def second_moment_exact_comm_vm(n: int, k: int, kappa: float) -> float:
 
 def second_moment_exact_flat_vm(N: int, K: int, kappa: float) -> float:
     """Exact E_Q[L^2] for the von Mises flat model (overlap in index counts)."""
-    check_second_moment("flat-vm", N, K, kappa)
+    N, K = check_second_moment("flat-vm", N, K, kappa)
     if kappa == 0.0:
         return 1.0
     law = OverlapLaw(N, K)

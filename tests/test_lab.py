@@ -75,6 +75,23 @@ class TestEstimateErrors:
         with pytest.raises(ConfigError):
             lab.estimate_errors(cfg)
 
+    @pytest.mark.parametrize("model,sizes,bad", [
+        ("flat-hard", {"N": 200.5, "K": 5}, "N=200.5"),
+        ("flat-hard", {"N": 200, "K": 5.5}, "K=5.5"),
+        ("comm-hard", {"n": 16, "k": 5.5}, "k=5.5")])
+    def test_non_integer_size_usage_error(self, model, sizes, bad):
+        name, value = bad.split("=")
+        cfg = ExperimentConfig(model=model, tau=0.001, trials=5, **sizes)
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be an integer, got {value}$"):
+            lab.estimate_errors(cfg)
+
+    def test_integral_sizes_accepted(self):
+        points = [lab.estimate_errors(ExperimentConfig(
+            model="flat-hard", N=N, K=K, tau=0.02, trials=20, seed=3))
+            for N, K in ((200, 5), (200.0, 5.0), (np.int64(200), np.int32(5)))]
+        assert len({(p.pfa_hat, p.pmiss_hat, p.bound_pfa) for p in points}) == 1
+
 
 def _count_calls(monkeypatch, fn) -> list:
     """Count the calls of ``fn`` through every circlab module that binds it."""
@@ -404,6 +421,10 @@ class TestEmpiricalSecondMoment:
         ("comm-hard", {"n": 8, "k": 3, "tau": 2.0}),
         ("comm-vm", {"n": 8, "k": 1, "kappa": 0.5}),
         ("comm-vm", {"n": 8, "k": 3, "kappa": -0.5}),
+        ("flat-hard", {"N": 8.7, "K": 3, "tau": 0.3}),
+        ("flat-vm", {"N": 8, "K": 2.5, "kappa": 1.0}),
+        ("comm-hard", {"n": 9.5, "k": 3.5, "tau": 0.3}),
+        ("comm-vm", {"n": 9, "k": 3.2, "kappa": 0.5}),
     ])
     def test_errors_match_exact(self, monkeypatch, model, params):
         """The exact second moment's error, raised before any draw."""

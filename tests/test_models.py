@@ -165,6 +165,22 @@ class TestGenFlat:
         with pytest.raises(ParameterError):
             mod.gen_flat(5, 6, mod.HardCluster(0.1), True, mod.rng_for(0, 0))
 
+    @pytest.mark.parametrize("N,K,bad", [(200.5, 5, "N=200.5"),
+                                         (200, 5.5, "K=5.5"),
+                                         (200, math.nan, "K=nan")])
+    def test_non_integer_size_rejected(self, N, K, bad):
+        name, value = bad.split("=")
+        with pytest.raises(ParameterError,
+                           match=f"^{name} must be an integer, got {value}$"):
+            mod.gen_flat(N, K, mod.HardCluster(0.1), True, mod.rng_for(0, 0))
+
+    def test_integral_sizes_accepted(self):
+        want = mod.gen_flat(30, 4, mod.VonMises(2.0), True, mod.rng_for(3, 9))
+        for N, K in ((30.0, 4.0), (np.int64(30), np.int32(4))):
+            got = mod.gen_flat(N, K, mod.VonMises(2.0), True, mod.rng_for(3, 9))
+            assert np.array_equal(got.angles, want.angles)
+            assert got.truth == want.truth
+
     def test_determinism(self):
         a = mod.gen_flat(30, 4, mod.VonMises(2.0), True, mod.rng_for(3, 9))
         b = mod.gen_flat(30, 4, mod.VonMises(2.0), True, mod.rng_for(3, 9))
@@ -321,6 +337,20 @@ class TestGenCommunity:
     def test_param_error(self):
         with pytest.raises(ParameterError):
             mod.gen_community(4, 5, mod.VonMises(1.0), True, mod.rng_for(0, 0))
+
+    @pytest.mark.parametrize("n,k,bad", [(9.5, 3, "n=9.5"), (9, 3.5, "k=3.5")])
+    def test_non_integer_size_rejected(self, n, k, bad):
+        name, value = bad.split("=")
+        with pytest.raises(ParameterError,
+                           match=f"^{name} must be an integer, got {value}$"):
+            mod.gen_community(n, k, mod.VonMises(1.0), True, mod.rng_for(0, 0))
+
+    def test_integral_sizes_accepted(self):
+        want = mod.gen_community(9, 3, mod.VonMises(2.0), True, mod.rng_for(3, 9))
+        got = mod.gen_community(9.0, np.int64(3), mod.VonMises(2.0), True,
+                                mod.rng_for(3, 9))
+        assert np.array_equal(got.edge_angles, want.edge_angles)
+        assert got.n == 9 and got.truth == want.truth
 
 
 class TestEdgeIndexing:

@@ -273,6 +273,26 @@ class TestSecondMoments:
                 f = th.impossibility_functionals("comm-hard", n=n, k=k, tau=tau)
                 assert exact - 1 <= math.expm1(f["var_upper"].value) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("fn,args,bad", [
+        (th.second_moment_exact_flat_hard, (8.7, 3, 0.3), "N=8.7"),
+        (th.second_moment_exact_flat_vm, (9, 2.5, 0.3), "K=2.5"),
+        (th.second_moment_exact_comm_hard, (9.5, 3.5, 0.3), "n=9.5"),
+        (th.second_moment_exact_comm_vm, (9, math.inf, 0.3), "k=inf"),
+    ], ids=["flat-hard", "flat-vm", "comm-hard", "comm-vm"])
+    def test_non_integer_size_rejected(self, fn, args, bad):
+        name, value = bad.split("=")
+        with pytest.raises(ParameterError,
+                           match=f"^{name} must be an integer, got {value}$"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn", [
+        th.second_moment_exact_flat_hard, th.second_moment_exact_flat_vm,
+        th.second_moment_exact_comm_hard, th.second_moment_exact_comm_vm],
+        ids=["flat-hard", "flat-vm", "comm-hard", "comm-vm"])
+    def test_integral_sizes_accepted(self, fn):
+        want = fn(9, 3, 0.3)
+        assert fn(9.0, 3.0, 0.3) == fn(np.int64(9), np.int32(3), 0.3) == want
+
     def test_overflow_tagged_infinite(self):
         assert math.isinf(th.second_moment_exact_comm_vm(40, 30, 50.0))
 
