@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 suite/assertion failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -93,8 +94,32 @@ def _model_config(args, **fields) -> lab.ExperimentConfig:
     return config
 
 
+def _check_threads(threads: Optional[int]) -> None:
+    """Check a ``threads`` key or flag. Config files still carry it, but
+    every cell runs its trials in the calling thread, so it is ignored."""
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+
+
+def _check_writable(*paths: str) -> None:
+    """Reject output paths that cannot be written, before any work runs."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            reason = "no such directory"
+        elif os.path.isdir(path):
+            reason = "it is a directory"
+        elif not os.access(path if os.path.exists(path) else folder,
+                           os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        raise ConfigError(f"cannot write {path!r}: {reason}")
+
+
 def _cmd_gen(args) -> int:
     config = _model_config(args)
+    _check_writable(args.out)
     sample = lab._gen_sample(config, args.h1, mod.rng_for(args.seed, 7))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         mod.write_dataset(fh, sample, signal=config.signal, seed=args.seed,
@@ -119,7 +144,7 @@ def _cmd_detect(args) -> int:
     try:
         with open(args.data, "r", encoding="utf-8") as fh:
             sample, meta = mod.read_dataset(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dataset {args.data!r}: {exc}") from exc
     flat = isinstance(sample, mod.FlatSample)
     header = meta.get("K" if flat else "k")
@@ -180,6 +205,7 @@ def _load_sweep_config(args):
     data = lab.parse_config_file(args.config)
     axes = data.pop("sweep_axes", [])
     threads = data.pop("threads", None)
+    _check_threads(threads if args.threads is None else args.threads)
     svg = data.pop("svg", False)
     tun_kwargs = {k: data.pop(k) for k in ("eps", "eps_n", "slack")
                   if k in data}
@@ -187,40 +213,37 @@ def _load_sweep_config(args):
     config = lab.config_from_dict(data)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.threads is not None:
-        threads = args.threads
-    if threads is None:
-        threads = lab.usable_cpus()
     out = args.out or data.get("out")
-    return config, axes, threads, out, svg, tunables
+    return config, axes, out, svg, tunables
 
 
 def _cmd_sweep(args) -> int:
-    config, axes, threads, out, _, tunables = _load_sweep_config(args)
+    config, axes, out, _, tunables = _load_sweep_config(args)
     if out is None:
         raise ConfigError("sweep needs --out or an out= config key")
-    points = lab.sweep(axes, config, threads=threads, out=out,
-                       tunables=tunables)
+    _check_writable(out)
+    points = lab.sweep(axes, config, out=out, tunables=tunables)
     failed = sum(1 for p in points if p.failed is not None)
     print(f"wrote {out}: {len(points)} cells, {failed} failed")
     return 0
 
 
 def _cmd_phase_diagram(args) -> int:
-    config, axes, threads, out, svg_cfg, tunables = _load_sweep_config(args)
+    config, axes, out, svg_cfg, tunables = _load_sweep_config(args)
     if out is None:
         raise ConfigError("phase-diagram needs --out or an out= config key")
     svg = bool(getattr(args, "svg", False) or svg_cfg)
-    lab.phase_diagram(axes, config, out, threads=threads, svg=svg,
-                      tunables=tunables)
+    _check_writable(out + ".csv", out + "_boundary.csv",
+                    *([out + ".svg"] if svg else []))
+    lab.phase_diagram(axes, config, out, svg=svg, tunables=tunables)
     print(f"wrote {out}.csv and {out}_boundary.csv"
           + (f" and {out}.svg" if svg else ""))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads if args.threads is not None else lab.usable_cpus()
-    reports = lab.verify(args.suite, seed=args.seed, threads=threads)
+    _check_threads(args.threads)
+    reports = lab.verify(args.suite, seed=args.seed)
     ok = True
     for rep in reports:
         for line in rep.lines():

@@ -95,8 +95,8 @@ _CHUNK_ROWS = 16_384
 _PRUNE_FLOOR = 500
 # Edge angles per block of a coherence chunk's witnesses (1 MiB of phasors).
 _WITNESS_ANGLES = 1 << 16
-# Pool threads that start one scan together would each build the same prefix
-# levels before the cache holds them.
+# Callers' threads that start one scan together would each build the same
+# prefix levels before the cache holds them.
 _TABLE_LOCK = threading.Lock()
 
 

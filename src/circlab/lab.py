@@ -13,14 +13,12 @@ call time so that a tracer that rebinds it sees every call. One
 
 Determinism contract: every trial draws from a generator seeded by a 64-bit
 mix of (master seed, cell index, hypothesis, trial index); results reduce
-through integer counters, so outputs are identical for any worker count.
+through integer counters, and a cell runs its trials in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +36,6 @@ __all__ = [
     "PhasePoint",
     "wilson_interval",
     "estimate_errors",
-    "usable_cpus",
     "sweep",
     "empirical_second_moment",
     "phase_diagram",
@@ -53,17 +50,6 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 64
-# A cell's chunks go to the thread pool only when each trial's numpy calls
-# are large enough to run with the GIL released; smaller calls hold it, and
-# threads contend instead of overlapping (README, "threads"). The bounds are
-# measured on 2 vCPUs: angles drawn per trial (N, or C(n,2) edges; the
-# rayleigh test's complex exponential of every edge overlaps from fewer, and
-# a known-theta trial, one window count, only from more), and subset-edge
-# operations C(n,k)*C(k,2) of an exact coherence or variance scan, the unit
-# of det.DEFAULT_SUBSET_BUDGET.
-_POOL_MIN_ANGLES = {"rayleigh": 1 << 12, "known-theta": 1 << 15}
-_POOL_MIN_ANGLES_DEFAULT = 1 << 14
-_POOL_MIN_SCAN = 2_000_000
 # Subset resultants per chunk of likelihood-ratio draws: 256 KiB of float64
 # stays in cache; larger chunks were slower at C(60,3) subsets.
 _LR_CHUNK_ELEMS = 1 << 15
@@ -134,8 +120,10 @@ class ExperimentConfig:
         if self.model not in th.MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         _check_detector(self.detector, self.is_flat)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not float(self.trials).is_integer() or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, "
+                              f"got {self.trials!r}")
+        object.__setattr__(self, "trials", int(self.trials))
 
     def validate_complete(self) -> None:
         """Check that every parameter the model needs is present.
@@ -390,85 +378,33 @@ def _run_chunk(config: ExperimentConfig, runner, cell_index: int, hyp: int,
         for trial in range(start, start + count))
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may use: its affinity set, else os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _pool_workers(c: ExperimentConfig, threads: Optional[int],
-                  chunks: int) -> int:
-    """Workers for a cell's chunks; 1 runs them in the calling thread.
-
-    Reads only the cell's parameters, never a clock, and never raises: a
-    cell it cannot size runs serially and fails, if it must, in its trials.
-    """
-    size, k = (c.N, c.K) if c.is_flat else (c.n, c.k)
-    if (threads is None or threads < 2 or not isinstance(size, int)
-            or not isinstance(k, int) or not 0 <= k <= size):
-        return 1
-    angles = size if c.is_flat else math.comb(size, 2)
-    scan = (math.comb(size, k) * math.comb(k, 2)
-            if c.detector in ("coherence", "variance") else 0)
-    min_angles = _POOL_MIN_ANGLES.get(c.detector, _POOL_MIN_ANGLES_DEFAULT)
-    if angles < min_angles and scan < _POOL_MIN_SCAN:
-        return 1
-    return min(threads, chunks, usable_cpus())
-
-
-def _check_threads(threads: Optional[int]) -> None:
-    if threads is not None and threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-
-
 def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
-                    threads: Optional[int] = None,
                     tunables: Optional[th.RegimeTunables] = None) -> PhasePoint:
     """Estimate (pfa, pmiss) of the configured detector by seeded Monte Carlo.
 
     Runs ``trials`` datasets under each hypothesis, in chunks of
-    ``_TRIAL_CHUNK``. Each trial draws its sample from a generator derived
-    from (seed, cell, hypothesis, trial), and a chunk's samples go to one
-    chunk runner: the detector's chunk decision (coherence: one greedy
-    witness search over the chunk, the exact search for the trials it
-    leaves open), else its per-trial decision on each sample as it is
-    drawn. ``threads`` caps the workers of a cell whose trials draw at
-    least ``_POOL_MIN_ANGLES`` angles (per detector, else
-    ``_POOL_MIN_ANGLES_DEFAULT``) or run an exact coherence or variance
-    scan of at least ``_POOL_MIN_SCAN`` subset-edge operations; those
-    chunks run on min(threads, chunks, usable CPUs) threads. Other cells
-    hold the GIL in small numpy calls and run their chunks in the calling
-    thread at any ``threads``. Identical (config, seed) give identical
-    results for any thread count: every decision is exact, and counts
-    reduce by sums.
+    ``_TRIAL_CHUNK``, in the calling thread. Each trial draws its sample
+    from a generator derived from (seed, cell, hypothesis, trial), and a
+    chunk's samples go to one chunk runner: the detector's chunk decision
+    (coherence: one greedy witness search over the chunk, the exact search
+    for the trials it leaves open), else its per-trial decision on each
+    sample as it is drawn. Every decision is exact and counts reduce by
+    sums, so identical (config, seed) give identical results.
     Capability, domain, numeric and parameter errors mark the point failed
     instead of raising; the same errors, or an overflow, while annotating
-    the verdict and bounds are kept in ``annotation_error``. A ConfigError,
-    such as ``threads`` below 1, still raises.
+    the verdict and bounds are kept in ``annotation_error``. A ConfigError
+    still raises.
     """
-    _check_threads(threads)
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
     try:
         runner = _make_chunk_runner(config)
-        chunks = [(hyp, start, min(_TRIAL_CHUNK, config.trials - start))
-                  for hyp in (0, 1)
-                  for start in range(0, config.trials, _TRIAL_CHUNK)]
         results: dict = {0: 0, 1: 0}
-        workers = _pool_workers(config, threads, len(chunks))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [(hyp, pool.submit(_run_chunk, config, runner,
-                                             cell_index, hyp, start, count))
-                           for hyp, start, count in chunks]
-            for hyp, fut in futures:
-                results[hyp] += fut.result()
-        else:
-            for hyp, start, count in chunks:
-                results[hyp] += _run_chunk(config, runner, cell_index, hyp,
-                                           start, count)
+        for hyp in (0, 1):
+            for start in range(0, config.trials, _TRIAL_CHUNK):
+                results[hyp] += _run_chunk(
+                    config, runner, cell_index, hyp, start,
+                    min(_TRIAL_CHUNK, config.trials - start))
         trials = config.trials
         point.pfa_hat = results[0] / trials
         point.pmiss_hat = (trials - results[1]) / trials
@@ -553,7 +489,7 @@ def _grid_cells(grid: Sequence[tuple]) -> list:
 
 
 def sweep(grid: Sequence[tuple], base: ExperimentConfig,
-          threads: Optional[int] = None, out: Optional[str] = None,
+          out: Optional[str] = None,
           tunables: Optional[th.RegimeTunables] = None) -> list:
     """Evaluate estimate_errors on every grid cell in deterministic order.
 
@@ -568,7 +504,7 @@ def sweep(grid: Sequence[tuple], base: ExperimentConfig,
         cast = {name: (int(v) if name in _INT_AXES else float(v))
                 for name, v in overrides.items()}
         config = replace(base, **cast)
-        points.append(estimate_errors(config, cell_index=idx, threads=threads,
+        points.append(estimate_errors(config, cell_index=idx,
                                       tunables=tunables))
     if out:
         write_csv(points, out)
@@ -649,7 +585,7 @@ def _svg_heatmap(points: list, grid: Sequence[tuple], path: str) -> None:
 
 
 def phase_diagram(grid: Sequence[tuple], base: ExperimentConfig, out: str,
-                  threads: Optional[int] = None, svg: bool = False,
+                  svg: bool = False,
                   tunables: Optional[th.RegimeTunables] = None) -> list:
     """Sweep a 2-axis grid and write <out>.csv, <out>_boundary.csv, <out>.svg.
 
@@ -659,8 +595,7 @@ def phase_diagram(grid: Sequence[tuple], base: ExperimentConfig, out: str,
     """
     if len(grid) != 2:
         raise ConfigError("phase_diagram needs exactly 2 axes")
-    points = sweep(grid, base, threads=threads, out=out + ".csv",
-                   tunables=tunables)
+    points = sweep(grid, base, out=out + ".csv", tunables=tunables)
     rows = _boundary_rows(grid, base, tunables)
     with open(out + "_boundary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("condition,x_name,x,y_name,y\n")
@@ -753,7 +688,7 @@ def empirical_second_moment(model: str, params: dict, trials: int,
     tau or kappa, checked as ``th.second_moment_exact_<model>`` checks them.
     Requires C(N,K) (or C(n,k)) <= DEFAULT_ENUMERATION_BUDGET.
     """
-    trials = int(trials)
+    trials = mod._whole(trials, "trials")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if model not in th.MODELS:
@@ -828,35 +763,39 @@ def parse_config_file(path: str) -> dict:
     out: dict = {}
     axes: list = []
     seen: set = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in seen:
-                raise ConfigError(f"{path}:{lineno}: {key} is given twice")
-            seen.add(key)
-            if key.startswith("sweep_"):
-                param = key[len("sweep_"):]
-                if param not in _AXIS_PARAMS:
-                    raise ConfigError(f"{path}:{lineno}: cannot sweep {param!r}")
-                try:
-                    vals = [float(v.strip()) for v in value.split(",")
-                            if v.strip()]
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}:{lineno}: bad value in {key}: {value!r}") from exc
-                if not vals:
-                    raise ConfigError(f"{path}:{lineno}: empty axis")
-                axes.append((param, vals))
-            elif key in _CONFIG_SCHEMA:
-                out[key] = _parse_value(key, value)
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key} is given twice")
+        seen.add(key)
+        if key.startswith("sweep_"):
+            param = key[len("sweep_"):]
+            if param not in _AXIS_PARAMS:
+                raise ConfigError(f"{path}:{lineno}: cannot sweep {param!r}")
+            try:
+                vals = [float(v.strip()) for v in value.split(",")
+                        if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad value in {key}: {value!r}") from exc
+            if not vals:
+                raise ConfigError(f"{path}:{lineno}: empty axis")
+            axes.append((param, vals))
+        elif key in _CONFIG_SCHEMA:
+            out[key] = _parse_value(key, value)
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     gamma_set = "gamma" in out or any(param == "gamma" for param, _ in axes)
     _check_policy(out.get("detector"), out.get("policy"), gamma_set, f"{path}: ")
     if gamma_set:
@@ -1073,8 +1012,8 @@ def _criterion8_cells() -> list:
     ]
 
 
-def verify_bounds(seed: int = DEFAULT_VERIFY_SEED, trials: int = 10_000,
-                  threads: Optional[int] = None) -> VerifyReport:
+def verify_bounds(seed: int = DEFAULT_VERIFY_SEED,
+                  trials: int = 10_000) -> VerifyReport:
     """Zero-miss guarantees and bound validity over the 12-cell desk grid."""
     rep = VerifyReport("bounds")
     zero_miss = [
@@ -1090,7 +1029,7 @@ def verify_bounds(seed: int = DEFAULT_VERIFY_SEED, trials: int = 10_000,
                 misses == 0)
     for idx, cell in enumerate(_criterion8_cells()):
         config = replace(cell, trials=trials, seed=seed)
-        point = estimate_errors(config, cell_index=idx, threads=threads)
+        point = estimate_errors(config, cell_index=idx)
         if point.failed is not None:
             rep.add(f"cell{idx}_{config.model}_{config.detector}",
                     point.failed, False)
@@ -1109,7 +1048,7 @@ def verify_bounds(seed: int = DEFAULT_VERIFY_SEED, trials: int = 10_000,
     return rep
 
 
-def verify_transitions(seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] = None) -> VerifyReport:
+def verify_transitions(seed: int = DEFAULT_VERIFY_SEED) -> VerifyReport:
     """Empirical phase-transition trends for the three headline experiments."""
     rep = VerifyReport("transitions")
     # Flat hard-cluster scan across its threshold scaling.
@@ -1123,7 +1062,7 @@ def verify_transitions(seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] =
         config = ExperimentConfig(model="flat-hard", detector="interval",
                                   N=N, K=K, tau=tau, policy="a2",
                                   trials=2000, seed=seed)
-        pts[name] = estimate_errors(config, cell_index=0, threads=threads)
+        pts[name] = estimate_errors(config, cell_index=0)
     rep.add("flat_hard_easy_total_err", pts["easy"].total_err,
             pts["easy"].total_err <= 0.1)
     rep.add("flat_hard_hard_total_err", pts["hard"].total_err,
@@ -1138,13 +1077,13 @@ def verify_transitions(seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] =
     base = dict(n=16, k=8, trials=500, seed=seed, epsilon=0.5)
     coh_strong = estimate_errors(ExperimentConfig(
         model="comm-vm", detector="coherence", kappa=2.0, **base),
-        cell_index=1, threads=threads)
+        cell_index=1)
     coh_weak = estimate_errors(ExperimentConfig(
         model="comm-vm", detector="coherence", kappa=0.1, **base),
-        cell_index=2, threads=threads)
+        cell_index=2)
     ray_strong = estimate_errors(ExperimentConfig(
         model="comm-vm", detector="rayleigh", kappa=2.0, **base),
-        cell_index=3, threads=threads)
+        cell_index=3)
     rep.add("comm_vm_coherence_strong_total_err", coh_strong.total_err,
             coh_strong.total_err <= 0.1)
     rep.add("comm_vm_coherence_weak_total_err", coh_weak.total_err,
@@ -1159,7 +1098,7 @@ def verify_transitions(seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] =
                              ("hard", tau_b, lambda t: t >= 0.8)):
         config = ExperimentConfig(model="flat-hard", detector="known-theta",
                                   N=N2, K=K2, tau=tau, trials=2000, seed=seed)
-        point = estimate_errors(config, cell_index=4, threads=threads)
+        point = estimate_errors(config, cell_index=4)
         rep.add(f"known_theta_{name}_total_err", point.total_err,
                 check(point.total_err))
     return rep
@@ -1174,7 +1113,7 @@ VERIFY_SUITES = {
 }
 
 
-def verify(suite: str, seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] = None) -> list:
+def verify(suite: str, seed: int = DEFAULT_VERIFY_SEED) -> list:
     """Run one named verification suite (or 'all'); returns VerifyReports."""
     if suite == "all":
         names = list(VERIFY_SUITES)
@@ -1184,12 +1123,4 @@ def verify(suite: str, seed: int = DEFAULT_VERIFY_SEED, threads: Optional[int] =
         raise ConfigError(
             f"unknown suite {suite!r}; choose from "
             f"{', '.join(list(VERIFY_SUITES) + ['all'])}")
-    _check_threads(threads)
-    reports = []
-    for name in names:
-        fn = VERIFY_SUITES[name]
-        if name in ("bounds", "transitions"):
-            reports.append(fn(seed=seed, threads=threads))
-        else:
-            reports.append(fn(seed=seed))
-    return reports
+    return [VERIFY_SUITES[name](seed=seed) for name in names]

@@ -1,5 +1,5 @@
-"""Exact CLI output of bounds, detect, classify, gen, two verify suites and
-two sweeps, pinned byte for byte.
+"""Exact CLI output of bounds, detect, classify, gen, three verify suites
+and two sweeps, pinned byte for byte.
 
 Every case runs ``cli.main`` in process and compares the exit code and the
 whole stdout with the text recorded in ``EXPECTED`` (generated files are
@@ -435,6 +435,18 @@ EXPECTED = {
         "half_circle_ratio_closed_form=holds [ok]\n"
         "suite=overlap passed=true\n"
         "verify=pass\n")),
+    "verify/transitions": (0, (
+        "flat_hard_easy_total_err=0.034000000000000002 [ok]\n"
+        "flat_hard_hard_total_err=1 [ok]\n"
+        "flat_hard_hard_var_exact=0.0035720374577730141 [ok]\n"
+        "flat_hard_hard_consistent_with_impossibility=yes [ok]\n"
+        "comm_vm_coherence_strong_total_err=0.10000000000000001 [ok]\n"
+        "comm_vm_coherence_weak_total_err=1 [ok]\n"
+        "comm_vm_rayleigh_total_err=0.51400000000000001 [ok]\n"
+        "known_theta_easy_total_err=0.037999999999999999 [ok]\n"
+        "known_theta_hard_total_err=1 [ok]\n"
+        "suite=transitions passed=true\n"
+        "verify=pass\n")),
     "sweep/comm_hard_variance": (
         "model,detector,policy,N_or_n,K_or_k,tau,kappa,trials,pfa_hat,"
         "pfa_lo,pfa_hi,pmiss_hat,pmiss_lo,pmiss_hi,total_err,verdict,"
@@ -532,7 +544,7 @@ def test_classify(name, capsys):
         EXPECTED[f"classify/{name}"]
 
 
-@pytest.mark.parametrize("suite", ["specfun", "overlap"])
+@pytest.mark.parametrize("suite", ["specfun", "overlap", "transitions"])
 def test_verify(suite, capsys):
     assert run(capsys, ["verify", suite, "--seed", "1"]) == \
         EXPECTED[f"verify/{suite}"]

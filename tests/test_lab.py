@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,22 +51,22 @@ class TestEstimateErrors:
         se = math.sqrt(max(p.pfa_hat * (1 - p.pfa_hat), 1e-12) / 2000)
         assert p.pfa_hat <= p.bound_pfa + 3 * se
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_capability_marks_failed(self, threads):
-        # an over-budget scan is on the pool side: it fails the same way
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_capability_marks_failed(self, trials):
+        # the budget is per exact scan, so the cell fails at any trial count
         cfg = ExperimentConfig(model="comm-vm", detector="coherence",
-                               n=30, k=15, kappa=1.0, trials=5, seed=6)
-        p = lab.estimate_errors(cfg, threads=threads)
+                               n=30, k=15, kappa=1.0, trials=trials, seed=6)
+        p = lab.estimate_errors(cfg)
         assert p.failed == ("exact subset scan needs 1.63e+10 subset-edge "
                             "operations, budget is 1e+08")
         assert math.isnan(p.pfa_hat)
 
-    def test_threads_do_not_change_counts(self):
-        cfg = ExperimentConfig(model="comm-vm", detector="rayleigh",
-                               n=10, k=4, kappa=2.0, trials=130, seed=7)
-        a = lab.estimate_errors(cfg, threads=1)
-        b = lab.estimate_errors(cfg, threads=7)
-        assert (a.pfa_hat, a.pmiss_hat) == (b.pfa_hat, b.pmiss_hat)
+    @pytest.mark.parametrize("k", [-1, 0, 17])
+    def test_malformed_k_marks_failed(self, k):
+        config = ExperimentConfig(model="comm-vm", detector="coherence", n=16,
+                                  k=k, kappa=1.0, trials=4)
+        assert lab.estimate_errors(config).failed == \
+            f"need 2 <= k <= n, got n=16, k={k}"
 
     def test_incomplete_config_usage_error(self):
         cfg = ExperimentConfig(model="flat-hard", detector="interval",
@@ -91,6 +90,21 @@ class TestEstimateErrors:
             model="flat-hard", N=N, K=K, tau=0.02, trials=20, seed=3))
             for N, K in ((200, 5), (200.0, 5.0), (np.int64(200), np.int32(5)))]
         assert len({(p.pfa_hat, p.pmiss_hat, p.bound_pfa) for p in points}) == 1
+
+    @pytest.mark.parametrize("trials", [10.5, math.nan, math.inf, 0, -2.0])
+    def test_bad_trials_is_config_error(self, trials):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"trials must be an integer >= 1, got {trials!r}")):
+            ExperimentConfig(model="flat-hard", N=200, K=5, tau=0.01,
+                             trials=trials)
+
+    def test_integral_trials_accepted(self):
+        # 70 trials cross a chunk edge; each form gives the int call's row.
+        points = [lab.estimate_errors(ExperimentConfig(
+            model="flat-hard", N=200, K=5, tau=0.02, trials=trials, seed=3))
+            for trials in (70, 70.0, np.int64(70))]
+        assert all(type(p.config.trials) is int for p in points)
+        assert len({tuple(lab._point_row(p)) for p in points}) == 1
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -333,6 +347,18 @@ class TestEmpiricalSecondMoment:
         with pytest.raises(ParameterError, match="trials"):
             lab.empirical_second_moment(
                 "flat-hard", {"N": 8, "K": 3, "tau": 0.3}, trials, 0)
+
+    @pytest.mark.parametrize("trials", [10.7, math.nan, math.inf])
+    def test_non_integral_trials_rejected(self, trials):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"trials must be an integer, got {trials!r}")):
+            lab.empirical_second_moment(
+                "flat-hard", {"N": 8, "K": 3, "tau": 0.3}, trials, 0)
+
+    def test_integral_trials_accepted(self):
+        assert len({lab.empirical_second_moment(
+            "flat-hard", {"N": 8, "K": 3, "tau": 0.3}, trials, 0)
+            for trials in (10, 10.0, np.int64(10))}) == 1
 
     @pytest.mark.parametrize("model,params,exact", [
         ("flat-hard", {"N": 8, "K": 3, "tau": 0.3},
@@ -1015,175 +1041,77 @@ class TestThreads:
         assert captured.out == ""
         assert f"threads must be at least 1, got {threads}" in captured.err
 
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_library_rejects_threads_below_one(self, threads):
-        config = lab.ExperimentConfig(model="flat-hard", detector="interval",
-                                      N=30, K=3, tau=0.1, trials=5)
-        with pytest.raises(ConfigError, match="threads must be at least 1"):
-            lab.estimate_errors(config, threads=threads)
-        with pytest.raises(ConfigError, match="threads must be at least 1"):
-            lab.sweep([("tau", [0.1, 0.2])], config, threads=threads)
-        with pytest.raises(ConfigError, match="threads must be at least 1"):
-            lab.verify("overlap", threads=threads)
 
-    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            assert lab.usable_cpus() == len(os.sched_getaffinity(0))
-            with monkeypatch.context() as m:
-                m.delattr(os, "sched_getaffinity")
-                assert lab.usable_cpus() == (os.cpu_count() or 1)
-        seen = []
-        monkeypatch.setattr(lab, "usable_cpus", lambda: 5)
-        monkeypatch.setattr(lab, "verify", lambda suite, seed, threads:
-                            seen.append(threads) or [])
-        assert cli.main(["verify", "overlap"]) == 0
-        assert seen == [5]
+class TestFileErrors:
+    """A config file that cannot be read and an output path that cannot be
+    written are usage errors, and a sweep finds the latter before any cell."""
 
+    @pytest.mark.parametrize("command", ["sweep", "phase-diagram"])
+    @pytest.mark.parametrize("where", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config(self, tmp_path, capsys, command, where):
+        config = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+                  "not-utf8": tmp_path / "c.cfg"}[where]
+        if where == "not-utf8":
+            config.write_bytes(b"model = flat-hard\n\xff\n")
+        assert cli.main([command, "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: cannot read config {str(config)!r}: ")
 
-def _record_pools(monkeypatch, cpus: int) -> list:
-    """Replace the pool by one that runs each chunk at submit, in the calling
-    thread, and records its max_workers; report ``cpus`` usable CPUs."""
-    made = []
+    def test_undecodable_dataset(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        data.write_bytes(b"# N=3\n\xff\n")
+        assert cli.main(["detect", "--data", str(data), "--test", "interval",
+                         "--tau", "0.1", "--policy", "fixed:1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: cannot read dataset {str(data)!r}: ")
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
+    def test_gen_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "x.txt"
+        assert cli.main(["gen", "--model", "flat-hard", "--N", "20",
+                         "--K", "3", "--tau", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"usage error: cannot write {str(out)!r}: no such directory\n"
 
-        def __enter__(self):
-            return self
+    @pytest.mark.parametrize("command", ["sweep", "phase-diagram"])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_sweep_out_fails_before_any_cell(self, tmp_path, capsys,
+                                             monkeypatch, command, where):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(lab, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(lab, "usable_cpus", lambda: cpus)
-    return made
-
-
-# The flat cell of c12, comm-exact's coherence (16, 8), and one angle below
-# each angle bound hold the GIL.
-_SERIAL_CELLS = [
-    dict(model="flat-hard", detector="interval", policy="a1", N=150, K=6,
-         tau=0.01, trials=300, seed=42),
-    dict(model="comm-vm", detector="coherence", n=16, k=8, kappa=2.0,
-         epsilon=0.5, trials=64, seed=1),
-    dict(model="flat-hard", detector="interval", policy="a1",
-         N=(1 << 14) - 1, K=40, tau=0.001, trials=3, seed=1),
-    dict(model="comm-vm", detector="rayleigh", n=91, k=10, kappa=2.0,
-         trials=3, seed=1),  # C(91,2) = 4095 edges
-    dict(model="flat-hard", detector="known-theta", N=(1 << 15) - 1, K=40,
-         tau=0.001, trials=3, seed=1),
-]
-# At the angle bounds (N = 2^14, 2^15 for known-theta; C(92,2) = 4186
-# edges for rayleigh) and
-# past the scan bound: comm-exact's coherence (24, 6), C(24,6)*C(6,2) =
-# 2.02e6 subset-edge operations.
-_POOLED_CELLS = [
-    dict(model="flat-hard", detector="interval", policy="a1", N=1 << 14,
-         K=40, tau=0.001, trials=3, seed=1),
-    dict(model="comm-vm", detector="rayleigh", n=92, k=10, kappa=2.0,
-         trials=3, seed=1),
-    dict(model="comm-vm", detector="coherence", n=24, k=6, kappa=2.0,
-         epsilon=0.5, trials=3, seed=1),
-    dict(model="flat-hard", detector="known-theta", N=1 << 15, K=40,
-         tau=0.001, trials=3, seed=1),
-]
-
-
-class TestThreadPool:
-    """Only cells whose numpy work overlaps use the pool; output never moves."""
-
-    @pytest.mark.parametrize("params", _SERIAL_CELLS,
-                             ids=["c12", "coh16_8", "flat_below", "ray_below",
-                                  "kt_below"])
-    def test_serial_cell_makes_no_pool(self, monkeypatch, params):
-        config = ExperimentConfig(**params)
-        expected = lab._point_row(lab.estimate_errors(config, threads=1))
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("serial cell constructed a pool")
-
-        monkeypatch.setattr(lab, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(lab, "usable_cpus", lambda: 8)
-        point = lab.estimate_errors(config, threads=8)
-        assert lab._point_row(point) == expected
-
-    @pytest.mark.parametrize("params", _POOLED_CELLS,
-                             ids=["flat", "rayleigh", "coh24_6", "kt"])
-    def test_pooled_cell_is_identical_at_any_thread_count(self, monkeypatch,
-                                                          params):
-        config = ExperimentConfig(**params)
-        made = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(lab, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
-        points = {t: lab.estimate_errors(config, threads=t) for t in (1, 2, 8)}
-        assert made == [2, 2]  # two chunks, one per hypothesis
-        assert points[1].failed is None
-        rows = {t: lab._point_row(p) for t, p in points.items()}
-        assert rows[1] == rows[2] == rows[8]
-
-    @pytest.mark.parametrize("threads,cpus,trials,workers", [
-        (1000, 2, 10_000, [2]),   # 314 chunks
-        (1000, 64, 100, [4]),     # 4 chunks
-        (3, 64, 10_000, [3]),
-        (8, 1, 10_000, []),       # one CPU: no pool
-        (1, 64, 10_000, []),
-    ])
-    def test_workers_are_capped_by_threads_chunks_and_cpus(
-            self, monkeypatch, threads, cpus, trials, workers):
-        made = _record_pools(monkeypatch, cpus)
-        monkeypatch.setattr(lab, "_run_chunk", lambda *args: 0)
-        config = ExperimentConfig(**dict(_POOLED_CELLS[0], trials=trials))
-        point = lab.estimate_errors(config, threads=threads)
-        assert point.failed is None and made == workers
-
-    @pytest.mark.parametrize("k", [-1, 0, 17])
-    def test_malformed_k_fails_the_same_way(self, monkeypatch, k):
-        made = _record_pools(monkeypatch, 2)
-        config = ExperimentConfig(model="comm-vm", detector="coherence", n=16,
-                                  k=k, kappa=1.0, trials=4)
-        failed = {t: lab.estimate_errors(config, threads=t).failed
-                  for t in (1, 2)}
-        assert failed[1] == failed[2] == f"need 2 <= k <= n, got n=16, k={k}"
-        assert made == []
+        monkeypatch.setattr(lab, "estimate_errors", no_cell)
+        config = tmp_path / "c.cfg"
+        config.write_text("model = flat-hard\ndetector = interval\nN = 30\n"
+                          "K = 3\ntau = 0.1\ntrials = 5\nsweep_tau = 0.1\n")
+        folder = tmp_path / "nonexistent" if where == "missing" else tmp_path
+        out = str(folder / "out")
+        blocked = out if command == "sweep" else out + ".csv"
+        if where == "directory":
+            os.mkdir(blocked)
+        reason = ("no such directory" if where == "missing"
+                  else "it is a directory")
+        assert cli.main([command, "--config", str(config), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"usage error: cannot write {blocked!r}: {reason}\n"
 
 
 class TestChunkRunner:
-    """A chunk's samples go to one runner, pooled or not, and the counts are
-    those of the per-trial decisions on the same streams."""
+    """A chunk's samples go to one runner, and the counts are those of the
+    per-trial decisions on the same streams."""
 
-    @pytest.mark.parametrize("n,k,pooled", [(24, 6, True), (16, 8, False)],
+    @pytest.mark.parametrize("n,k", [(24, 6), (16, 8)],
                              ids=["coh24_6", "coh16_8"])
-    def test_threads_give_the_per_trial_counts(self, monkeypatch, n, k, pooled):
+    def test_chunks_give_the_per_trial_counts(self, n, k):
         # At kappa = 2 witnesses decide nearly every (24, 6) trial and most
         # (16, 8) H1 trials; the (16, 8) H0 trials need the exact search.
         config = ExperimentConfig(model="comm-vm", detector="coherence", n=n,
                                   k=k, kappa=2.0, epsilon=0.5, trials=70,
                                   seed=5)
-        made = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(lab, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(lab, "usable_cpus", lambda: 2)
-        points = {t: lab.estimate_errors(config, threads=t) for t in (1, 2)}
-        assert made == ([2] if pooled else [])
-        assert points[1].failed is None
-        assert lab._point_row(points[1]) == lab._point_row(points[2])
+        point = lab.estimate_errors(config)
+        assert point.failed is None
         runner = lab._make_runner(config)
         rejects = [0, 0]
         for hyp in (0, 1):
@@ -1191,8 +1119,8 @@ class TestChunkRunner:
                 rng = mod.rng_for(config.seed, lab._STREAM_TRIAL, 0, hyp, trial)
                 rejects[hyp] += bool(runner(lab._gen_sample(config, bool(hyp), rng)))
         assert 0 < rejects[0] and 0 < rejects[1]
-        assert points[1].pfa_hat == rejects[0] / config.trials
-        assert points[1].pmiss_hat == (config.trials - rejects[1]) / config.trials
+        assert point.pfa_hat == rejects[0] / config.trials
+        assert point.pmiss_hat == (config.trials - rejects[1]) / config.trials
 
     def test_default_runner_decides_each_sample_as_drawn(self, monkeypatch):
         # Without a chunk decision the runner holds one sample at a time.
