@@ -29,14 +29,17 @@ Conventions shared by every statistic:
   first clique in its degree ranking, found by the same search on the same
   adjacency. Budgets turn oversized requests into CapabilityError, never
   into silent sampling.
-* Monte Carlo trials only need a decision. ``interval_rejects_flat``,
-  ``interval_rejects_community``, ``coherence_rejects`` and
-  ``variance_rejects`` return their test's ``rejected`` without the
-  statistic or its witness; the subset decisions prune the same way against
-  the threshold (the variance bar is sigma2). ``coherence_rejects_chunk``
-  decides a chunk of trials: one greedy peeled witness per trial whose exact
-  value reaches the threshold certifies a rejection, and the other trials
-  run the pruned search.
+* Monte Carlo trials only need a decision. Each test has one, which takes
+  the angle rows of a chunk of trials (no sample objects) and returns their
+  test's ``rejected`` as a bool array, without the statistics or their
+  witnesses: ``interval_rejects_flat``, ``known_theta_rejects_flat``,
+  ``interval_rejects_community``, ``coherence_rejects``,
+  ``rayleigh_rejects`` and ``variance_rejects``. A decision checks its
+  arguments once per chunk and raises its test's errors. The subset
+  decisions prune against the threshold (the variance bar is sigma2), and
+  ``coherence_rejects`` first peels one greedy witness per trial: one whose
+  exact value reaches the threshold certifies a rejection, and the other
+  trials run the pruned search.
 
 All functions are pure; independent calls may run concurrently.
 """
@@ -46,6 +49,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -55,8 +59,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DomainError, ParameterError
-from .models import (EdgeSample, FlatSample, canonical_angle, edge_pairs,
-                     subset_edges, vertex_bases)
+from .models import (EdgeSample, FlatSample, _whole, canonical_angle,
+                     edge_pairs, subset_edges, vertex_bases)
 from .specfun import TWO_PI, arc_prob, mean_resultant
 
 __all__ = [
@@ -70,14 +74,15 @@ __all__ = [
     "interval_test_flat",
     "interval_rejects_flat",
     "known_theta_test_flat",
+    "known_theta_rejects_flat",
     "interval_stat_community",
     "interval_test_community",
     "interval_rejects_community",
     "coherence_stat",
     "coherence_test",
     "coherence_rejects",
-    "coherence_rejects_chunk",
     "rayleigh_test",
+    "rayleigh_rejects",
     "variance_stat",
     "variance_test",
     "variance_rejects",
@@ -145,8 +150,19 @@ def default_c_schedule(N: int) -> float:
     return math.log(N) ** 0.25
 
 
+def _real(value, what: str, error: type = ParameterError) -> float:
+    """``float(value)`` of a real number (NaN and +-inf included); a bool, a
+    string, None or an int beyond float range is ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} must be a number, got {value!r}") from None
+
+
 def _finite(value, what: str) -> float:
-    value = float(value)
+    value = _real(value, what, ConfigError)
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return value
@@ -223,8 +239,7 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     sequence counts, for each anchor point, the observations in
     [x_i, x_i + 2 pi tau]. Returns (count, anchor angle attaining it).
     """
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    tau = _window(tau)
     angles = np.asarray(sample.angles, dtype=float)
     if angles.size == 0:
         raise ParameterError("empty sample")
@@ -240,25 +255,37 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     return min(int(counts[best]), n), float(xs[best])
 
 
-def interval_rejects_flat(sample: FlatSample, tau: float, gamma: float) -> bool:
-    """``interval_test_flat(sample, tau, gamma).rejected``, without the statistic.
+def _window(tau) -> float:
+    """A window fraction tau in (0, 1], as a float; else a DomainError."""
+    tau = _real(tau, "tau", DomainError)
+    if not (0.0 < tau <= 1.0):
+        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    return tau
+
+
+def interval_rejects_flat(rows, tau: float, gamma: float) -> np.ndarray:
+    """``interval_test_flat(FlatSample(x), tau, gamma).rejected`` of each angle
+    row x of ``rows`` (an iterable of 1-d arrays), as a bool array.
 
     With c = ceil(gamma), some window holds c points exactly when the sorted
     angles have ``doubled[i + c - 1] <= xs[i] + 2 pi tau`` for some anchor i:
     the comparison ``searchsorted(side="right")`` makes in
     ``interval_stat_flat``. The last c - 1 anchors reach past 2 pi, into the
-    shifted copies ``xs + 2 pi``. One probe per anchor decides the test.
+    shifted copies ``xs + 2 pi``. One probe per anchor decides a row. Each
+    row is decided before the next is taken, so the rows may share a buffer.
     """
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    n = sample.n_points
-    gamma = float(gamma)
+    tau, gamma = _window(tau), _real(gamma, "gamma")
+    return np.fromiter((_flat_rejects(x, tau, gamma) for x in rows), dtype=bool)
+
+
+def _flat_rejects(x: np.ndarray, tau: float, gamma: float) -> bool:
+    n = x.size
     if not gamma <= n:  # also NaN: the count never reaches it
         return False
     if gamma <= 1.0 or tau == 1.0:
         return True
     c = math.ceil(gamma)
-    xs = np.sort(sample.angles)
+    xs = np.sort(x)
     ends = xs + TWO_PI * tau
     head = n - c + 1
     if (xs[c - 1:] <= ends[:head]).any():
@@ -270,7 +297,7 @@ def interval_test_flat(sample: FlatSample, tau: float, gamma: float) -> TestRepo
     """Scan test: reject H0 when some window of length 2 pi tau holds >= gamma points."""
     stat, witness = interval_stat_flat(sample, tau)
     return TestReport(
-        statistic=float(stat), threshold=float(gamma),
+        statistic=float(stat), threshold=_real(gamma, "gamma"),
         witness_theta=witness, work_counter=sample.n_points)
 
 
@@ -281,24 +308,42 @@ def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
     The anchor defaults to 0; by rotational symmetry a known planted phase
     can always be rotated there.
     """
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    theta = float(theta)
+    tau, gamma = _window(tau), _real(gamma, "gamma")
+    a = _anchor(theta)
+    return TestReport(
+        statistic=float(_arc_count(sample.angles, tau, a)), threshold=gamma,
+        witness_theta=a, work_counter=1)
+
+
+def known_theta_rejects_flat(rows, tau: float, gamma: float,
+                             thetas) -> np.ndarray:
+    """``known_theta_test_flat(FlatSample(x), tau, gamma, theta).rejected`` of
+    each angle row x of ``rows`` at its phase ``thetas[i]``, as a bool array.
+
+    ``thetas[i]`` is read after row i is taken from ``rows``, so a caller may
+    fill both as it draws each trial; the rows may share a buffer.
+    """
+    tau, gamma = _window(tau), _real(gamma, "gamma")
+    return np.fromiter((_arc_count(x, tau, _anchor(thetas[i])) >= gamma
+                        for i, x in enumerate(rows)), dtype=bool)
+
+
+def _anchor(theta) -> float:
+    """A finite phase reduced into [0, 2pi); else a DomainError."""
+    theta = _real(theta, "theta", DomainError)
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta!r}")
-    x = np.asarray(sample.angles, dtype=float)
-    a = canonical_angle(theta)
+    return canonical_angle(theta)
+
+
+def _arc_count(x: np.ndarray, tau: float, a: float) -> int:
+    """Angles of x in the closed arc [a, a + 2 pi tau], a in [0, 2pi)."""
     if tau == 1.0:
-        count = x.size
-    else:
-        b = a + TWO_PI * tau
-        if b <= TWO_PI:
-            count = int(np.count_nonzero((x >= a) & (x <= b)))
-        else:
-            count = int(np.count_nonzero(x >= a) + np.count_nonzero(x <= b - TWO_PI))
-    return TestReport(
-        statistic=float(count), threshold=float(gamma),
-        witness_theta=a, work_counter=1)
+        return x.size
+    b = a + TWO_PI * tau
+    if b <= TWO_PI:
+        return int(np.count_nonzero((x >= a) & (x <= b)))
+    return int(np.count_nonzero(x >= a) + np.count_nonzero(x <= b - TWO_PI))
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +428,23 @@ def _edge_list(n: int) -> tuple:
     return tuple(map(tuple, edge_pairs(n).tolist()))
 
 
-def _community_windows(sample: EdgeSample, k: int, tau: float) -> tuple:
-    """Check a community scan's arguments and lay out its windows.
-
-    Returns (k, sorted edge angles, ends, edges): window i holds the edges
-    at sorted positions [i, ends[i]) mod m, and ``edges`` lists their
-    (a, b) pairs in sorted-angle order twice over.
-    """
-    n = sample.n
-    k = int(k)
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
+def _check_community(n: int, k, tau) -> tuple:
+    """Check a community scan's k, size and window; (k, tau)."""
+    k = _check_k(n, k, 2)
     if n > DEFAULT_CLIQUE_LIMIT_N:
         raise CapabilityError(
             f"exact community search is capped at n <= {DEFAULT_CLIQUE_LIMIT_N}; "
             f"got n = {n}. Use a smaller instance.")
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    ang = np.asarray(sample.edge_angles, dtype=float)
+    return k, _window(tau)
+
+
+def _community_windows(ang: np.ndarray, n: int, tau: float) -> tuple:
+    """Lay out the windows of a community scan of checked arguments.
+
+    Returns (sorted edge angles, ends, edges): window i holds the edges at
+    sorted positions [i, ends[i]) mod m, and ``edges`` lists their (a, b)
+    pairs in sorted-angle order twice over.
+    """
     order = np.argsort(ang, kind="stable")
     sa = ang[order]
     m = sa.size
@@ -411,7 +455,7 @@ def _community_windows(sample: EdgeSample, k: int, tau: float) -> tuple:
     ends = (np.arange(m) + np.minimum(counts, m)).tolist()
     ends += [ends[-1]] * (ends[-1] - m)
     pair_of = _edge_list(n)
-    return k, sa, ends, [pair_of[q] for q in order.tolist()] * 2
+    return sa, ends, [pair_of[q] for q in order.tolist()] * 2
 
 
 def _first_anchor(edges: list, n: int, ends: list, k: int) -> tuple:
@@ -430,8 +474,10 @@ def _first_anchor(edges: list, n: int, ends: list, k: int) -> tuple:
 
 def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
     """``interval_stat_community`` plus the number of clique searches run."""
-    k, sa, ends, edges = _community_windows(sample, k, tau)
-    n, m = sample.n, sa.size
+    n = sample.n
+    k, tau = _check_community(n, k, tau)
+    sa, ends, edges = _community_windows(sample.edge_angles, n, tau)
+    m = sa.size
     j, searches = _first_anchor(edges, n, ends, k)
     if j is None:
         return False, None, None, searches
@@ -445,12 +491,51 @@ def _community_scan(sample: EdgeSample, k: int, tau: float) -> tuple:
     raise AssertionError("anchored clique outside every candidate window")
 
 
-def interval_rejects_community(sample: EdgeSample, k: int, tau: float) -> bool:
-    """``interval_test_community(sample, k, tau).rejected``, without the
-    window or its clique: pass 1 of the scan, up to its first hit, and the
-    errors of ``interval_test_community``."""
-    k, _, ends, edges = _community_windows(sample, k, tau)
-    return _first_anchor(edges, sample.n, ends, k)[0] is not None
+def _vertices(m: int) -> int:
+    """The n of a row of C(n,2) edge angles, n >= 2; else a ParameterError."""
+    n = (1 + math.isqrt(1 + 8 * m)) // 2
+    if n < 2 or n * (n - 1) // 2 != m:
+        raise ParameterError(f"{m} edge angles are not the C(n,2) of any n >= 2")
+    return n
+
+
+def _edge_chunk(rows) -> tuple:
+    """(n, the rows) of a chunk of edge-angle rows; n is None when it is empty.
+
+    n comes from the first row's length, and a later row of another length
+    is a ParameterError when it is taken. Rows are handed on one at a time,
+    as they are taken from ``rows``.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return None, iter(())
+    m = len(first)
+    n = _vertices(m)
+
+    def checked():
+        yield first
+        for x in rows:
+            if len(x) != m:
+                raise ParameterError(f"a chunk's rows must share n = {n}")
+            yield x
+    return n, checked()
+
+
+def interval_rejects_community(rows, k: int, tau: float) -> np.ndarray:
+    """``interval_test_community(EdgeSample(n, x), k, tau).rejected`` of each
+    edge-angle row x of ``rows``, as a bool array: pass 1 of the scan, up to
+    its first hit, without the window or its clique. The arguments are
+    checked once, with the errors of ``interval_test_community``; the rows
+    may share a buffer."""
+    n, rows = _edge_chunk(rows)
+    if n is None:
+        return np.zeros(0, dtype=bool)
+    k, tau = _check_community(n, k, tau)
+    return np.fromiter(
+        (_first_anchor(edges, n, ends, k)[0] is not None
+         for _, ends, edges in (_community_windows(x, n, tau) for x in rows)),
+        dtype=bool)
 
 
 def interval_stat_community(sample: EdgeSample, k: int, tau: float,
@@ -683,13 +768,19 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     return float(value), _door_first(subsets[values == value])
 
 
-def _check_scan(n: int, k: int, low: int) -> int:
-    """Check k (low <= k <= n) and the budget of an exact subset scan; k."""
-    k = int(k)
+def _check_k(n: int, k, low: int) -> int:
+    """k as an int, which must be integral with low <= k <= n (low 2 or 3)."""
+    k = _whole(k, "k")
     if not (low <= k <= n):
         raise ParameterError(
             f"need 2 <= k <= n, got k={k}, n={n}" if low == 2 else
             f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
+    return k
+
+
+def _check_scan(n: int, k, low: int) -> int:
+    """Check k (``_check_k``) and the budget of an exact subset scan; k."""
+    k = _check_k(n, k, low)
     total = math.comb(n, k) * math.comb(k, 2)
     if total > DEFAULT_SUBSET_BUDGET:
         raise CapabilityError(
@@ -707,7 +798,7 @@ def _tree(n: int, k: int) -> tuple:
 def _scan_inputs(sample: EdgeSample, k: int, low: int) -> tuple:
     """``_check_scan``, then (k, n, edge angles, prefix levels, child offsets)."""
     k, n = _check_scan(sample.n, k, low), sample.n
-    return k, n, np.asarray(sample.edge_angles, dtype=float), *_tree(n, k)
+    return k, n, sample.edge_angles, *_tree(n, k)
 
 
 def _table_coherence(z: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
@@ -719,8 +810,10 @@ def _table_coherence(z: np.ndarray, n: int, subsets: np.ndarray) -> np.ndarray:
     return values
 
 
-def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
-    """``coherence_test(sample, k, beta).rejected``, without the statistic.
+def _prefix_rejects(z: np.ndarray, n: int, k: int, beta: float, levels: tuple,
+                    offsets: np.ndarray) -> bool:
+    """``coherence_test(sample, k, beta).rejected`` of the sample whose edge
+    phasors are z, by a search pruned against beta, without the statistic.
 
     The statistic is the largest table-order modulus t_C (every maximizer is
     one of ``coherence_stat``'s candidates), so the test rejects exactly when
@@ -739,16 +832,8 @@ def coherence_rejects(sample: EdgeSample, k: int, beta: float) -> bool:
     delta rejects; one with f_C < beta - delta cannot; only the children in
     between are summed again in table order by ``_table_coherence``. The
     rounding of these thresholds is far below delta while |beta| <= 2m;
-    beyond that every subset falls on one side. Errors are those of
-    ``coherence_test``.
+    beyond that every subset falls on one side.
     """
-    k, n, x, levels, offsets = _scan_inputs(sample, k, 2)
-    return _prefix_rejects(np.exp(1j * x), n, k, float(beta), levels, offsets)
-
-
-def _prefix_rejects(z: np.ndarray, n: int, k: int, beta: float, levels: tuple,
-                    offsets: np.ndarray) -> bool:
-    """The pruned search of ``coherence_rejects`` on the phasors z."""
     m = k * (k - 1) // 2
     delta = m * m * 2.0 ** -48
     sums = _level_sums(z, levels[:-1], n - k + 1)
@@ -781,12 +866,11 @@ def _witness_index(n: int) -> np.ndarray:
     return pos
 
 
-def _phasor_block(samples: list) -> np.ndarray:
-    """exp(i X_e) of each sample's edges, one row each, padded by one zero.
+def _phasor_block(x: np.ndarray) -> np.ndarray:
+    """exp(i X_e) of each row of edge angles x, padded by one zero.
 
     Each phasor is ``np.exp(1j * x)`` of its angle, as the scans take it.
     """
-    x = np.stack([s.edge_angles for s in samples])
     z = np.zeros((x.shape[0], x.shape[1] + 1), dtype=complex)
     np.exp(np.multiply(x, 1j, out=z[:, :-1]), out=z[:, :-1])
     return z
@@ -826,33 +910,30 @@ def _greedy_witnesses(z: np.ndarray, n: int, k: int) -> tuple:
     return members, np.abs(np.cumsum(flat.take(edges), axis=1)[:, -1])
 
 
-def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
-    """``coherence_rejects(s, k, beta)`` of each sample of an iterable, as a
-    bool array: the decisions of a chunk of Monte Carlo trials.
+def coherence_rejects(rows, k: int, beta: float) -> np.ndarray:
+    """``coherence_test(EdgeSample(n, x), k, beta).rejected`` of each
+    edge-angle row x of ``rows``, as a bool array: the decisions of a chunk
+    of Monte Carlo trials.
 
-    The samples share n. k and the scan budget are checked on the first, as
+    The rows share n. k and the scan budget are checked, as
     ``coherence_test`` checks them, before any other work; the prefix tree
-    is built only when a witness leaves a sample open. Blocks of at most
-    _WITNESS_ANGLES edge angles (at least one sample) are drawn from the
-    iterable, and ``_greedy_witnesses`` peels one witness per sample of a
-    block. A sample rejects when its witness has modulus >= beta: that
-    modulus is the witness's ``_table_coherence`` value, bit for bit, and the
-    statistic is the largest such value over all k-subsets, so the test
-    rejects too. Every other sample is decided by the search of
-    ``coherence_rejects``, so no decision rests on the greedy peel alone.
+    is built only when a witness leaves a row open. Blocks of at most
+    _WITNESS_ANGLES edge angles (at least one row) are taken from ``rows``
+    and stacked, so rows must not share a buffer, and ``_greedy_witnesses``
+    peels one witness per row of a block. A row rejects when its witness has
+    modulus >= beta: that modulus is the witness's ``_table_coherence``
+    value, bit for bit, and the statistic is the largest such value over all
+    k-subsets, so the test rejects too. Every other row is decided by
+    ``_prefix_rejects``, so no decision rests on the greedy peel alone.
     """
-    samples = iter(samples)
-    first = next(samples, None)
-    if first is None:
+    n, rows = _edge_chunk(rows)
+    if n is None:
         return np.zeros(0, dtype=bool)
-    k, n, beta = _check_scan(first.n, k, 2), first.n, float(beta)
-    pending = itertools.chain([first], samples)
-    per_block = max(1, _WITNESS_ANGLES // first.n_edges)
+    k, beta = _check_scan(n, k, 2), _real(beta, "beta")
+    per_block = max(1, _WITNESS_ANGLES // (n * (n - 1) // 2))
     decisions = []
-    while block := list(itertools.islice(pending, per_block)):
-        if any(s.n != n for s in block):
-            raise ParameterError(f"a chunk's samples must share n = {n}")
-        z = _phasor_block(block)
+    while block := list(itertools.islice(rows, per_block)):
+        z = _phasor_block(np.stack(block))
         certified = (_greedy_witnesses(z, n, k)[1] >= beta).tolist()
         decisions += [hit or _prefix_rejects(row[:-1], n, k, beta, *_tree(n, k))
                       for row, hit in zip(z, certified)]
@@ -861,9 +942,10 @@ def coherence_rejects_chunk(samples, k: int, beta: float) -> np.ndarray:
 
 def coherence_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
     """Reject H0 when the max subset coherence reaches beta (coherence_threshold)."""
+    k, beta = _check_scan(sample.n, k, 2), _real(beta, "beta")
     value, subset = coherence_stat(sample, k)
     return TestReport(
-        statistic=value, threshold=float(beta),
+        statistic=value, threshold=beta,
         witness_subset=subset, work_counter=math.comb(sample.n, k))
 
 
@@ -871,16 +953,32 @@ def rayleigh_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
     """Threshold the modulus of the phasor sum over all edges at beta.
 
     ``rayleigh_threshold`` gives the default beta. The statistic does not
-    use ``k``; it stays so that every edge test takes (sample, k, ...). The
-    witness angle is the direction of the resultant.
+    use ``k``, but k must be an integer in [2, n], the community size the
+    threshold is for. The witness angle is the direction of the resultant.
     """
-    z = np.exp(1j * np.asarray(sample.edge_angles, dtype=float))
-    s = complex(z.sum())
-    stat = abs(s)
+    _check_k(sample.n, k, 2)
+    beta = _real(beta, "beta")
+    s = _resultant(sample.edge_angles)
     return TestReport(
-        statistic=stat, threshold=float(beta),
+        statistic=abs(s), threshold=beta,
         witness_theta=canonical_angle(math.atan2(s.imag, s.real)),
         work_counter=sample.n_edges)
+
+
+def _resultant(x: np.ndarray) -> complex:
+    return complex(np.exp(1j * x).sum())
+
+
+def rayleigh_rejects(rows, k: int, beta: float) -> np.ndarray:
+    """``rayleigh_test(EdgeSample(n, x), k, beta).rejected`` of each
+    edge-angle row x of ``rows``, as a bool array; the arguments are checked
+    once, and the rows may share a buffer."""
+    n, rows = _edge_chunk(rows)
+    if n is None:
+        return np.zeros(0, dtype=bool)
+    _check_k(n, k, 2)
+    beta = _real(beta, "beta")
+    return np.fromiter((abs(_resultant(x)) >= beta for x in rows), dtype=bool)
 
 
 def variance_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
@@ -949,7 +1047,7 @@ def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
     TWO_PI moves the exact one by < 2^7 m u, and V_C is within m^2 2^-42 +
     u V_C of the exact variance. So V_C <= bar needs |S_C| >= L = m - (bar +
     eps) (m - 1) / 2, eps = m^2 2^-40 (which covers u V_C < 3u; for bar >=
-    3, L <= 0). By the modulus bounds of ``coherence_rejects``, prefixes
+    3, L <= 0). By the modulus bounds of ``_prefix_rejects``, prefixes
     below L - k + 1 - 2 delta, then children below L - delta, are dropped.
     A bar that cannot prune, and the statistic below _PRUNE_FLOOR subsets,
     skip the modulus pass and stream every row in lexicographic order.
@@ -985,23 +1083,37 @@ def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
                             in _children(z, levels, sums, offsets, live))
 
 
-def variance_rejects(sample: EdgeSample, k: int, sigma2: float) -> bool:
-    """``variance_test(sample, k, sigma2).rejected``, without the statistic:
-    the search with bar sigma2, up to the first value <= sigma2, and the
-    errors of ``variance_test``."""
+def _variance_bar(sigma2) -> float:
+    sigma2 = _real(sigma2, "sigma2", DomainError)
     if not (sigma2 > 0.0):
         raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    k, n, x, levels, offsets = _scan_inputs(sample, k, 3)
-    return any((values <= sigma2).any() for _, values
-               in _variance_search(x, n, k, levels, offsets, float(sigma2)))
+    return sigma2
+
+
+def variance_rejects(rows, k: int, sigma2: float) -> np.ndarray:
+    """``variance_test(EdgeSample(n, x), k, sigma2).rejected`` of each
+    edge-angle row x of ``rows``, as a bool array, without the statistic:
+    the search with bar sigma2, up to the first value <= sigma2. The
+    arguments are checked once, with the errors of ``variance_test``; the
+    rows may share a buffer."""
+    sigma2 = _variance_bar(sigma2)
+    n, rows = _edge_chunk(rows)
+    if n is None:
+        return np.zeros(0, dtype=bool)
+    k = _check_scan(n, k, 3)
+    levels, offsets = _tree(n, k)
+    return np.fromiter(
+        (any((values <= sigma2).any() for _, values
+             in _variance_search(x, n, k, levels, offsets, sigma2))
+         for x in rows), dtype=bool)
 
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float) -> TestReport:
     """Reject H0 when some k-subset has circular sample variance <= sigma2."""
-    if not (sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
+    sigma2 = _variance_bar(sigma2)
+    k = _check_scan(sample.n, k, 3)
     value, subset = variance_stat(sample, k)
     return TestReport(
-        statistic=value, threshold=float(sigma2), comparison="le",
+        statistic=value, threshold=sigma2, comparison="le",
         witness_subset=subset, work_counter=math.comb(sample.n, k))
 

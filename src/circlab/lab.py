@@ -7,9 +7,10 @@ parameter axes and emits a fixed-schema CSV; ``phase_diagram`` adds theory
 boundary curves (solved by bisection) and an optional SVG heatmap.
 
 Dispatch is one table: per detector, the parameter its test needs and, per
-sample kind it is defined on, its test's name in ``detectors``, looked up at
-call time so that a tracer that rebinds it sees every call. One
-``_threshold`` checks a cell or ``detect`` call and resolves its threshold.
+sample kind it is defined on, the names in ``detectors`` of its test and of
+its Monte Carlo decision on a chunk's angle rows, looked up at call time so
+that a tracer that rebinds them sees every call. One ``_threshold`` checks a
+cell or ``detect`` call and resolves its threshold.
 
 Determinism contract: every trial draws from a generator seeded by a 64-bit
 mix of (master seed, cell index, hypothesis, trial index); results reduce
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 64
+_MAX_TRIALS = 1 << 64
 # Subset resultants per chunk of likelihood-ratio draws: 256 KiB of float64
 # stays in cache; larger chunks were slower at C(60,3) subsets.
 _LR_CHUNK_ELEMS = 1 << 15
@@ -70,23 +72,19 @@ _CELL_ERRORS = (CapabilityError, DomainError, NumericError, ParameterError)
 
 
 # Detector -> (the parameter its test needs, {sample kind: (its test on
-# ``det``, the Monte Carlo decision on ``det`` or None for the test's
-# ``rejected``, the chunk decision on ``det`` or None to run the decision on
-# each sample as it is drawn)}). Every test and decision takes (sample, tau
-# or k, threshold), and a chunk decision (iterable of samples, k,
-# threshold); see _threshold. Only the coherence decision has a chunk form:
-# one greedy witness search over the chunk decides most of its trials. The
-# variance and flat decisions stay per trial; their block forms were
-# measured slower (README, the dispatch paragraph).
+# ``det``, its Monte Carlo decision on ``det``)}). A test takes (sample, tau
+# or k, threshold) and a decision (the angle rows of a chunk of trials, tau
+# or k, threshold), the known-theta ones also the phase(s) to test at; see
+# _threshold. A decision returns its test's ``rejected`` for each row.
 _DETECTOR_TABLE = {
     "interval": ("tau", {
-        "flat": ("interval_test_flat", "interval_rejects_flat", None),
-        "edge": ("interval_test_community", "interval_rejects_community", None)}),
-    "coherence": ("kappa", {"edge": ("coherence_test", "coherence_rejects",
-                                     "coherence_rejects_chunk")}),
-    "rayleigh": ("kappa", {"edge": ("rayleigh_test", None, None)}),
-    "variance": ("sigma2", {"edge": ("variance_test", "variance_rejects", None)}),
-    "known-theta": ("tau", {"flat": ("known_theta_test_flat", None, None)}),
+        "flat": ("interval_test_flat", "interval_rejects_flat"),
+        "edge": ("interval_test_community", "interval_rejects_community")}),
+    "coherence": ("kappa", {"edge": ("coherence_test", "coherence_rejects")}),
+    "rayleigh": ("kappa", {"edge": ("rayleigh_test", "rayleigh_rejects")}),
+    "variance": ("sigma2", {"edge": ("variance_test", "variance_rejects")}),
+    "known-theta": ("tau", {"flat": ("known_theta_test_flat",
+                                     "known_theta_rejects_flat")}),
 }
 DETECTORS = tuple(_DETECTOR_TABLE)
 _NEEDS = {"tau": "tau (window fraction)", "kappa": "kappa for its threshold",
@@ -120,10 +118,16 @@ class ExperimentConfig:
         if self.model not in th.MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         _check_detector(self.detector, self.is_flat)
-        if not float(self.trials).is_integer() or self.trials < 1:
+        if not (mod._is_whole(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials must be an integer >= 1, "
                               f"got {self.trials!r}")
+        if self.trials > _MAX_TRIALS:
+            raise ConfigError(f"trials must be at most 2^64, the number of "
+                              f"trial stream tags, got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
+        # Any integer seeds: derive_seed keeps its low 64 bits.
+        object.__setattr__(self, "seed", mod._whole(self.seed, "seed",
+                                                    ConfigError))
 
     def validate_complete(self) -> None:
         """Check that every parameter the model needs is present.
@@ -265,58 +269,23 @@ def _threshold(c: ExperimentConfig) -> float:
     return c.tau if c.detector == "interval" else c.sigma2
 
 
-def _make_test(c: ExperimentConfig, name: Optional[str] = None) -> Callable:
-    """Build the sample -> TestReport call of a cell or ``detect`` call.
+def _make_test(c: ExperimentConfig, decision: bool = False) -> Callable:
+    """Build the sample -> TestReport call of a cell or ``detect`` call, or
+    with ``decision`` the rows -> rejections call of its Monte Carlo
+    decision, which takes a chunk's angle rows in place of the sample.
 
-    ``name`` calls another function of the same arguments on ``det`` instead
-    of the test: a Monte Carlo decision, or a chunk decision, which takes an
-    iterable of samples in place of the sample. The threshold is resolved
-    here, once, not per sample. The known-theta call also takes the phase to
-    test at (default ``c.theta``). The call is looked up on ``det`` per
-    sample, so a tracer that rebinds it sees each one.
+    The threshold is resolved here, once, not per sample or chunk. The
+    known-theta calls also take the phase to test at: one (default
+    ``c.theta``) for the test, one per row for the decision. The call is
+    looked up on ``det`` each time, so a tracer that rebinds it sees each.
     """
     threshold = _threshold(c)
-    name = name or _DETECTOR_TABLE[c.detector][1][_kind(c)][0]
+    name = _DETECTOR_TABLE[c.detector][1][_kind(c)][int(decision)]
     size = c.tau if c.is_flat else c.k
     if c.detector == "known-theta":
-        return lambda sample, phase=c.theta: getattr(det, name)(
-            sample, size, threshold, theta=phase)
-    return lambda sample: getattr(det, name)(sample, size, threshold)
-
-
-def _make_runner(config: ExperimentConfig) -> Callable:
-    """Build the sample -> rejected call of a cell's Monte Carlo trials.
-
-    A detector with a decision in the table calls it and skips the statistic
-    and its witness; the others take their test's ``rejected``. Known-theta
-    trials test at the planted phase when the sample has one.
-    """
-    c = config
-    decision = _DETECTOR_TABLE[c.detector][1][_kind(c)][1]
-    if decision is not None:
-        return _make_test(c, decision)
-    test = _make_test(c)
-    if c.detector == "known-theta":
-        return lambda sample: test(
-            sample, c.theta if sample.truth is None
-            else sample.truth.theta_star).rejected
-    return lambda sample: test(sample).rejected
-
-
-def _make_chunk_runner(config: ExperimentConfig) -> Callable:
-    """Build the samples -> rejections call of a chunk of a cell's trials.
-
-    It takes an iterable of samples. A detector with a chunk decision in the
-    table hands it the iterable; the others decide each sample with
-    ``_make_runner``'s call as it is drawn, and hold no more than one.
-    """
-    c = config
-    chunk = _DETECTOR_TABLE[c.detector][1][_kind(c)][2]
-    if chunk is not None:
-        decide = _make_test(c, chunk)
-        return lambda samples: int(np.count_nonzero(decide(samples)))
-    runner = _make_runner(c)
-    return lambda samples: sum(1 for sample in samples if runner(sample))
+        return lambda x, theta=c.theta: getattr(det, name)(
+            x, size, threshold, theta)
+    return lambda x: getattr(det, name)(x, size, threshold)
 
 
 def _gen_sample(config: ExperimentConfig, under_h1: bool, rng):
@@ -366,16 +335,41 @@ def _bound_digest(bounds: dict) -> tuple[float, float]:
     return pfa, pmiss
 
 
-def _run_chunk(config: ExperimentConfig, runner, cell_index: int, hyp: int,
-               start: int, count: int) -> int:
-    """Rejections among trials start .. start + count - 1 of one hypothesis.
+def _run_chunk(config: ExperimentConfig, decide: Callable, under_h1: bool,
+               tags: tuple, trials: range) -> int:
+    """Rejections among ``trials``, each drawn under one hypothesis.
 
-    Each trial draws its sample from its own stream, and ``runner`` (a
-    ``_make_chunk_runner`` call) takes them all as one iterable.
+    Trial t draws from the stream ``rng_for(config.seed, *tags, t)``, which
+    ``rngs_for`` seeds for the whole chunk in one pass, straight into an
+    angle row: ``gen_flat`` and ``gen_community`` draw the same angles, but
+    no sample object is built. ``decide`` (a ``_make_test(config, True)``
+    call) takes the rows as they are drawn, the known-theta one also the
+    planted phases (``config.theta`` under H0). The coherence decision
+    stacks its rows, so each trial gets its own row of a (trials, m) block;
+    every other decision is done with a row before it takes the next, so
+    the trials share one row. The signal and the sizes are checked first,
+    as the generators check them.
     """
-    return runner(_gen_sample(config, bool(hyp), mod.rng_for(
-        config.seed, _STREAM_TRIAL, cell_index, hyp, trial))
-        for trial in range(start, start + count))
+    c = config
+    signal = c.signal
+    size, k = mod.check_sizes(*((c.N, c.K) if c.is_flat else (c.n, c.k)),
+                              edges=not c.is_flat)
+    width = size if c.is_flat else size * (size - 1) // 2
+    rows = np.empty((len(trials) if c.detector == "coherence" else 1, width))
+    phases = [c.theta] * len(trials)
+
+    def drawn():
+        for i, rng in enumerate(mod.rngs_for(c.seed, *tags, trials=trials)):
+            row = rows[i % rows.shape[0]]
+            planted = mod.draw_row(row, size, k, signal, under_h1, rng,
+                                   edges=not c.is_flat)
+            if planted is not None:
+                phases[i] = planted[1]
+            yield row
+
+    known_theta = c.detector == "known-theta"
+    return int(np.count_nonzero(
+        decide(drawn(), phases) if known_theta else decide(drawn())))
 
 
 def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
@@ -383,13 +377,13 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     """Estimate (pfa, pmiss) of the configured detector by seeded Monte Carlo.
 
     Runs ``trials`` datasets under each hypothesis, in chunks of
-    ``_TRIAL_CHUNK``, in the calling thread. Each trial draws its sample
-    from a generator derived from (seed, cell, hypothesis, trial), and a
-    chunk's samples go to one chunk runner: the detector's chunk decision
-    (coherence: one greedy witness search over the chunk, the exact search
-    for the trials it leaves open), else its per-trial decision on each
-    sample as it is drawn. Every decision is exact and counts reduce by
-    sums, so identical (config, seed) give identical results.
+    ``_TRIAL_CHUNK``, in the calling thread, through ``_run_chunk``. Each
+    trial draws its angles from a generator derived from (seed, cell,
+    hypothesis, trial), and a chunk's angle rows go to the detector's
+    decision in one call (coherence: one greedy witness per trial, the exact
+    search for the trials it leaves open). Every decision is exact and
+    counts reduce by sums, so identical (config, seed) give identical
+    results, whatever the chunk size.
     Capability, domain, numeric and parameter errors mark the point failed
     instead of raising; the same errors, or an overflow, while annotating
     the verdict and bounds are kept in ``annotation_error``. A ConfigError
@@ -398,13 +392,13 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     config.validate_complete()
     point = PhasePoint(config=config, cell_index=cell_index)
     try:
-        runner = _make_chunk_runner(config)
+        decide = _make_test(config, decision=True)
         results: dict = {0: 0, 1: 0}
         for hyp in (0, 1):
             for start in range(0, config.trials, _TRIAL_CHUNK):
                 results[hyp] += _run_chunk(
-                    config, runner, cell_index, hyp, start,
-                    min(_TRIAL_CHUNK, config.trials - start))
+                    config, decide, bool(hyp), (_STREAM_TRIAL, cell_index, hyp),
+                    range(start, min(start + _TRIAL_CHUNK, config.trials)))
         trials = config.trials
         point.pfa_hat = results[0] / trials
         point.pmiss_hat = (trials - results[1]) / trials
@@ -1023,8 +1017,8 @@ def verify_bounds(seed: int = DEFAULT_VERIFY_SEED,
                          tau=0.05, trials=trials, seed=seed),
     ]
     for i, config in enumerate(zero_miss):
-        misses = trials - _run_chunk(config, _make_chunk_runner(config),
-                                     900 + i, 1, 0, trials)
+        misses = trials - _run_chunk(config, _make_test(config, True), True,
+                                     (_STREAM_TRIAL, 900 + i, 1), range(trials))
         rep.add(f"zero_miss_{config.model}_misses_of_{trials}", misses,
                 misses == 0)
     for idx, cell in enumerate(_criterion8_cells()):

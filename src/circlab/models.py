@@ -16,14 +16,17 @@ well defined).
 Determinism: generators draw from an explicit numpy Generator and consume
 randomness in a fixed order, so identical (parameters, seed) give
 bit-identical samples regardless of thread count or call interleaving.
+``rngs_for`` seeds a chunk of trials' streams in one vectorised pass, each
+bit for bit the stream ``rng_for`` gives that trial.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -43,8 +46,11 @@ __all__ = [
     "splitmix64",
     "derive_seed",
     "rng_for",
+    "rngs_for",
     "sample_von_mises",
     "sample_arc_uniform",
+    "check_sizes",
+    "draw_row",
     "gen_flat",
     "gen_community",
     "edge_index",
@@ -261,7 +267,11 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 
 
 def splitmix64(x: int) -> int:
-    """One splitmix64 output step; the standard 64-bit mixing function."""
+    """One splitmix64 output step; the standard 64-bit mixing function.
+
+    It also maps a uint64 array elementwise, since array arithmetic wraps
+    modulo 2^64 (the masks are then no-ops).
+    """
     x = (x + _SM64_GAMMA) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -279,6 +289,85 @@ def derive_seed(master: int, *tags: int) -> int:
 def rng_for(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic per-stream generator for (master seed, tags)."""
     return np.random.Generator(np.random.PCG64(derive_seed(seed, *tags)))
+
+
+# numpy's seeding of ``PCG64(s)`` for a 64-bit s, as ``rngs_for`` runs it on
+# a chunk of seeds at once (numpy/random/bit_generator.pyx and pcg64.h;
+# O'Neill 2014). ``SeedSequence(s)`` hashes the 32-bit words (low, high) of
+# s into a pool of 4 words and mixes every word into every other; its hash
+# constant steps the same way whatever the entropy, so each step's constants
+# are fixed. A high word of 0 hashes as the absent word of an s < 2^32.
+# ``generate_state(4, uint64)`` hashes the pool, cycled, into 8 words, and
+# PCG64 seeds (state, inc) from the 4 little-endian uint64 they make.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(init: int, mult: int, steps: int) -> tuple:
+    """The (constant before, constant after) of each of ``steps`` hash steps."""
+    pairs = []
+    for _ in range(steps):
+        pairs.append((init, init * mult & _MASK32))
+        init = pairs[-1][1]
+    return tuple(np.array(col, dtype=np.uint32)[:, None] for col in zip(*pairs))
+
+
+_POOL_XOR, _POOL_MUL = _hash_steps(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
+_STATE_XOR, _STATE_MUL = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _SHIFT16 = (np.uint32(0xCA01F9DD), np.uint32(0x4973F715),
+                            np.uint32(16))
+_OTHER_WORDS = tuple(np.array([d for d in range(4) if d != s]) for s in range(4))
+
+
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """The (state, inc) Python ints of ``PCG64(s)`` for each s of a uint64 array."""
+    pool = np.empty((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds.astype(np.uint32)
+    pool[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool[2:] = 0
+    pool ^= _POOL_XOR[:4]
+    pool *= _POOL_MUL[:4]
+    pool ^= pool >> _SHIFT16
+    for src in range(4):  # a source word stays put while it mixes the others
+        step = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = (pool[src] ^ _POOL_XOR[step]) * _POOL_MUL[step]
+        hashed ^= hashed >> _SHIFT16
+        mixed = _MIX_L * pool[_OTHER_WORDS[src]] - _MIX_R * hashed
+        mixed ^= mixed >> _SHIFT16
+        pool[_OTHER_WORDS[src]] = mixed
+    words = (pool[np.arange(8) % 4] ^ _STATE_XOR) * _STATE_MUL
+    words ^= words >> _SHIFT16
+    lo = words[0::2].astype(np.uint64)
+    state = (lo | words[1::2].astype(np.uint64) << np.uint64(32)).T.tolist()
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in state:
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
+                    inc))
+    return out
+
+
+def rngs_for(seed: int, *tags: int, trials: Iterable[int]
+             ) -> Iterator[np.random.Generator]:
+    """Yield ``rng_for(seed, *tags, t)`` for each t of ``trials``, seeded in
+    one pass.
+
+    ``derive_seed`` runs once for the shared tags; splitmix64 of each trial
+    tag, numpy's ``SeedSequence`` hash and PCG64's seeding step then run for
+    all trials together. Every stream equals ``rng_for``'s bit for bit, state
+    and draws. One Generator is reused: each yield sets its state, so a
+    stream is good only until the next is taken.
+    """
+    tags_t = np.array([int(t) & _MASK64 for t in trials], dtype=np.uint64)
+    seeds = splitmix64(np.uint64(derive_seed(seed, *tags)) ^ tags_t)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for state, inc in _pcg64_states(seeds):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _von_mises_centered(rng: np.random.Generator, kappa: float, size: int) -> np.ndarray:
@@ -354,12 +443,63 @@ def _signal_draws(signal: SignalKind, theta: float, rng: np.random.Generator,
     raise DomainError(f"unknown signal kind: {signal!r}")
 
 
-def _whole(value, what: str) -> int:
-    """``int(value)`` of an integral value (10, 10.0, a numpy int); any
-    other value is a ParameterError, never truncated."""
-    if not float(value).is_integer():
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
+def _is_whole(value) -> bool:
+    """Whether ``value`` is an integral number (10, 10.0, a numpy int); a
+    bool, a string, None, NaN or 10.5 is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or (
+        math.isfinite(value) and float(value).is_integer())
+
+
+def _whole(value, what: str, error: type = ParameterError) -> int:
+    """``int(value)`` of an integral number; any other value is ``error``,
+    never truncated."""
+    if not _is_whole(value):
+        raise error(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_sizes(size, k, edges: bool = False) -> tuple:
+    """(N, K) of a flat sample, or (n, k) of an edge sample, as ints.
+
+    Each must be integral, with 1 <= K <= N (2 <= k <= n for edges); else a
+    ParameterError.
+    """
+    if edges:
+        n, k = _whole(size, "n"), _whole(k, "k")
+        if n < 2 or k < 2 or k > n:
+            raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
+        return n, k
+    N, K = _whole(size, "N"), _whole(k, "K")
+    if N < 1 or K < 1 or K > N:
+        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
+    return N, K
+
+
+def draw_row(out: np.ndarray, size: int, k: int, signal: SignalKind,
+             under_h1: bool, rng: np.random.Generator, edges: bool = False):
+    """Draw one sample's angles into ``out``, a float64 row the caller owns.
+
+    ``out`` holds N angles of a flat sample, or the C(n,2) edge angles of
+    an edge sample with ``edges``; ``size`` and ``k`` are N and K (n and k),
+    checked by ``check_sizes``. Under H0 every angle is uniform. Under H1 a
+    uniform k-subset (community) and a uniform phase theta are drawn, then
+    the uniform angles, then the signal of the K planted angles (the C(k,2)
+    community edges). Returns the planted (sorted subset, theta) under H1,
+    else None. ``gen_flat`` and ``gen_community`` wrap it.
+    """
+    if not under_h1:
+        rng.random(out=out)
+        out *= TWO_PI
+        return None
+    subset = _sample_subset(rng, size, k)
+    theta = TWO_PI * rng.random()
+    rng.random(out=out)
+    out *= TWO_PI
+    planted = subset_edges(size, np.asarray(subset)) if edges else list(subset)
+    out[planted] = _signal_draws(signal, theta, rng, len(planted))
+    return subset, theta
 
 
 def gen_flat(N: int, K: int, signal: SignalKind, under_h1: bool,
@@ -370,16 +510,10 @@ def gen_flat(N: int, K: int, signal: SignalKind, under_h1: bool,
     H1 a uniform size-K subset is planted at a uniform phase with the given
     signal distribution; remaining angles stay uniform.
     """
-    N, K = _whole(N, "N"), _whole(K, "K")
-    if N < 1 or K < 1 or K > N:
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
-    if not under_h1:
-        return FlatSample(angles=rng.random(N) * TWO_PI, truth=None)
-    subset = _sample_subset(rng, N, K)
-    theta = TWO_PI * rng.random()
-    angles = rng.random(N) * TWO_PI
-    angles[list(subset)] = _signal_draws(signal, theta, rng, K)
-    return FlatSample(angles=angles, truth=PlantedFlat(subset, theta))
+    N, K = check_sizes(N, K)
+    angles = np.empty(N)
+    planted = draw_row(angles, N, K, signal, under_h1, rng)
+    return FlatSample(angles=angles, truth=planted and PlantedFlat(*planted))
 
 
 def gen_community(n: int, k: int, signal: SignalKind, under_h1: bool,
@@ -389,18 +523,11 @@ def gen_community(n: int, k: int, signal: SignalKind, under_h1: bool,
     Under H1 the C(k,2) intra-community edges carry the signal distribution
     anchored at a uniform phase; all other edges stay uniform.
     """
-    n, k = _whole(n, "n"), _whole(k, "k")
-    if n < 2 or k < 2 or k > n:
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
-    m = n * (n - 1) // 2
-    if not under_h1:
-        return EdgeSample(n=n, edge_angles=rng.random(m) * TWO_PI, truth=None)
-    community = _sample_subset(rng, n, k)
-    theta = TWO_PI * rng.random()
-    angles = rng.random(m) * TWO_PI
-    intra = subset_edges(n, np.asarray(community))
-    angles[intra] = _signal_draws(signal, theta, rng, intra.size)
-    return EdgeSample(n=n, edge_angles=angles, truth=PlantedCommunity(community, theta))
+    n, k = check_sizes(n, k, edges=True)
+    angles = np.empty(n * (n - 1) // 2)
+    planted = draw_row(angles, n, k, signal, under_h1, rng, edges=True)
+    return EdgeSample(n=n, edge_angles=angles,
+                      truth=planted and PlantedCommunity(*planted))
 
 
 # ---------------------------------------------------------------------------

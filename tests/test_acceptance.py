@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from circlab import detectors as det
 from circlab import lab
-from circlab import models as mod
 from circlab import specfun as sf
 from circlab import theory as th
 from circlab.lab import ExperimentConfig
@@ -183,13 +182,10 @@ def test_c7_zero_miss():
                                 n=20, k=5, tau=0.05, trials=trials, seed=SEED)
         misses = {}
         for tag_id, (tag, config) in enumerate((("flat", flat), ("comm", comm))):
-            runner = lab._make_runner(config)
-            m = 0
-            for trial in range(trials):
-                rng = mod.rng_for(SEED, 7000, tag_id, 1, trial)
-                if not runner(lab._gen_sample(config, True, rng)):
-                    m += 1
-            misses[tag] = m
+            # Trial t draws from rng_for(SEED, 7000, tag_id, 1, t) under H1.
+            misses[tag] = trials - lab._run_chunk(
+                config, lab._make_test(config, decision=True), True,
+                (7000, tag_id, 1), range(trials))
     ok = all(v == 0 for v in misses.values()) and t.elapsed < 60.0
     announce("c7", ok, f"misses={misses} time={t.elapsed:.1f}s")
     assert misses == {"flat": 0, "comm": 0}

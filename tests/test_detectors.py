@@ -22,6 +22,24 @@ from circlab.errors import (CapabilityError, ConfigError, DomainError,
 TWO_PI = 2.0 * math.pi
 
 
+def decide_one(decision, sample, *args):
+    """A Monte Carlo decision on the chunk of one sample's angle row."""
+    row = sample.angles if isinstance(sample, mod.FlatSample) else sample.edge_angles
+    got = decision([row], *args)
+    assert got.shape == (1,) and got.dtype == bool
+    return bool(got[0])
+
+
+def one_row(decision):
+    """``decision`` as a call on one sample, like its test."""
+    return lambda sample, *args: decide_one(decision, sample, *args)
+
+
+def edge_rows(samples):
+    """The edge angles of samples, one row each."""
+    return np.stack([s.edge_angles for s in samples])
+
+
 def brute_interval_stat(angles, tau):
     """Exhaustive anchored-window count (closed windows)."""
     w = TWO_PI * tau
@@ -215,7 +233,7 @@ class TestIntervalRejectsFlat:
             window_fractions))
         gamma = data.draw(thresholds_around(len(angles)))
         s = mod.FlatSample(np.array(angles))
-        assert (det.interval_rejects_flat(s, tau, gamma)
+        assert (decide_one(det.interval_rejects_flat, s, tau, gamma)
                 == det.interval_test_flat(s, tau, gamma).rejected)
 
     @pytest.mark.parametrize("N,K,tau", [(2000, 21, 0.01), (200, 8, 0.03),
@@ -226,21 +244,21 @@ class TestIntervalRejectsFlat:
                              mod.rng_for(seed, 28))
             stat = det.interval_test_flat(s, tau, 0.0).statistic
             for gamma in (stat - 0.5, stat, stat + 0.5, stat + 1.0):
-                assert (det.interval_rejects_flat(s, tau, gamma)
+                assert (decide_one(det.interval_rejects_flat, s, tau, gamma)
                         == det.interval_test_flat(s, tau, gamma).rejected)
 
     def test_window_reaching_past_two_pi(self):
         # The shortest 2- and 3-point windows start at 6.2 and wrap past 0.
         s = mod.FlatSample(np.array([0.05, 3.0, 6.2]))
-        assert det.interval_rejects_flat(s, 0.03, 2.0)
-        assert not det.interval_rejects_flat(s, 0.01, 2.0)
-        assert det.interval_rejects_flat(s, 0.491, 3.0)
-        assert not det.interval_rejects_flat(s, 0.49, 3.0)
+        assert decide_one(det.interval_rejects_flat, s, 0.03, 2.0)
+        assert not decide_one(det.interval_rejects_flat, s, 0.01, 2.0)
+        assert decide_one(det.interval_rejects_flat, s, 0.491, 3.0)
+        assert not decide_one(det.interval_rejects_flat, s, 0.49, 3.0)
 
     @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5, math.nan])
     def test_bad_window_rejected(self, tau):
         with pytest.raises(DomainError):
-            det.interval_rejects_flat(mod.FlatSample(np.array([1.0])), tau, 0.0)
+            det.interval_rejects_flat([np.array([1.0])], tau, 0.0)
 
 
 class TestKnownTheta:
@@ -619,7 +637,7 @@ class TestIntervalRejectsCommunity:
     def test_equals_test_decision(self, case, tau):
         n, k, angles = case
         s = mod.EdgeSample(n, np.array(angles))
-        assert (det.interval_rejects_community(s, k, tau)
+        assert (decide_one(det.interval_rejects_community, s, k, tau)
                 == det.interval_test_community(s, k, tau).rejected)
 
     @pytest.mark.parametrize("n,k,tau,signal", [
@@ -633,7 +651,7 @@ class TestIntervalRejectsCommunity:
         for seed in range(30):
             s = mod.gen_community(n, k, signal, seed % 2 == 1,
                                   mod.rng_for(seed, 48))
-            got = det.interval_rejects_community(s, k, tau)
+            got = decide_one(det.interval_rejects_community, s, k, tau)
             assert got == det.interval_test_community(s, k, tau).rejected
             seen.add(got)
         assert seen == {False, True}
@@ -642,7 +660,7 @@ class TestIntervalRejectsCommunity:
         for k in (2, 4, 6):
             s = mod.gen_community(6, k, mod.VonMises(1.0), False,
                                   mod.rng_for(k, 49))
-            assert det.interval_rejects_community(s, k, 1.0)
+            assert decide_one(det.interval_rejects_community, s, k, 1.0)
             assert det.interval_test_community(s, k, 1.0).rejected
 
     @pytest.mark.parametrize("n,k,tau,error", [
@@ -655,7 +673,7 @@ class TestIntervalRejectsCommunity:
         with pytest.raises(error) as expected:
             det.interval_test_community(s, k, tau)
         with pytest.raises(error) as got:
-            det.interval_rejects_community(s, k, tau)
+            decide_one(det.interval_rejects_community, s, k, tau)
         assert str(got.value) == str(expected.value)
 
 
@@ -767,6 +785,81 @@ class TestRayleigh:
         assert errs[2] <= 0.1 and errs[0] >= 0.8
 
 
+# edge test name: (the test, its decision, a valid threshold)
+EDGE_TESTS = {
+    "interval": (det.interval_test_community, det.interval_rejects_community, 0.1),
+    "coherence": (det.coherence_test, det.coherence_rejects, 1.0),
+    "rayleigh": (det.rayleigh_test, det.rayleigh_rejects, 1.0),
+    "variance": (det.variance_test, det.variance_rejects, 0.3),
+}
+
+
+class TestTypedArguments:
+    """A test's k must be an integer and its threshold a number; anything
+    else is a typed error, from the test and from its decision alike."""
+
+    @staticmethod
+    def same_error(error, test, decision, sample, *args):
+        with pytest.raises(error) as expected:
+            test(sample, *args)
+        with pytest.raises(error) as got:
+            decision([sample.edge_angles], *args)
+        assert str(got.value) == str(expected.value)
+        return str(got.value)
+
+    @pytest.mark.parametrize("k", ["3", 3.5, None, True, math.nan, [3]])
+    @pytest.mark.parametrize("name", list(EDGE_TESTS))
+    def test_non_integer_k(self, name, k):
+        test, decision, threshold = EDGE_TESTS[name]
+        s = mod.gen_community(8, 4, mod.VonMises(1.0), True, mod.rng_for(0, 70))
+        message = self.same_error(ParameterError, test, decision, s, k, threshold)
+        assert message == f"k must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("k", [None, 99, -5, 1])
+    def test_rayleigh_needs_k_in_range(self, k):
+        s = mod.gen_community(8, 4, mod.VonMises(1.0), True, mod.rng_for(0, 70))
+        test, decision, beta = EDGE_TESTS["rayleigh"]
+        self.same_error(ParameterError, test, decision, s, k, beta)
+
+    @pytest.mark.parametrize("threshold", ["x", None, True, 10 ** 400])
+    @pytest.mark.parametrize("name,error", [
+        ("interval", DomainError), ("coherence", ParameterError),
+        ("rayleigh", ParameterError), ("variance", DomainError)])
+    def test_non_number_threshold(self, name, error, threshold):
+        test, decision, _ = EDGE_TESTS[name]
+        s = mod.gen_community(8, 4, mod.VonMises(1.0), True, mod.rng_for(0, 70))
+        message = self.same_error(error, test, decision, s, 4, threshold)
+        assert message.endswith(f"must be a number, got {threshold!r}")
+
+    @pytest.mark.parametrize("name", list(EDGE_TESTS))
+    def test_integral_k_accepted(self, name):
+        # 4.0 and a numpy int decide as 4; coherence_test used to reject 4.0.
+        test, decision, threshold = EDGE_TESTS[name]
+        s = mod.gen_community(8, 4, mod.VonMises(3.0), True, mod.rng_for(1, 70))
+        want = test(s, 4, threshold)
+        for k in (4.0, np.int64(4)):
+            assert test(s, k, threshold) == want
+            assert decide_one(decision, s, k, threshold) == want.rejected
+
+    def test_rayleigh_statistic_ignores_k(self):
+        s = mod.gen_community(8, 4, mod.VonMises(3.0), True, mod.rng_for(1, 70))
+        assert len({det.rayleigh_test(s, k, 1.0).statistic
+                    for k in range(2, 9)}) == 1
+
+    @pytest.mark.parametrize("test", [det.interval_test_flat,
+                                      det.known_theta_test_flat])
+    def test_flat_arguments(self, test):
+        s = mod.FlatSample(np.array([0.5, 1.0, 4.0]))
+        with pytest.raises(DomainError, match="tau must be a number"):
+            test(s, "0.1", 2.0)
+        with pytest.raises(ParameterError, match="gamma must be a number"):
+            test(s, 0.1, "2")
+        with pytest.raises(DomainError, match="tau must be a number"):
+            det.interval_rejects_flat([s.angles], "0.1", 2.0)
+        with pytest.raises(DomainError, match="theta must be a number"):
+            det.known_theta_test_flat(s, 0.1, 2.0, theta="1")
+
+
 class TestVariance:
     def test_all_equal_zero(self):
         s = mod.EdgeSample(5, np.full(10, 3.3))
@@ -818,7 +911,8 @@ class TestVariance:
             det.variance_stat(s, 2)
 
     @pytest.mark.parametrize("sigma2", [0.05, 5.0, math.inf])
-    @pytest.mark.parametrize("run", [det.variance_test, det.variance_rejects],
+    @pytest.mark.parametrize("run", [det.variance_test,
+                                     one_row(det.variance_rejects)],
                              ids=["statistic", "decision"])
     def test_peak_memory_is_one_block(self, monkeypatch, run, sigma2):
         # The search holds the (k-1)-prefix sums, one group of their children,
@@ -1160,16 +1254,16 @@ class TestCoherencePrefixScan:
 
 
 def chunk_of_one(sample, k, beta):
-    """``coherence_rejects_chunk`` of a chunk that holds ``sample`` alone."""
-    decisions = det.coherence_rejects_chunk([sample], k, beta)
+    """``coherence_rejects`` of a (1, m) block that holds ``sample`` alone."""
+    decisions = det.coherence_rejects(edge_rows([sample]), k, beta)
     assert decisions.shape == (1,) and decisions.dtype == bool
     return bool(decisions[0])
 
 
-# decision name: (the decision, its test, smallest k); the oracle of
-# "<scan>-chunk" is the scan's
-DECISIONS = {"coherence": (det.coherence_rejects, det.coherence_test, 2),
-             "variance": (det.variance_rejects, det.variance_test, 3),
+# decision name: (the decision on one sample, its test, smallest k); the
+# oracle of "<scan>-chunk" is the scan's
+DECISIONS = {"coherence": (one_row(det.coherence_rejects), det.coherence_test, 2),
+             "variance": (one_row(det.variance_rejects), det.variance_test, 3),
              "coherence-chunk": (chunk_of_one, det.coherence_test, 2)}
 
 
@@ -1299,7 +1393,7 @@ def coherence_chunk(n, k, kappa, seeds):
 
 
 class TestCoherenceChunk:
-    """``coherence_rejects_chunk`` against ``coherence_test`` per sample."""
+    """``coherence_rejects`` on a chunk against ``coherence_test`` per sample."""
 
     @pytest.mark.parametrize("n,k,kappa,block", [
         (16, 8, 2.0, None), (16, 8, 0.1, 5), (24, 6, 2.0, None),
@@ -1318,7 +1412,7 @@ class TestCoherenceChunk:
         seen = set()
         for t in thresholds:
             want = [replace(r, threshold=t).rejected for r in reports]
-            got = det.coherence_rejects_chunk(iter(samples), k, t)
+            got = det.coherence_rejects((s.edge_angles for s in samples), k, t)
             assert got.dtype == bool and got.tolist() == want, t
             seen.update(want)
         assert seen == {False, True}
@@ -1331,9 +1425,10 @@ class TestCoherenceChunk:
                             lambda *args: searched.append(1) or search(*args))
         samples = coherence_chunk(24, 6, 2.0, range(32))
         beta = det.coherence_threshold(6, 2.0)
-        got = det.coherence_rejects_chunk(samples, 6, beta)
+        got = det.coherence_rejects(edge_rows(samples), 6, beta)
         assert got.all() and len(searched) <= 8
-        assert got.tolist() == [det.coherence_rejects(s, 6, beta) for s in samples]
+        assert got.tolist() == [decide_one(det.coherence_rejects, s, 6, beta)
+                                for s in samples]
 
     @pytest.mark.parametrize("n,k,beta,builds", [
         (40, 6, None, 0), (24, 6, 0.0, 0), (24, 6, math.inf, 1)])
@@ -1344,7 +1439,7 @@ class TestCoherenceChunk:
         if beta is None:
             beta = det.coherence_threshold(k, 2.0)
         det._prefix_levels.cache_clear()
-        got = det.coherence_rejects_chunk(samples, k, beta)
+        got = det.coherence_rejects(edge_rows(samples), k, beta)
         assert got.tolist() == [beta < math.inf] * len(samples)
         assert det._prefix_levels.cache_info().misses == builds
 
@@ -1352,16 +1447,17 @@ class TestCoherenceChunk:
         # A witness whose value equals beta certifies; no search runs.
         monkeypatch.setattr(det, "_prefix_rejects", None)
         for s in coherence_chunk(16, 8, 2.0, range(3)):
-            _, values = det._greedy_witnesses(det._phasor_block([s]), 16, 8)
+            _, values = det._greedy_witnesses(det._phasor_block(edge_rows([s])),
+                                              16, 8)
             beta = float(values.max())
-            assert det.coherence_rejects_chunk([s], 8, beta).tolist() == [True]
+            assert det.coherence_rejects(edge_rows([s]), 8, beta).tolist() == [True]
 
     @pytest.mark.parametrize("n,k,kappa", [(16, 8, 2.0), (24, 6, 0.1),
                                            (12, 10, 20.0), (5, 2, 1.0),
                                            (6, 6, 3.0), (2, 2, 1.0)])
     def test_certificates_are_table_values(self, n, k, kappa):
         samples = coherence_chunk(n, k, kappa, range(20))
-        z = det._phasor_block(samples)
+        z = det._phasor_block(edge_rows(samples))
         members, values = det._greedy_witnesses(z, n, k)
         assert members.shape == (len(samples), k)
         assert values.shape == (len(samples),)
@@ -1377,7 +1473,8 @@ class TestCoherenceChunk:
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_witness_at_k_equal_n_is_every_vertex(self, n):
         samples = coherence_chunk(n, n, 1.0, range(3))
-        members, _ = det._greedy_witnesses(det._phasor_block(samples), n, n)
+        z = det._phasor_block(edge_rows(samples))
+        members, _ = det._greedy_witnesses(z, n, n)
         assert members.tolist() == [list(range(n))] * len(samples)
 
     @pytest.mark.parametrize("n,k", [(16, 8), (20, 10), (30, 12)])
@@ -1385,17 +1482,18 @@ class TestCoherenceChunk:
         # The community's C(k,2) aligned edges outweigh the background's
         # random sum (about its square root) 2.9 to 3.7 times over.
         planted = coherence_chunk(n, k, 1e3, range(8))[1::2]
-        members, _ = det._greedy_witnesses(det._phasor_block(planted), n, k)
+        z = det._phasor_block(edge_rows(planted))
+        members, _ = det._greedy_witnesses(z, n, k)
         assert members.tolist() == [sorted(s.truth.community) for s in planted]
 
     def test_empty_chunk(self):
-        got = det.coherence_rejects_chunk(iter([]), 6, 1.0)
+        got = det.coherence_rejects(iter([]), 6, 1.0)
         assert got.shape == (0,) and got.dtype == bool
 
     def test_samples_must_share_n(self):
         samples = coherence_chunk(8, 4, 1.0, [0]) + coherence_chunk(9, 4, 1.0, [0])
         with pytest.raises(ParameterError, match="must share n = 8"):
-            det.coherence_rejects_chunk(samples, 4, 1.0)
+            det.coherence_rejects([s.edge_angles for s in samples], 4, 1.0)
 
 
 class TestRevolvingDoor:

@@ -106,6 +106,107 @@ class TestEstimateErrors:
         assert all(type(p.config.trials) is int for p in points)
         assert len({tuple(lab._point_row(p)) for p in points}) == 1
 
+    @pytest.mark.parametrize("trials", ["10", None, [3], True, np.bool_(True)])
+    def test_non_number_trials_is_config_error(self, trials):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"trials must be an integer >= 1, got {trials!r}")):
+            ExperimentConfig(model="flat-hard", N=200, K=5, tau=0.01,
+                             trials=trials)
+
+    def test_trials_past_the_stream_tags_is_config_error(self):
+        with pytest.raises(ConfigError, match="trials must be at most 2"):
+            ExperimentConfig(model="flat-hard", N=200, K=5, tau=0.01,
+                             trials=10 ** 400)
+
+    @pytest.mark.parametrize("seed", [None, math.nan, math.inf, "abc", 2.5,
+                                      True, [1]])
+    def test_bad_seed_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"seed must be an integer, got {seed!r}")):
+            ExperimentConfig(model="flat-hard", N=200, K=5, tau=0.01,
+                             seed=seed)
+
+    def test_integral_seeds_accepted(self):
+        # A negative seed runs the streams of its low 64 bits.
+        rows = {}
+        for seed in (3, 3.0, np.int64(3), -5, 2 ** 64 - 5, 2 ** 64 + 3):
+            point = lab.estimate_errors(ExperimentConfig(
+                model="flat-hard", N=200, K=5, tau=0.02, trials=70, seed=seed))
+            assert type(point.config.seed) is int
+            rows.setdefault(point.config.seed % 2 ** 64, set()).add(
+                (point.pfa_hat, point.pmiss_hat))
+        assert sorted(rows) == [3, 2 ** 64 - 5]
+        assert all(len(v) == 1 for v in rows.values())
+
+
+# Every (model, detector) pair of the table, with parameters that give each
+# test some rejections under H0 or H1.
+MODEL_PARAMS = {
+    "flat-hard": dict(N=60, K=6, tau=0.02),
+    "flat-vm": dict(N=60, K=6, tau=0.02, kappa=4.0),
+    "comm-hard": dict(n=8, k=4, tau=0.1, kappa=4.0),
+    "comm-vm": dict(n=8, k=4, tau=0.1, kappa=4.0),
+}
+DETECTOR_PARAMS = {"known-theta": dict(policy=None),
+                   "variance": dict(sigma2=0.2)}
+TABLE_PAIRS = [(model, detector) for detector, (_, tests)
+               in lab._DETECTOR_TABLE.items() for model in th.MODELS
+               if ("flat" if model.startswith("flat") else "edge") in tests]
+# detector: (flat test, edge test)
+ORACLE_TESTS = {"interval": (det.interval_test_flat, det.interval_test_community),
+                "known-theta": (det.known_theta_test_flat, None),
+                "coherence": (None, det.coherence_test),
+                "rayleigh": (None, det.rayleigh_test),
+                "variance": (None, det.variance_test)}
+
+
+def oracle_rejections(config: ExperimentConfig, cell_index: int) -> list:
+    """Rejections per hypothesis, one trial at a time: a sample from the
+    trial's own ``rng_for`` stream and the test's ``rejected``."""
+    c = config
+    flat = c.is_flat
+    test = ORACLE_TESTS[c.detector][0 if flat else 1]
+    threshold = lab._threshold(c)
+    counts = []
+    for hyp in (0, 1):
+        hits = 0
+        for t in range(c.trials):
+            rng = mod.rng_for(c.seed, lab._STREAM_TRIAL, cell_index, hyp, t)
+            if flat:
+                s = mod.gen_flat(c.N, c.K, c.signal, bool(hyp), rng)
+                args = (s, c.tau, threshold)
+            else:
+                s = mod.gen_community(c.n, c.k, c.signal, bool(hyp), rng)
+                args = (s, c.k, threshold)
+            if c.detector == "known-theta":
+                theta = c.theta if s.truth is None else s.truth.theta_star
+                hits += test(*args, theta=theta).rejected
+            else:
+                hits += test(*args).rejected
+        counts.append(hits)
+    return counts
+
+
+class TestChunkPathOracle:
+    """``estimate_errors`` draws each chunk through ``rngs_for`` into angle
+    rows and decides them in one call; its counts are the scalar oracle's."""
+
+    def test_table_pairs(self):
+        assert len(TABLE_PAIRS) == 12
+
+    @pytest.mark.parametrize("model,detector", TABLE_PAIRS,
+                             ids=[f"{m}-{d}" for m, d in TABLE_PAIRS])
+    def test_counts_equal_scalar_oracle(self, model, detector):
+        # 130 trials: two full chunks and a partial one per hypothesis.
+        config = ExperimentConfig(model=model, detector=detector, trials=130,
+                                  seed=-5, **MODEL_PARAMS[model],
+                                  **DETECTOR_PARAMS.get(detector, {}))
+        point = lab.estimate_errors(config, cell_index=4)
+        assert point.failed is None
+        h0, h1 = oracle_rejections(config, 4)
+        assert (point.pfa_hat, point.pmiss_hat) == (h0 / 130, (130 - h1) / 130)
+        assert 0 < h0 + h1 < 260
+
 
 def _count_calls(monkeypatch, fn) -> list:
     """Count the calls of ``fn`` through every circlab module that binds it."""
@@ -123,22 +224,23 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 class TestDetectorTable:
-    """Cells and ``detect`` call the test bound on ``det`` at call time."""
+    """Cells call the decision and ``detect`` the test bound on ``det`` at
+    call time."""
 
     @pytest.mark.parametrize("cell_test,detect_test,params,flags", [
         ("interval_rejects_flat", "interval_test_flat",
          dict(model="flat-hard", detector="interval", N=40, K=5, tau=0.05),
          ["--tau", "0.05"]),
-        ("known_theta_test_flat", "known_theta_test_flat",
+        ("known_theta_rejects_flat", "known_theta_test_flat",
          dict(model="flat-hard", detector="known-theta", N=40, K=5, tau=0.05),
          ["--tau", "0.05"]),
         ("interval_rejects_community", "interval_test_community",
          dict(model="comm-hard", detector="interval", n=8, k=4, tau=0.1),
          ["--tau", "0.1"]),
-        ("coherence_rejects_chunk", "coherence_test",
+        ("coherence_rejects", "coherence_test",
          dict(model="comm-vm", detector="coherence", n=8, k=4, kappa=2.0),
          ["--kappa", "2"]),
-        ("rayleigh_test", "rayleigh_test",
+        ("rayleigh_rejects", "rayleigh_test",
          dict(model="comm-vm", detector="rayleigh", n=8, k=4, kappa=2.0),
          ["--kappa", "2"]),
         ("variance_rejects", "variance_test",
@@ -153,10 +255,9 @@ class TestDetectorTable:
         with monkeypatch.context() as m:
             calls = _count_calls(m, getattr(det, cell_test))
             point = lab.estimate_errors(config)
-        # A chunk decision takes each hypothesis's one chunk in one call.
-        per_trial = not cell_test.endswith("_chunk")
+        # The decision takes each hypothesis's one chunk in one call.
         assert point.failed is None
-        assert len(calls) == 2 * (config.trials if per_trial else 1)
+        assert len(calls) == 2
         data = tmp_path / "data.txt"
         sample = lab._gen_sample(config, True, mod.rng_for(2, 0))
         with open(data, "w", encoding="utf-8") as fh:
@@ -1099,8 +1200,8 @@ class TestFileErrors:
 
 
 class TestChunkRunner:
-    """A chunk's samples go to one runner, and the counts are those of the
-    per-trial decisions on the same streams."""
+    """A chunk's angle rows go to one decision, and the counts are those of
+    the decision on each trial alone, on the same streams."""
 
     @pytest.mark.parametrize("n,k", [(24, 6), (16, 8)],
                              ids=["coh24_6", "coh16_8"])
@@ -1112,29 +1213,38 @@ class TestChunkRunner:
                                   seed=5)
         point = lab.estimate_errors(config)
         assert point.failed is None
-        runner = lab._make_runner(config)
+        decide = lab._make_test(config, decision=True)
         rejects = [0, 0]
         for hyp in (0, 1):
             for trial in range(config.trials):
                 rng = mod.rng_for(config.seed, lab._STREAM_TRIAL, 0, hyp, trial)
-                rejects[hyp] += bool(runner(lab._gen_sample(config, bool(hyp), rng)))
+                sample = lab._gen_sample(config, bool(hyp), rng)
+                rejects[hyp] += bool(decide([sample.edge_angles])[0])
         assert 0 < rejects[0] and 0 < rejects[1]
         assert point.pfa_hat == rejects[0] / config.trials
         assert point.pmiss_hat == (config.trials - rejects[1]) / config.trials
 
     def test_default_runner_decides_each_sample_as_drawn(self, monkeypatch):
-        # Without a chunk decision the runner holds one sample at a time.
+        # A decision other than coherence takes each row as it is drawn, and
+        # every trial is drawn into the same row.
         config = ExperimentConfig(model="flat-hard", detector="interval",
                                   N=40, K=5, tau=0.05, trials=3, seed=2)
         drawn, decided = [], []
+        draw = mod.draw_row
+        monkeypatch.setattr(mod, "draw_row", lambda out, *args, **kw: (
+            drawn.append(out) or draw(out, *args, **kw)))
         decide = det.interval_rejects_flat
-        monkeypatch.setattr(det, "interval_rejects_flat", lambda *args: (
-            decided.append(len(drawn)) or decide(*args)))
 
-        def samples():
-            for trial in range(5):
-                drawn.append(trial)
-                yield lab._gen_sample(config, True, mod.rng_for(2, trial))
+        def recorded(rows, *args):
+            def taken():
+                for row in rows:
+                    decided.append(len(drawn))
+                    yield row
+            return decide(taken(), *args)
 
-        assert lab._make_chunk_runner(config)(samples()) == 5
+        monkeypatch.setattr(det, "interval_rejects_flat", recorded)
+        hits = lab._run_chunk(config, lab._make_test(config, decision=True),
+                              True, (7, 0, 1), range(5))
+        assert hits == 5
         assert decided == [1, 2, 3, 4, 5]
+        assert len({row.ctypes.data for row in drawn}) == 1

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import re
 import subprocess
 import sys
 
@@ -47,6 +48,97 @@ class TestSeedDerivation:
         z = mod.rng_for(9, 1, 1).random(4)
         assert np.array_equal(x, y)
         assert not np.array_equal(x, z)
+
+
+class TestChunkSeeding:
+    """``rngs_for`` seeds a chunk's streams in one pass, each equal to
+    ``rng_for``'s. It copies numpy's SeedSequence and PCG64 seeding, so a
+    numpy that changes them fails here, and says so."""
+
+    SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1, -5]
+    TAGS = [(101, 3, 1), (2 ** 63 + 7, 2), ()]
+    TRIALS = [range(0, 64), range(2 ** 32 - 40, 2 ** 32 + 40),
+              range(2 ** 63 - 2, 2 ** 63 + 2)]
+
+    @staticmethod
+    def moved(what):
+        return (f"{what} differs from rng_for's under numpy {np.__version__}: "
+                f"rngs_for copies numpy's SeedSequence and PCG64 seeding")
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_equal_rng_for(self, seed):
+        for tags in self.TAGS:
+            for trials in self.TRIALS:
+                streams = mod.rngs_for(seed, *tags, trials=trials)
+                for t, rng in zip(trials, streams, strict=True):
+                    want = mod.rng_for(seed, *tags, t)
+                    where = f"stream {(seed, *tags, t)}"
+                    assert rng.bit_generator.state == want.bit_generator.state, \
+                        self.moved(f"the state of {where}")
+                    assert np.array_equal(rng.random(1000), want.random(1000)), \
+                        self.moved(f"the first 1000 draws of {where}")
+                    assert np.array_equal(rng.integers(0, 7, 5),
+                                          want.integers(0, 7, 5)), \
+                        self.moved(f"the bounded draws of {where}")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    def test_pcg64_seeding(self, seed):
+        # Below 2^32 a seed is one entropy word, from 2^32 on two.
+        state = np.random.PCG64(seed).state["state"]
+        got = mod._pcg64_states(np.array([seed], dtype=np.uint64))
+        assert got == [(state["state"], state["inc"])], \
+            self.moved(f"PCG64({seed})")
+
+    def test_empty_chunk(self):
+        assert list(mod.rngs_for(1, 2, trials=range(0))) == []
+
+    def test_one_generator_is_reused(self):
+        streams = list(mod.rngs_for(1, 2, trials=range(3)))
+        assert streams[0] is streams[1] is streams[2]
+
+
+class TestRowDrawer:
+    """``draw_row`` draws ``gen_flat``'s and ``gen_community``'s angles, bit
+    for bit, into a row the caller owns, and leaves the stream where they do."""
+
+    @pytest.mark.parametrize("signal", [mod.HardCluster(0.05), mod.VonMises(5.0)],
+                             ids=["hard", "vm"])
+    @pytest.mark.parametrize("h1", [False, True], ids=["H0", "H1"])
+    @pytest.mark.parametrize("kind,size,k", [("flat", 300, 12), ("flat", 20, 20),
+                                             ("comm", 12, 5), ("comm", 6, 6)])
+    def test_equals_generators(self, kind, size, k, h1, signal):
+        edges = kind == "comm"
+        width = size * (size - 1) // 2 if edges else size
+        for seed in range(4):
+            want_rng, rng = mod.rng_for(seed, 11), mod.rng_for(seed, 11)
+            if edges:
+                want = mod.gen_community(size, k, signal, h1, want_rng)
+                angles, truth = want.edge_angles, want.truth
+                members = truth and truth.community
+            else:
+                want = mod.gen_flat(size, k, signal, h1, want_rng)
+                angles, truth = want.angles, want.truth
+                members = truth and truth.subset
+            block = np.full((3, width), np.nan)  # a stale row is overwritten
+            planted = mod.draw_row(block[1], size, k, signal, h1, rng, edges)
+            assert np.array_equal(block[1], angles)
+            assert np.isnan(block[[0, 2]]).all()
+            if h1:
+                assert planted == (members, truth.theta_star)
+            else:
+                assert planted is None and truth is None
+            assert stream_tail(rng) == stream_tail(want_rng)
+
+    @pytest.mark.parametrize("size,k,edges,message", [
+        (5, 6, False, "need 1 <= K <= N, got N=5, K=6"),
+        (4, 5, True, "need 2 <= k <= n, got n=4, k=5"),
+        (9, 1, True, "need 2 <= k <= n, got n=9, k=1"),
+        (9.5, 3, True, "n must be an integer, got 9.5"),
+        (9, True, True, "k must be an integer, got True"),
+        ("30", 3, False, "N must be an integer, got '30'")])
+    def test_check_sizes(self, size, k, edges, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            mod.check_sizes(size, k, edges)
 
 
 def _ecdf_sup_dev(draws, cdf):
