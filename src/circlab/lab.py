@@ -52,6 +52,7 @@ __all__ = [
 
 _TRIAL_CHUNK = 64
 _MAX_TRIALS = 1 << 64
+_MAX_SIZE = (1 << 63) - 1
 # Subset resultants per chunk of likelihood-ratio draws: 256 KiB of float64
 # stays in cache; larger chunks were slower at C(60,3) subsets.
 _LR_CHUNK_ELEMS = 1 << 15
@@ -140,8 +141,11 @@ class ExperimentConfig:
         if None in sizes.values():
             raise ConfigError(f"model {self.model} needs {' and '.join(sizes)}")
         for name, value in sizes.items():
-            if not float(value).is_integer():
+            if not mod._is_whole(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value > _MAX_SIZE:  # the largest array size
+                raise ConfigError(f"{name} must be an integer of at most "
+                                  f"2^63 - 1, got {value!r}")
         if self.model.endswith("hard") and self.tau is None:
             raise ConfigError(f"model {self.model} needs tau")
         if self.model.endswith("vm") and self.kappa is None:
@@ -260,6 +264,8 @@ def _threshold(c: ExperimentConfig) -> float:
             policy = None if c.gamma is not None else "a2"
         else:
             _check_policy(c.detector, policy, c.gamma is not None)
+        if c.K is not None:  # a2 and vm take a root of (N - K) tau
+            mod.check_sizes(c.N, c.K)
         return det.resolve_flat_threshold(policy, c.N, c.tau, K=c.K, kappa=c.kappa,
                                           gamma=c.gamma, c_n=c.c_n)
     if c.detector == "coherence":
@@ -339,16 +345,18 @@ def _run_chunk(config: ExperimentConfig, decide: Callable, under_h1: bool,
                tags: tuple, trials: range) -> int:
     """Rejections among ``trials``, each drawn under one hypothesis.
 
-    Trial t draws from the stream ``rng_for(config.seed, *tags, t)``, which
-    ``rngs_for`` seeds for the whole chunk in one pass, straight into an
-    angle row: ``gen_flat`` and ``gen_community`` draw the same angles, but
-    no sample object is built. ``decide`` (a ``_make_test(config, True)``
-    call) takes the rows as they are drawn, the known-theta one also the
-    planted phases (``config.theta`` under H0). The coherence decision
-    stacks its rows, so each trial gets its own row of a (trials, m) block;
-    every other decision is done with a row before it takes the next, so
-    the trials share one row. The signal and the sizes are checked first,
-    as the generators check them.
+    Trial t draws from the stream ``rng_for(config.seed, *tags, t)``
+    straight into an angle row, through ``draw_chunk``: ``gen_flat`` and
+    ``gen_community`` draw the same angles, but no sample object is built.
+    ``draw_chunk`` seeds the chunk's streams in one pass and, under H1,
+    draws the planted subsets, phases and signals of the chunk in array
+    passes before any row. ``decide`` (a ``_make_test(config, True)`` call)
+    takes the rows as they are drawn, the known-theta one also the planted
+    phases (``config.theta`` under H0). The coherence decision stacks its
+    rows, so each trial gets its own row of a (trials, m) block; every other
+    decision is done with a row before it takes the next, so the trials
+    share one row. The signal and the sizes are checked first, as the
+    generators check them.
     """
     c = config
     signal = c.signal
@@ -359,10 +367,9 @@ def _run_chunk(config: ExperimentConfig, decide: Callable, under_h1: bool,
     phases = [c.theta] * len(trials)
 
     def drawn():
-        for i, rng in enumerate(mod.rngs_for(c.seed, *tags, trials=trials)):
-            row = rows[i % rows.shape[0]]
-            planted = mod.draw_row(row, size, k, signal, under_h1, rng,
-                                   edges=not c.is_flat)
+        for i, (row, planted) in enumerate(mod.draw_chunk(
+                rows, size, k, signal, under_h1, c.seed, tags, trials,
+                edges=not c.is_flat)):
             if planted is not None:
                 phases[i] = planted[1]
             yield row
@@ -379,11 +386,13 @@ def estimate_errors(config: ExperimentConfig, cell_index: int = 0,
     Runs ``trials`` datasets under each hypothesis, in chunks of
     ``_TRIAL_CHUNK``, in the calling thread, through ``_run_chunk``. Each
     trial draws its angles from a generator derived from (seed, cell,
-    hypothesis, trial), and a chunk's angle rows go to the detector's
-    decision in one call (coherence: one greedy witness per trial, the exact
-    search for the trials it leaves open). Every decision is exact and
-    counts reduce by sums, so identical (config, seed) give identical
-    results, whatever the chunk size.
+    hypothesis, trial), as ``gen_flat`` or ``gen_community`` would draw them
+    (``draw_chunk`` draws an H1 chunk's planted parts in array passes, bit
+    for bit), and a chunk's angle rows go to the detector's decision in one
+    call (coherence: one greedy witness per trial, the exact search for the
+    trials it leaves open). Every decision is exact and counts reduce by
+    sums, so identical (config, seed) give identical results, whatever the
+    chunk size. The sizes are checked before a flat threshold is resolved.
     Capability, domain, numeric and parameter errors mark the point failed
     instead of raising; the same errors, or an overflow, while annotating
     the verdict and bounds are kept in ``annotation_error``. A ConfigError

@@ -17,7 +17,8 @@ Determinism: generators draw from an explicit numpy Generator and consume
 randomness in a fixed order, so identical (parameters, seed) give
 bit-identical samples regardless of thread count or call interleaving.
 ``rngs_for`` seeds a chunk of trials' streams in one vectorised pass, each
-bit for bit the stream ``rng_for`` gives that trial.
+bit for bit the stream ``rng_for`` gives that trial, and ``draw_chunk``
+draws a chunk's samples on them as ``draw_row`` would, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "sample_arc_uniform",
     "check_sizes",
     "draw_row",
+    "draw_chunk",
     "gen_flat",
     "gen_community",
     "edge_index",
@@ -88,8 +90,9 @@ class HardCluster:
     tau: float
 
     def __post_init__(self):
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau)
-                and 0.0 < self.tau <= 1.0):
+        # Comparisons, not math.isfinite: they also take an int beyond float
+        # range, and NaN fails them.
+        if not (isinstance(self.tau, (int, float)) and 0.0 < self.tau <= 1.0):
             raise DomainError(f"tau must be in (0, 1], got {self.tau!r}")
 
 
@@ -106,7 +109,9 @@ class VonMises:
 
 
 def _check_kappa(kappa) -> None:
-    if not (math.isfinite(kappa) and kappa >= 0.0):
+    # NaN fails; an int beyond float range, unlike in math.isfinite, does not
+    # overflow here and meets the bound below.
+    if not (kappa >= 0.0 and kappa != math.inf):
         raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
     if kappa > _MAX_KAPPA:
         raise DomainError(f"kappa must be <= {_MAX_KAPPA:g}, the largest "
@@ -348,6 +353,20 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     return out
 
 
+def _stream_states(seed: int, tags: tuple, trials: Iterable[int]) -> list:
+    """The PCG64 (state, inc) of ``rng_for(seed, *tags, t)`` for each t."""
+    tags_t = np.array([int(t) & _MASK64 for t in trials], dtype=np.uint64)
+    return _pcg64_states(splitmix64(np.uint64(derive_seed(seed, *tags)) ^ tags_t))
+
+
+def _set_stream(rng: np.random.Generator, state: int, inc: int) -> None:
+    """Put ``rng`` at the start of the stream (state, inc), no 32-bit half
+    buffered."""
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+
+
 def rngs_for(seed: int, *tags: int, trials: Iterable[int]
              ) -> Iterator[np.random.Generator]:
     """Yield ``rng_for(seed, *tags, t)`` for each t of ``trials``, seeded in
@@ -359,14 +378,9 @@ def rngs_for(seed: int, *tags: int, trials: Iterable[int]
     and draws. One Generator is reused: each yield sets its state, so a
     stream is good only until the next is taken.
     """
-    tags_t = np.array([int(t) & _MASK64 for t in trials], dtype=np.uint64)
-    seeds = splitmix64(np.uint64(derive_seed(seed, *tags)) ^ tags_t)
     rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for state, inc in _pcg64_states(seeds):
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    for state, inc in _stream_states(seed, tags, trials):
+        _set_stream(rng, state, inc)
         yield rng
 
 
@@ -420,18 +434,63 @@ def sample_arc_uniform(theta: float, tau: float, rng: np.random.Generator,
     return float(draws[0]) if size is None else draws
 
 
+def _shuffled_prefixes(picks: np.ndarray) -> np.ndarray:
+    """The sorted first k entries of partial Fisher-Yates shuffles of range(n).
+
+    Row r of the (rows, k) int array ``picks`` is one shuffle: step i swaps
+    positions i and picks[r, i] >= i. Position i is never touched after
+    step i, so it ends with what position picks[i] held just before: that
+    value itself, unless an earlier step t also picked it; then, for the
+    last such t, what position t held just before step t, found the same
+    way from the last step that picked t. The links run back from step to
+    step, for all rows at once; only the at most 2k touched positions of a
+    row take part.
+    """
+    rows, k = picks.shape
+    order = np.argsort(picks, axis=1, kind="stable")  # by value, then step
+    ranked = np.take_along_axis(picks, order, axis=1)
+    repeat = ranked[:, 1:] == ranked[:, :-1]
+    # before[r, i]: the last step before i with the same pick, else -1
+    before = np.full((rows, k), -1)
+    r, m = np.nonzero(repeat)
+    before[r, order[r, m + 1]] = order[r, m]
+    # into[r, u], u < k: the last step that picked u, else -1. A linked step
+    # t picks a later position, so into[t] is a step before t.
+    last = np.ones((rows, k), dtype=bool)
+    last[:, :-1] = ~repeat
+    r, m = np.nonzero(last & (ranked < k))
+    into = np.full((rows, k), -1)
+    into[r, ranked[r, m]] = order[r, m]
+    out = picks.copy()
+    link, row_ids = before, np.arange(rows)[:, None]
+    while (linked := link >= 0).any():
+        out[linked] = link[linked]
+        link = np.where(linked, into[row_ids, np.maximum(link, 0)], -1)
+    out.sort(axis=1)
+    return out
+
+
 def _sample_subset(rng: np.random.Generator, n: int, k: int) -> tuple:
     """Uniform size-k subset of range(n) by partial Fisher-Yates.
 
     The k draws j_i in [0, n - i) come from one ``integers`` call, which
-    consumes the stream exactly as k scalar calls in order would. The swaps
-    touch at most 2k positions, so they run on a dict of the moved ones.
+    consumes the stream exactly as k scalar calls in order would;
+    ``_shuffled_prefixes`` resolves the swaps.
     """
-    moved: dict = {}
-    for i, d in enumerate(rng.integers(0, np.arange(n, n - k, -1)).tolist()):
-        j = i + d
-        moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-    return tuple(sorted(moved[i] for i in range(k)))
+    picks = np.arange(k) + rng.integers(0, np.arange(n, n - k, -1))
+    return tuple(_shuffled_prefixes(picks[None])[0].tolist())
+
+
+def _lemire32(words: np.ndarray, ranges: np.ndarray) -> tuple:
+    """numpy's bounded draws in [0, r) from one uint32 word w each, for
+    ranges 2 <= r <= 2^32: (draws, taken).
+
+    ``Generator.integers`` takes (w * r) >> 32 (Lemire 2019), unless the low
+    32 bits of w * r fall below (2^32 - r) mod r; then it draws another word,
+    and ``taken`` is False. Arguments are uint64 arrays that broadcast.
+    """
+    scaled = words * ranges
+    return scaled >> 32, (scaled & _MASK32) >= (2 ** 32 - ranges) % ranges
 
 
 def _signal_draws(signal: SignalKind, theta: float, rng: np.random.Generator,
@@ -500,6 +559,115 @@ def draw_row(out: np.ndarray, size: int, k: int, signal: SignalKind,
     planted = subset_edges(size, np.asarray(subset)) if edges else list(subset)
     out[planted] = _signal_draws(signal, theta, rng, len(planted))
     return subset, theta
+
+
+# Planted angles per batch of ``draw_chunk``'s H1 trials; it bounds the
+# batch's arrays (a 64-trial chunk of flat K = 60 is one batch of 3840).
+_PLANTED_BATCH = 1 << 14
+
+
+def draw_chunk(rows: np.ndarray, size: int, k: int, signal: SignalKind,
+               under_h1: bool, seed: int, tags: tuple, trials: Sequence[int],
+               edges: bool = False) -> Iterator[tuple]:
+    """Yield (row, planted) for each trial t of ``trials``, as ``draw_row``
+    draws them from ``rng_for(seed, *tags, t)``, bit for bit.
+
+    Trial i is drawn into ``rows[i % len(rows)]``, a row of the caller's
+    (rows, width) float64 block, when it is taken. ``planted`` is None
+    under H0, else (sorted subset, theta) with the subset as an int array.
+    Under H0 each row is ``draw_row``'s on the ``rngs_for`` streams. An H1
+    trial's stream holds, in order, the subset's uint32 words (ranges n - i;
+    a range of 1 draws none), theta, the background and the signal, so its
+    H1 trials are drawn in batches, in two passes:
+
+    - pass A, per trial: read the words, two to a 64-bit output, low half
+      first, and theta from ``random_raw``; step over the background; draw
+      the signal into a small (batch, K) block (C(k,2) for edges);
+    - for the batch at once: the bounded draws (``_lemire32``), the swaps
+      (``_shuffled_prefixes``) and the planted angles;
+    - pass B, per trial, as it is taken: restart the stream, step over the
+      words and theta, draw the background into the row and set the planted
+      angles in it.
+
+    Reading raw words is exact because each stream starts with no 32-bit
+    half buffered and is dropped after its trial; every range is a row
+    length, so at most 2^32, and takes one 32-bit word. A trial whose bounded
+    draw would take another word (1 in 116,000 at (N, K) = (2000, 41)) is
+    drawn by ``draw_row`` in pass B. Sizes are checked by ``check_sizes``.
+    """
+    if not under_h1:
+        for i, rng in enumerate(rngs_for(seed, *tags, trials=trials)):
+            row = rows[i % len(rows)]
+            yield row, draw_row(row, size, k, signal, under_h1, rng, edges)
+        return
+    if not isinstance(signal, (HardCluster, VonMises)):
+        raise DomainError(f"unknown signal kind: {signal!r}")
+    states = _stream_states(seed, tags, trials)
+    planted_size = k * (k - 1) // 2 if edges else k
+    step = max(1, _PLANTED_BATCH // planted_size)
+    for lo in range(0, len(states), step):
+        yield from _draw_planted(rows, lo, states[lo:lo + step], size, k,
+                                 signal, edges, planted_size)
+
+
+def _draw_planted(rows: np.ndarray, first: int, states: list, size: int,
+                  k: int, signal: SignalKind, edges: bool,
+                  planted_size: int) -> Iterator[tuple]:
+    """``draw_chunk``'s H1 trials on the streams ``states``, the first of
+    them trial ``first`` of the chunk: pass B over ``_plant``'s draws."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    subsets, thetas, values, redraw = _plant(rng, states, size, k, signal,
+                                             edges, planted_size)
+    planted = subset_edges(size, subsets) if edges else subsets
+    skip = (min(k, size - 1) + 1) // 2 + 1  # the words and theta
+    for i, (state, inc) in enumerate(states):
+        row = rows[(first + i) % len(rows)]
+        _set_stream(rng, state, inc)
+        if redraw[i]:
+            subset, theta = draw_row(row, size, k, signal, True, rng, edges)
+            yield row, (np.array(subset), theta)
+            continue
+        rng.bit_generator.advance(skip)
+        rng.random(out=row)
+        row *= TWO_PI
+        row[planted[i]] = values[i]
+        yield row, (subsets[i], thetas[i])
+
+
+def _plant(rng: np.random.Generator, states: list, size: int, k: int,
+           signal: SignalKind, edges: bool, planted_size: int) -> tuple:
+    """Pass A and the array work of ``draw_chunk`` on the streams
+    ``states``: (sorted subsets, thetas, planted angles, redraw flags).
+    Its temporaries are freed before pass B's rows are decided."""
+    bit_generator = rng.bit_generator
+    width = size * (size - 1) // 2 if edges else size
+    n_words = min(k, size - 1)
+    n_raw = (n_words + 1) // 2
+    raw = np.empty((len(states), n_raw + 1), dtype=np.uint64)
+    marks = np.empty((len(states), planted_size))
+    for i, (state, inc) in enumerate(states):
+        _set_stream(rng, state, inc)
+        raw[i] = bit_generator.random_raw(n_raw + 1)
+        bit_generator.advance(width)
+        if isinstance(signal, HardCluster):
+            rng.random(out=marks[i])
+        else:
+            marks[i] = _von_mises_centered(rng, signal.kappa, planted_size)
+    words = np.empty((len(states), n_words), dtype=np.uint64)
+    words[:, 0::2] = raw[:, :n_raw] & _MASK32
+    words[:, 1::2] = raw[:, :n_words // 2] >> 32
+    draws, taken = _lemire32(words, np.arange(size, size - n_words, -1,
+                                              dtype=np.uint64))
+    picks = np.full((len(states), k), size - 1)  # a range of 1 draws 0
+    picks[:, :n_words] = draws
+    picks[:, :n_words] += np.arange(n_words)
+    # next_double: the top 53 bits of a 64-bit output, times 2^-53
+    thetas = TWO_PI * ((raw[:, n_raw] >> 11) * (1.0 / 9007199254740992.0))
+    if isinstance(signal, HardCluster):
+        marks *= TWO_PI * signal.tau
+    return (_shuffled_prefixes(picks), thetas.tolist(),
+            canonical_angle(thetas[:, None] + marks),
+            (~taken.all(axis=1)).tolist())
 
 
 def gen_flat(N: int, K: int, signal: SignalKind, under_h1: bool,

@@ -77,12 +77,18 @@ class TestEstimateErrors:
     @pytest.mark.parametrize("model,sizes,bad", [
         ("flat-hard", {"N": 200.5, "K": 5}, "N=200.5"),
         ("flat-hard", {"N": 200, "K": 5.5}, "K=5.5"),
-        ("comm-hard", {"n": 16, "k": 5.5}, "k=5.5")])
+        ("comm-hard", {"n": 16, "k": 5.5}, "k=5.5"),
+        ("flat-hard", {"N": "abc", "K": 5}, "N='abc'"),
+        ("flat-hard", {"N": 200, "K": [3]}, "K=[3]"),
+        ("comm-hard", {"n": 16, "k": "3"}, "k='3'"),
+        pytest.param("comm-hard", {"n": 10 ** 400, "k": 5}, f"n={10 ** 400}",
+                     id="comm-hard-n=10**400")])
     def test_non_integer_size_usage_error(self, model, sizes, bad):
         name, value = bad.split("=")
+        limit = " of at most 2^63 - 1" if sizes[name] == 10 ** 400 else ""
         cfg = ExperimentConfig(model=model, tau=0.001, trials=5, **sizes)
-        with pytest.raises(ConfigError,
-                           match=f"^{name} must be an integer, got {value}$"):
+        message = f"{name} must be an integer{limit}, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             lab.estimate_errors(cfg)
 
     def test_integral_sizes_accepted(self):
@@ -188,7 +194,7 @@ def oracle_rejections(config: ExperimentConfig, cell_index: int) -> list:
 
 
 class TestChunkPathOracle:
-    """``estimate_errors`` draws each chunk through ``rngs_for`` into angle
+    """``estimate_errors`` draws each chunk through ``draw_chunk`` into angle
     rows and decides them in one call; its counts are the scalar oracle's."""
 
     def test_table_pairs(self):
@@ -405,6 +411,16 @@ class TestSweep:
         points = lab.sweep([("tau", [0.01, 1.5])], flat, out=str(out))
         assert points[0].failed is None and "tau" in points[1].failed
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("policy", ["a1", "a2", "vm"])
+    def test_flat_k_above_n_fails_its_cell(self, policy):
+        # a2 and vm take a root of (N - K) tau; at K > N that raised a bare
+        # ValueError before the sizes were checked, and ended the sweep.
+        base = ExperimentConfig(model="flat-hard", detector="interval", N=20,
+                                tau=0.01, kappa=4.0, policy=policy, trials=4)
+        points = lab.sweep([("K", [5, 25])], base)
+        assert points[0].failed is None
+        assert points[1].failed == "need 1 <= K <= N, got N=20, K=25"
 
     def test_threshold_quadrature_failure_fails_its_cell(self, tmp_path):
         # The vm threshold needs arc_prob(1e12, 1e-6), whose quadrature
@@ -854,6 +870,15 @@ class TestCLIDispatch:
                          "--tau", "0.02", "--policy", policy]) == 2
         assert f"policy {policy} needs K" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["a1", "a2", "vm"])
+    def test_detect_k_above_n_is_error(self, flat_file, policy, capsys):
+        # a2 raised a bare ValueError from the root of (N - K) tau.
+        capsys.readouterr()
+        assert cli.main(["detect", "--data", flat_file, "--test", "interval",
+                         "--tau", "0.02", "--kappa", "4", "--k", "9999",
+                         "--policy", policy]) == 1
+        assert "need 1 <= K <= N" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags,code", [
         (["--test", "known-theta", "--theta", "nan"], 1),
         (["--test", "known-theta", "--theta", "inf"], 1),
@@ -1230,9 +1255,14 @@ class TestChunkRunner:
         config = ExperimentConfig(model="flat-hard", detector="interval",
                                   N=40, K=5, tau=0.05, trials=3, seed=2)
         drawn, decided = [], []
-        draw = mod.draw_row
-        monkeypatch.setattr(mod, "draw_row", lambda out, *args, **kw: (
-            drawn.append(out) or draw(out, *args, **kw)))
+        draw = mod.draw_chunk
+
+        def recorded_draws(*args, **kw):
+            for row, planted in draw(*args, **kw):
+                drawn.append(row)
+                yield row, planted
+
+        monkeypatch.setattr(mod, "draw_chunk", recorded_draws)
         decide = det.interval_rejects_flat
 
         def recorded(rows, *args):

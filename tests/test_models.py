@@ -141,6 +141,95 @@ class TestRowDrawer:
             mod.check_sizes(size, k, edges)
 
 
+class TestChunkDrawer:
+    """``draw_chunk`` draws each trial's row, theta and subset as ``draw_row``
+    does on ``rng_for(seed, *tags, t)``. Under H1 it reads the subset's
+    words and theta as raw 64-bit outputs and copies numpy's bounded draws,
+    so a numpy that changes them fails here, and says so."""
+
+    SIGNALS = {"hard": mod.HardCluster(0.05), "vm": mod.VonMises(5.0)}
+
+    @staticmethod
+    def moved(what):
+        return (f"{what} differs from draw_row's under numpy {np.__version__}: "
+                f"draw_chunk copies numpy's 32-bit Lemire draws, the low-first "
+                f"halves of next_uint32 and next_double")
+
+    def check(self, size, k, signal, h1, edges, seed, tags, trials, block):
+        width = size * (size - 1) // 2 if edges else size
+        rows = np.full((len(trials) if block else 1, width), np.nan)
+        want_row = np.empty(width)
+        drawn = mod.draw_chunk(rows, size, k, signal, h1, seed, tags, trials,
+                               edges)
+        wants = []
+        for i, (t, (row, planted)) in enumerate(zip(trials, drawn, strict=True)):
+            assert row.ctypes.data == rows[i % len(rows)].ctypes.data
+            want = mod.draw_row(want_row, size, k, signal, h1,
+                                mod.rng_for(seed, *tags, t), edges)
+            where = f"trial {(seed, *tags, t)} at {(size, k)}"
+            assert np.array_equal(row, want_row), self.moved(f"the row of {where}")
+            if h1:
+                assert tuple(planted[0].tolist()) == want[0], \
+                    self.moved(f"the subset of {where}")
+                assert planted[1] == want[1], self.moved(f"theta of {where}")
+            else:
+                assert planted is None and want is None
+            wants.append(want_row.copy())
+        if block:  # no later trial overwrote an earlier one's row
+            assert np.array_equal(rows, wants)
+
+    @pytest.mark.parametrize("signal", ["hard", "vm"])
+    @pytest.mark.parametrize("h1", [False, True], ids=["H0", "H1"])
+    @pytest.mark.parametrize("kind,size,k", [
+        ("flat", 300, 12), ("flat", 300, 13), ("flat", 20, 20),
+        ("flat", 2000, 41), ("flat", 4000, 60), ("flat", 1, 1),
+        ("comm", 12, 5), ("comm", 12, 6), ("comm", 6, 6), ("comm", 2, 2)])
+    def test_equals_draw_row(self, kind, size, k, h1, signal):
+        for seed, block in ((3, False), (-5, True)):
+            self.check(size, k, self.SIGNALS[signal], h1, kind == "comm",
+                       seed, (101, 2, 1), range(60, 130), block)
+
+    def test_batches(self):
+        # 2000 planted angles a trial: batches of 8 trials.
+        assert mod._PLANTED_BATCH // 2000 == 8
+        self.check(2000, 2000, mod.HardCluster(0.3), True, False, 7, (5,),
+                   range(20), True)
+        self.check(2000, 2000, mod.VonMises(0.5), True, False, 7, (5,),
+                   range(20), False)
+
+    @pytest.mark.parametrize("signal", ["hard", "vm"])
+    def test_redrawn_word_falls_back_to_draw_row(self, signal):
+        # Trial 11342 of these streams draws a word that numpy rejects at
+        # (N, K) = (2000, 41); 1 trial in 116,000 does.
+        seed, tags, size, k = 1, (101, 0, 1), 2000, 41
+        rng = mod.rng_for(seed, *tags, 11342)
+        raw = rng.bit_generator.random_raw(21)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:k]
+        _, taken = mod._lemire32(words, np.arange(size, size - k, -1,
+                                                  dtype=np.uint64))
+        assert not taken.all()
+        self.check(size, k, self.SIGNALS[signal], True, False, seed, tags,
+                   range(11340, 11345), False)
+
+    @pytest.mark.parametrize("n", [2 ** 31 - 7, 2 ** 31 + 5, 2 ** 32 - 3])
+    def test_lemire32_equals_integers(self, n):
+        # Near 2^31 and 2^32 numpy rejects up to half of the words. Each
+        # range takes words, low half first, until one is taken.
+        for seed in range(60):
+            ranges = np.arange(n + 3, n - 57, -1, dtype=np.uint64)  # 2^32 too
+            raw = mod.rng_for(seed, 4).bit_generator.random_raw(200)
+            words = iter(np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel())
+            got = []
+            for r in ranges:
+                draw, taken = mod._lemire32(next(words), r)
+                while not taken:
+                    draw, taken = mod._lemire32(next(words), r)
+                got.append(int(draw))
+            want = mod.rng_for(seed, 4).integers(0, ranges.astype(np.int64))
+            assert got == want.tolist(), \
+                self.moved(f"the bounded draws below {n + 3} of seed {seed}")
+
+
 def _ecdf_sup_dev(draws, cdf):
     xs = np.sort(draws)
     n = xs.size
@@ -183,7 +272,8 @@ class TestVonMisesSampler:
         x = mod.sample_von_mises(0.3, 2.0, rng)
         assert isinstance(x, float) and 0 <= x < TWO_PI
 
-    @pytest.mark.parametrize("kappa", [2e10, 1e17, 1e200])
+    @pytest.mark.parametrize("kappa", [2e10, 1e17, 1e200, pytest.param(
+        10 ** 400, id="10**400")])
     def test_kappa_above_sampler_limit_rejected(self, kappa):
         with pytest.raises(DomainError):
             mod.VonMises(kappa)
@@ -205,6 +295,12 @@ class TestVonMisesSampler:
 
 
 class TestArcSampler:
+    @pytest.mark.parametrize("tau", [0, -0.1, 1.5, math.nan, math.inf,
+                                     pytest.param(10 ** 400, id="10**400")])
+    def test_tau_out_of_range_rejected(self, tau):
+        with pytest.raises(DomainError, match=r"^tau must be in \(0, 1\]"):
+            mod.HardCluster(tau)
+
     def test_full_arc_is_uniform(self):
         rng = mod.rng_for(6, 0)
         draws = mod.sample_arc_uniform(0.4, 1.0, rng, 100_000)
@@ -315,6 +411,19 @@ class TestSampleSubset:
         assert mod._sample_subset(new, n, k) == scalar_loop_subset(old, n, k)
         assert stream_tail(new) == stream_tail(old)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    def test_shuffled_prefixes_equal_swaps(self, n, data):
+        # Small n: most shuffles pick some position twice.
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        picks = np.array([[i + data.draw(st.integers(0, n - 1 - i))
+                           for i in range(k)] for _ in range(5)])
+        for row, got in zip(picks, mod._shuffled_prefixes(picks)):
+            moved = {}
+            for i, j in enumerate(row.tolist()):
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            assert got.tolist() == sorted(moved[i] for i in range(k))
+
     @pytest.mark.parametrize("n", [2 ** 31 - 7, 2 ** 31 + 5, 2 ** 32 - 3,
                                    2 ** 32 + 9, 2 ** 40 + 3])
     def test_wide_ranges_draw_as_scalar_calls(self, n):
@@ -359,10 +468,30 @@ class TestStreamDigests:
          "263d76e84b7abdba214943f5aaa2abe9ba696a54e0f3e1613a9d23dee4495a18"),
     ])
     def test_digest(self, kind, signal, h1, want):
+        assert self.digest(kind, signal, h1) == want
+
+    @pytest.mark.parametrize("kind,signal,want", [
+        ("flat", "hard",
+         "5f5d9089d177a5caf100c0cb7f4c6bbeab615a8eaf7d324608d8daf06ca6306a"),
+        ("flat", "vm",
+         "9ecb78c555c49535cdaa5172d74906fe7a1d56c8fcce8a4f3fd3506f36be5de2"),
+        ("comm", "hard",
+         "6f096fe5d2b4c04fd52763da26d6949b23feb75e7c49da05bb1c6684215278a6"),
+        ("comm", "vm",
+         "63aeb427214efbcf7ce00776ad8b4cbfbfe6acb928cd01d3896d88e3b2ef5f07"),
+    ])
+    def test_digest_after_buffered_half(self, kind, signal, want):
+        # A generator that enters with a 32-bit half buffered (after one
+        # 32-bit bounded draw) hands that half to the subset's first draw.
+        assert self.digest(kind, signal, True, buffered=True) == want
+
+    def digest(self, kind, signal, h1, buffered=False):
         h = hashlib.sha256()
         for seed in range(6):
             for shape in self.FLAT if kind == "flat" else self.COMM:
                 rng = mod.rng_for(seed, 9, *shape)
+                if buffered:
+                    rng.integers(0, 7)
                 if kind == "flat":
                     s = mod.gen_flat(*shape, self.SIGNALS[signal], h1, rng)
                     angles = s.angles
@@ -374,7 +503,7 @@ class TestStreamDigests:
                 h.update(angles.astype("<f8").tobytes())
                 h.update(repr(truth).encode())
                 h.update(repr(stream_tail(rng)).encode())
-        assert h.hexdigest() == want
+        return h.hexdigest()
 
 
 class TestGenCommunity:
