@@ -20,6 +20,7 @@ through integer counters, and a cell runs its trials in the calling thread.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -256,8 +257,13 @@ def _threshold(c: ExperimentConfig) -> float:
 
     Flat tests take the policy's count (known-theta has no policy: gamma, else
     a2); edge tests take beta, sigma2, or the interval test's window tau.
+    A tau or kappa beyond float range gets its signal's DomainError first,
+    where a threshold's float arithmetic would overflow on it.
     """
     _check_call(c)
+    for value, signal in ((c.tau, mod.HardCluster), (c.kappa, mod.VonMises)):
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            signal(value)
     if c.is_flat:
         policy = c.policy
         if c.detector == "known-theta":
@@ -356,14 +362,20 @@ def _run_chunk(config: ExperimentConfig, decide: Callable, under_h1: bool,
     rows, so each trial gets its own row of a (trials, m) block; every other
     decision is done with a row before it takes the next, so the trials
     share one row. The signal and the sizes are checked first, as the
-    generators check them.
+    generators check them; rows that cannot be allocated are a
+    CapabilityError.
     """
     c = config
     signal = c.signal
     size, k = mod.check_sizes(*((c.N, c.K) if c.is_flat else (c.n, c.k)),
                               edges=not c.is_flat)
     width = size if c.is_flat else size * (size - 1) // 2
-    rows = np.empty((len(trials) if c.detector == "coherence" else 1, width))
+    shape = (len(trials) if c.detector == "coherence" else 1, width)
+    try:
+        rows = np.empty(shape)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's array size
+        raise CapabilityError(f"cannot allocate {shape[0]} x {width} angle "
+                              f"rows of 8 bytes") from None
     phases = [c.theta] * len(trials)
 
     def drawn():
@@ -652,7 +664,12 @@ def _gap_coverage_fraction(sorted_vals: np.ndarray, w: float) -> np.ndarray:
 
 
 def _row_means(a: np.ndarray) -> np.ndarray:
-    """Each row's mean, taken on its own as one trial's array would be."""
+    """Each row's mean, taken on its own as one trial's array would be.
+
+    Not ``a.mean(axis=1)``: comm-hard's coverage array is column-major, and
+    numpy then adds along each row in sequence instead of pairwise, which
+    moved comm-hard estimates in their last bits (2 of 6 at 2000 trials).
+    """
     return np.array([row.mean() for row in a])
 
 

@@ -384,27 +384,95 @@ def rngs_for(seed: int, *tags: int, trials: Iterable[int]
         yield rng
 
 
-def _von_mises_centered(rng: np.random.Generator, kappa: float, size: int) -> np.ndarray:
-    """Draws from vonMises(0, kappa) in (-pi, pi], Best-Fisher rejection sampling."""
-    if kappa < _UNIFORM_KAPPA_CUTOFF:
-        return rng.random(size) * TWO_PI - math.pi
+def _proposal(kappa: float) -> float:
+    """The constant r of the Best-Fisher wrapped-Cauchy proposal for kappa."""
     t = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
     rho_prop = (t - math.sqrt(2.0 * t)) / (2.0 * kappa)
-    r = (1.0 + rho_prop * rho_prop) / (2.0 * rho_prop)
+    return (1.0 + rho_prop * rho_prop) / (2.0 * rho_prop)
+
+
+def _best_fisher_round(u0: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                       kappa: float, r: float) -> tuple:
+    """One Best-Fisher round on uniforms u0, u1, u2: (values, accept).
+
+    Each element is computed on its own, so a round over many draws gives
+    each the bits it gets in a round of its own.
+    """
+    z = np.cos(math.pi * u0)
+    f = (1.0 + r * z) / (r + z)
+    c = kappa * (r - f)
+    v = 1.0 - u1  # in (0, 1], keeps the log test well defined
+    accept = (c * (2.0 - c) - v > 0.0) | (np.log(c / v) + 1.0 - c >= 0.0)
+    return np.sign(u2 - 0.5) * np.arccos(np.clip(f, -1.0, 1.0)), accept
+
+
+def _von_mises_centered(rng: np.random.Generator, kappa: float, size: int) -> np.ndarray:
+    """Draws from vonMises(0, kappa) in (-pi, pi], Best-Fisher rejection sampling.
+
+    Each round draws ``rng.random((3, p))`` for the p draws still pending,
+    in order, and keeps the accepted ones. ``draw_chunk`` runs the same
+    rounds on a batch of trials at once (``_von_mises_rows``).
+    """
+    if kappa < _UNIFORM_KAPPA_CUTOFF:
+        return rng.random(size) * TWO_PI - math.pi
+    r = _proposal(kappa)
     out = np.empty(size, dtype=float)
     pending = np.arange(size)
     while pending.size:
-        m = pending.size
-        u = rng.random((3, m))
-        z = np.cos(math.pi * u[0])
-        f = (1.0 + r * z) / (r + z)
-        c = kappa * (r - f)
-        u2 = 1.0 - u[1]  # in (0, 1], keeps the log test well defined
-        accept = (c * (2.0 - c) - u2 > 0.0) | (np.log(c / u2) + 1.0 - c >= 0.0)
-        vals = np.sign(u[2] - 0.5) * np.arccos(np.clip(f, -1.0, 1.0))
+        u = rng.random((3, pending.size))
+        vals, accept = _best_fisher_round(u[0], u[1], u[2], kappa, r)
         out[pending[accept]] = vals[accept]
         pending = pending[~accept]
     return out
+
+
+def _von_mises_width(m: int) -> int:
+    """Uniforms ``draw_chunk`` reads for a trial's m von Mises draws.
+
+    A draw takes 3 uniforms a round. A round accepts with a chance that
+    falls from 1 at small kappa to 0.658 at large kappa, so m draws take at
+    most 4.6 m uniforms on average, give or take 2.7 sqrt(m). The width
+    leaves 1.4 m + 12 sqrt(m) + 24 to spare.
+    """
+    return 3 * (2 * m + 4 * math.isqrt(m) + 8)
+
+
+def _von_mises_rows(block: np.ndarray, kappa: float, m: int) -> tuple:
+    """m draws from vonMises(0, kappa) for each row of uniforms of ``block``,
+    as ``_von_mises_centered`` draws them from a stream that starts with
+    the row: (a (rows, m) array, rows that ran out).
+
+    The rounds run for all rows at once. A row with p draws pending reads
+    its round's u0, u1 and u2 at its offsets o, o + p and o + 2p, fills its
+    accepted values in pending order and moves on by 3p, the order in
+    which ``rng.random((3, p))`` reads a stream. A row whose next round
+    would read past its end is left out, and flagged.
+    """
+    rows, width = block.shape
+    r = _proposal(kappa)
+    out = np.empty((rows, m))
+    row = np.repeat(np.arange(rows), m)  # the pending draws, row by row,
+    slot = np.tile(np.arange(m), rows)   # each row's in order
+    offset = np.zeros(rows, dtype=np.intp)
+    ran_out = np.zeros(rows, dtype=bool)
+    flat = block.ravel()
+    while row.size:
+        pending = np.bincount(row, minlength=rows)
+        short = offset + 3 * pending > width
+        if short.any():
+            ran_out |= short
+            pending[short] = 0
+            keep = ~short[row]
+            row, slot = row[keep], slot[keep]
+        p = pending[row]
+        rank = np.arange(row.size) - (np.cumsum(pending) - pending)[row]
+        at = row * width + offset[row] + rank
+        vals, accept = _best_fisher_round(flat[at], flat[at + p],
+                                          flat[at + 2 * p], kappa, r)
+        out[row[accept], slot[accept]] = vals[accept]
+        offset += 3 * pending
+        row, slot = row[~accept], slot[~accept]
+    return out, ran_out
 
 
 def sample_von_mises(theta: float, kappa: float, rng: np.random.Generator,
@@ -563,6 +631,9 @@ def draw_row(out: np.ndarray, size: int, k: int, signal: SignalKind,
 
 # Planted angles per batch of ``draw_chunk``'s H1 trials; it bounds the
 # batch's arrays (a 64-trial chunk of flat K = 60 is one batch of 3840).
+# The von Mises block reads _von_mises_width(m) uniforms a trial, at most
+# 7.5 per planted angle from m = 100 on, so a full batch's block is under
+# 1 MiB; below that, a 64-trial chunk's is under 0.4 MiB.
 _PLANTED_BATCH = 1 << 14
 
 
@@ -581,19 +652,25 @@ def draw_chunk(rows: np.ndarray, size: int, k: int, signal: SignalKind,
     H1 trials are drawn in batches, in two passes:
 
     - pass A, per trial: read the words, two to a 64-bit output, low half
-      first, and theta from ``random_raw``; step over the background; draw
-      the signal into a small (batch, K) block (C(k,2) for edges);
+      first, and theta from ``random_raw``; step over the background; read
+      the signal's uniforms into one row of a block: K of them (C(k,2) for
+      edges), or ``_von_mises_width`` of them for the von Mises rounds;
     - for the batch at once: the bounded draws (``_lemire32``), the swaps
-      (``_shuffled_prefixes``) and the planted angles;
+      (``_shuffled_prefixes``), the von Mises rounds (``_von_mises_rows``)
+      and the planted angles;
     - pass B, per trial, as it is taken: restart the stream, step over the
       words and theta, draw the background into the row and set the planted
       angles in it.
 
     Reading raw words is exact because each stream starts with no 32-bit
     half buffered and is dropped after its trial; every range is a row
-    length, so at most 2^32, and takes one 32-bit word. A trial whose bounded
-    draw would take another word (1 in 116,000 at (N, K) = (2000, 41)) is
-    drawn by ``draw_row`` in pass B. Sizes are checked by ``check_sizes``.
+    length, so at most 2^32, and takes one 32-bit word. Reading uniforms
+    past what the signal needs is exact because the signal is the last of a
+    trial's stream, pass B stops at the background, and the stream is
+    dropped after its trial. A trial whose bounded draw would take another
+    word (1 in 116,000 at (N, K) = (2000, 41)) is drawn by ``draw_row`` in
+    pass B; one whose rounds would read past its block row draws its signal
+    again on its own stream. Sizes are checked by ``check_sizes``.
     """
     if not under_h1:
         for i, rng in enumerate(rngs_for(seed, *tags, trials=trials)):
@@ -638,20 +715,38 @@ def _plant(rng: np.random.Generator, states: list, size: int, k: int,
            signal: SignalKind, edges: bool, planted_size: int) -> tuple:
     """Pass A and the array work of ``draw_chunk`` on the streams
     ``states``: (sorted subsets, thetas, planted angles, redraw flags).
-    Its temporaries are freed before pass B's rows are decided."""
+
+    Pass A reads each trial's words and theta, steps over the background,
+    and reads the signal's uniforms: one per planted angle, or, for the
+    Best-Fisher rounds, a row of ``_von_mises_width`` of them, which
+    ``_von_mises_rows`` then uses for the whole batch at once. A trial
+    whose row runs out draws its signal again with ``_von_mises_centered``
+    on its own stream. Its temporaries are freed before pass B's rows are
+    decided."""
     bit_generator = rng.bit_generator
     width = size * (size - 1) // 2 if edges else size
     n_words = min(k, size - 1)
     n_raw = (n_words + 1) // 2
+    rounds = (isinstance(signal, VonMises)
+              and signal.kappa >= _UNIFORM_KAPPA_CUTOFF)
     raw = np.empty((len(states), n_raw + 1), dtype=np.uint64)
-    marks = np.empty((len(states), planted_size))
+    block = np.empty((len(states), _von_mises_width(planted_size) if rounds
+                      else planted_size))
     for i, (state, inc) in enumerate(states):
         _set_stream(rng, state, inc)
         raw[i] = bit_generator.random_raw(n_raw + 1)
         bit_generator.advance(width)
-        if isinstance(signal, HardCluster):
-            rng.random(out=marks[i])
-        else:
+        rng.random(out=block[i])
+    marks = block
+    if isinstance(signal, HardCluster):
+        marks *= TWO_PI * signal.tau
+    elif not rounds:  # _von_mises_centered's draw below the cutoff
+        marks = marks * TWO_PI - math.pi
+    else:
+        marks, ran_out = _von_mises_rows(block, signal.kappa, planted_size)
+        for i in np.flatnonzero(ran_out):
+            _set_stream(rng, *states[i])
+            bit_generator.advance(n_raw + 1 + width)
             marks[i] = _von_mises_centered(rng, signal.kappa, planted_size)
     words = np.empty((len(states), n_words), dtype=np.uint64)
     words[:, 0::2] = raw[:, :n_raw] & _MASK32
@@ -663,8 +758,6 @@ def _plant(rng: np.random.Generator, states: list, size: int, k: int,
     picks[:, :n_words] += np.arange(n_words)
     # next_double: the top 53 bits of a 64-bit output, times 2^-53
     thetas = TWO_PI * ((raw[:, n_raw] >> 11) * (1.0 / 9007199254740992.0))
-    if isinstance(signal, HardCluster):
-        marks *= TWO_PI * signal.tau
     return (_shuffled_prefixes(picks), thetas.tolist(),
             canonical_angle(thetas[:, None] + marks),
             (~taken.all(axis=1)).tolist())

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -421,6 +422,31 @@ class TestSweep:
         points = lab.sweep([("K", [5, 25])], base)
         assert points[0].failed is None
         assert points[1].failed == "need 1 <= K <= N, got N=20, K=25"
+
+    @pytest.mark.parametrize("base,axis,message", [
+        (ExperimentConfig(model="flat-hard", N=200, K=5, policy="a2",
+                          trials=2), "tau", "tau must be in (0, 1]"),
+        (ExperimentConfig(model="comm-vm", detector="coherence", n=10, k=4,
+                          trials=2), "kappa", "kappa must be <= 1e+10"),
+        (ExperimentConfig(model="comm-vm", detector="rayleigh", n=10, k=4,
+                          trials=2), "kappa", "kappa must be <= 1e+10"),
+    ], ids=["a2", "coherence", "rayleigh"])
+    def test_signal_beyond_float_range_fails_its_cell(self, base, axis,
+                                                      message):
+        # Each threshold took a float of 10**400 and raised a bare
+        # OverflowError out of estimate_errors. (A sweep casts its float
+        # axes, so only an in-code config carries such an int.)
+        assert lab.estimate_errors(replace(base, **{axis: 0.5})).failed is None
+        point = lab.estimate_errors(replace(base, **{axis: 10 ** 400}))
+        assert point.failed.startswith(message)
+
+    def test_unallocatable_rows_fail_their_cell(self):
+        # 2^62 angles is beyond numpy's array size, so nothing is allocated.
+        base = ExperimentConfig(model="flat-hard", K=5, tau=0.01, trials=1)
+        points = lab.sweep([("N", [200, 2 ** 62])], base)
+        assert points[0].failed is None
+        assert points[1].failed == (f"cannot allocate 1 x {2 ** 62} angle "
+                                    f"rows of 8 bytes")
 
     def test_threshold_quadrature_failure_fails_its_cell(self, tmp_path):
         # The vm threshold needs arc_prob(1e12, 1e-6), whose quadrature

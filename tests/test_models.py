@@ -145,7 +145,8 @@ class TestChunkDrawer:
     """``draw_chunk`` draws each trial's row, theta and subset as ``draw_row``
     does on ``rng_for(seed, *tags, t)``. Under H1 it reads the subset's
     words and theta as raw 64-bit outputs and copies numpy's bounded draws,
-    so a numpy that changes them fails here, and says so."""
+    and it runs a batch's von Mises rounds on gathered uniforms, so a numpy
+    that changes either fails here, and says so."""
 
     SIGNALS = {"hard": mod.HardCluster(0.05), "vm": mod.VonMises(5.0)}
 
@@ -153,7 +154,9 @@ class TestChunkDrawer:
     def moved(what):
         return (f"{what} differs from draw_row's under numpy {np.__version__}: "
                 f"draw_chunk copies numpy's 32-bit Lemire draws, the low-first "
-                f"halves of next_uint32 and next_double")
+                f"halves of next_uint32 and next_double, and counts on float64 "
+                f"cos, log and arccos giving an element the same bits whatever "
+                f"the array's length, offset or stride")
 
     def check(self, size, k, signal, h1, edges, seed, tags, trials, block):
         width = size * (size - 1) // 2 if edges else size
@@ -196,6 +199,41 @@ class TestChunkDrawer:
                    range(20), True)
         self.check(2000, 2000, mod.VonMises(0.5), True, False, 7, (5,),
                    range(20), False)
+
+    # m planted von Mises draws a trial: K = m, or C(k,2) = m; C(15,2) = 105
+    # stands in for 100, which no community has.
+    @pytest.mark.parametrize("kind,size,k", [
+        ("flat", 40, 1), ("flat", 60, 10), ("flat", 300, 28), ("flat", 300, 45),
+        ("flat", 500, 100), ("comm", 4, 2), ("comm", 9, 5), ("comm", 12, 8),
+        ("comm", 10, 10), ("comm", 18, 15)])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-6, 0.1, 2.0, 20.0, 40.0, 1e3,
+                                       1e10])
+    def test_von_mises_rounds(self, kind, size, k, kappa):
+        for seed, block in ((3, False), (-5, True)):
+            self.check(size, k, mod.VonMises(kappa), True, kind == "comm",
+                       seed, (101, 7, 1), range(60, 190), block)
+
+    @pytest.mark.parametrize("kind,size,k", [("flat", 60, 10), ("comm", 9, 5),
+                                             ("flat", 300, 45)])
+    def test_rows_that_run_out_are_redrawn(self, monkeypatch, kind, size, k):
+        # Room for m / 4 + 1 rejections a row, where kappa = 20 rejects about
+        # m / 2: most rows run out, and some do not.
+        monkeypatch.setattr(mod, "_von_mises_width",
+                            lambda m: 3 * (m + m // 4 + 1))
+        ran_out = []
+        rows_drawer = mod._von_mises_rows
+
+        def spy(block, kappa, m):
+            out, short = rows_drawer(block, kappa, m)
+            ran_out.extend(short.tolist())
+            return out, short
+
+        monkeypatch.setattr(mod, "_von_mises_rows", spy)
+        for seed, block in ((3, False), (-5, True)):
+            self.check(size, k, mod.VonMises(20.0), True, kind == "comm", seed,
+                       (101, 7, 1), range(60, 190), block)
+        assert len(ran_out) == 260
+        assert len(ran_out) // 2 < sum(ran_out) < len(ran_out)
 
     @pytest.mark.parametrize("signal", ["hard", "vm"])
     def test_redrawn_word_falls_back_to_draw_row(self, signal):
