@@ -273,19 +273,25 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The ``circlab`` parser; each subcommand's ``handler`` default names the
     function that runs it.
 
-    Every subcommand is listed, but only ``command``'s arguments are added,
-    or every subcommand's when ``command`` is None. A process runs one
-    command, and most of a full build is the other commands' arguments.
+    Only ``command``'s subparser is built, or every subcommand's when
+    ``command`` is None. A process runs one command, and most of a full build
+    is the other commands' parsers. A one-command build names every command
+    in its ``metavar``, so the usage line it prints is the full build's; the
+    full build keeps no ``metavar``, because argparse names the argument by
+    it in an "invalid choice" error. The parser is not cached: a cache helps
+    only a process that calls ``main`` more than once.
     """
     top = argparse.ArgumentParser(
         prog="circlab",
         description="Planted circular-structure detection laboratory")
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_arguments(p)
-            p.set_defaults(handler=handler)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return top
 
 

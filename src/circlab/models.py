@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -877,6 +879,64 @@ def _header(meta: dict, key: str, typ):
     return _parsed(typ, meta[key], f"header {key}")
 
 
+# Lines are read in blocks of about this many characters.
+_BLOCK_CHARS = 1 << 16
+
+
+def _take_block(lines: list, flat_angles: array, edges: dict) -> bool:
+    """Take ``lines`` in bulk if all are bare numbers, or all ``i,j,angle``
+    lines naming no edge twice or already read; else take none, return False.
+
+    ``float`` and ``int`` strip the whitespace that ``str.strip`` does, so
+    each value is the one ``read_dataset``'s line-by-line code parses.
+    """
+    try:
+        angles = list(map(float, lines))
+    except ValueError:
+        fields = list(map(str.split, lines, repeat(",")))
+        if set(map(len, fields)) != {3}:
+            return False
+        si, sj, sa = zip(*fields)
+        try:
+            pairs = list(zip(map(int, si), map(int, sj)))
+            read = dict(zip(pairs, map(float, sa)))
+        except ValueError:
+            return False
+        if len(read) < len(pairs) or not edges.keys().isdisjoint(read):
+            return False
+        edges.update(read)
+        return True
+    flat_angles.fromlist(angles)
+    return True
+
+
+def _unread_lines(fh: TextIO, flat_angles: array, edges: dict) -> Iterator[str]:
+    """Read ``fh`` in blocks of about ``_BLOCK_CHARS`` characters, and yield
+    each block's leading ``#`` lines and any body ``_take_block`` does not
+    take, in file order, for ``read_dataset`` to read line by line."""
+    while block := fh.readlines(_BLOCK_CHARS):
+        head = next((at for at, raw in enumerate(block)
+                     if not raw.startswith("#")), len(block))
+        yield from block[:head]
+        if not _take_block(block[head:], flat_angles, edges):
+            yield from block[head:]
+
+
+def _edge_positions(n: int, pairs: list) -> np.ndarray:
+    """Positions of edges (i, j), either order; the first that ``edge_index``
+    rejects, in list order, raises its error."""
+    try:
+        ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        lo, hi = ij.min(axis=1), ij.max(axis=1)
+        ok = not ((lo == hi) | (lo < 0) | (hi >= n)).any()
+    except OverflowError:  # an index beyond int64 is out of range
+        ok = False
+    if not ok:
+        for i, j in pairs:
+            edge_index(n, i, j)
+    return edge_position(n, lo, hi)
+
+
 def read_dataset(fh: TextIO) -> tuple:
     """Read a dataset file; returns (sample, metadata dict).
 
@@ -884,13 +944,18 @@ def read_dataset(fh: TextIO) -> tuple:
     must match the number of angles; the scan statistics assume both. A
     malformed number anywhere (body, size headers, truth), a community edge
     listed twice (as i,j twice, or as i,j and j,i), a ``# key=value`` header
-    given twice, or a body line of the other model's form, is ParameterError.
+    given twice, a body line of the other model's form, or an edge file's
+    ``# n=`` below 2 or disagreeing with its number of edges, is
+    ParameterError.
+
+    The line-by-line loop below defines every line form and error; a block
+    ``_take_block`` takes in bulk leaves the state that loop would.
     """
     meta: dict = {}
     headers: set = set()  # keys given as "# key=value"
-    flat_angles: list = []
+    flat_angles = array("d")  # 8 bytes an angle, not a float object's 32
     edges: dict = {}
-    for raw in fh:
+    for raw in _unread_lines(fh, flat_angles, edges):
         line = raw.strip()
         if not line:
             continue
@@ -941,15 +1006,18 @@ def read_dataset(fh: TextIO) -> tuple:
                 f"header says N={meta['N']}, file has {sample.n_points} angles")
     else:
         n = _header(meta, "n", int)
-        arr = np.empty(n * (n - 1) // 2, dtype=float)
-        if len(edges) != arr.size:
+        if n < 2:
+            raise ParameterError(f"header says n={n}; an edge file needs n >= 2")
+        m = n * (n - 1) // 2  # checked before anything of this size is made
+        if len(edges) != m:
             raise ParameterError(
-                f"expected {arr.size} edges for n={n}, file has {len(edges)}")
-        pos = [edge_index(n, i, j) for i, j in edges]
-        if len(set(pos)) < arr.size:  # some edge as i,j and j,i, another absent
+                f"expected {m} edges for n={n}, file has {len(edges)}")
+        pos = _edge_positions(n, list(edges))
+        if not np.bincount(pos, minlength=m).all():  # an edge as i,j and j,i
             i, j = next(key for key in edges if key[::-1] in edges)
             raise ParameterError(f"edge {{{i}, {j}}} is listed twice: as "
                                  f"{i},{j} and {j},{i}")
+        arr = np.empty(m, dtype=float)
         arr[pos] = list(edges.values())
         sample = EdgeSample(n=n, edge_angles=arr,
                             truth=truth and PlantedCommunity(*truth))

@@ -1148,10 +1148,26 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["classify", "--model", "comm-vm"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --model comm-vm" in \
-            capsys.readouterr().err
+        assert "invalid choice: 'classify'" in capsys.readouterr().err
         args = cli.build_parser().parse_args(["classify", "--model", "comm-vm"])
         assert args.handler is cli._cmd_classify
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_command_build_gives_the_full_errors(self, command, capsys):
+        # bounds and classify need no argument, so --bogus reaches the top
+        # parser, which prints its usage line: the one-command build's
+        # metavar must print as the full build's list of choices.
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--bogus"])
+        full = exc.value.code, capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--bogus"])
+        assert (exc.value.code, capsys.readouterr()) == full
+        assert full[0] == 2 and full[1].out == ""
+        if command in ("bounds", "classify"):
+            assert full[1].err.startswith("usage: circlab [-h]")
+            assert "{gen,detect,bounds,classify,sweep,phase-diagram,verify}" \
+                in full[1].err
 
     @pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0),
                                            (["nonsense"], 2)])

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -804,3 +805,138 @@ class TestDatasetIO:
         text = "# model=flat\n# note\n# note\n# N=2\n0.5\n1\n"
         sample, meta = mod.read_dataset(io.StringIO(text))
         assert sample.n_points == 2 and meta["note"] == ""
+
+    @pytest.mark.parametrize("n,match", [
+        ("100000000000", "expected 4999999999950000000000 edges"),
+        ("10000000", "expected 49999995000000 edges"),
+        ("-3", "n >= 2"), ("1", "n >= 2"), ("0", "n >= 2"),
+    ], ids=["beyond-numpy", "beyond-memory", "negative", "one", "zero"])
+    def test_edge_count_header_checked_before_use(self, n, match):
+        # These raised a bare ValueError, a MemoryError (364 TiB asked for),
+        # and "expected 6 edges for n=-3".
+        text = f"# model=community\n# n={n}\n0,1,0.5\n0,2,1\n1,2,2\n"
+        with pytest.raises(ParameterError, match=match):
+            mod.read_dataset(io.StringIO(text))
+
+
+def _read_by_line(fh):
+    """``read_dataset`` reading every line on its own and checking every
+    edge with ``edge_index``, as it did before it took blocks in bulk."""
+    def positions(n, pairs):
+        return np.array([mod.edge_index(n, i, j) for i, j in pairs])
+
+    with mock.patch.object(mod, "_take_block", return_value=False), \
+            mock.patch.object(mod, "_edge_positions", positions):
+        return mod.read_dataset(fh)
+
+
+def _outcome(read, text: str, newline=None):
+    """The sample's kind, bits, truth and meta that ``read`` gives for
+    ``text``, or its exception's type and message."""
+    try:
+        sample, meta = read(io.StringIO(text, newline=newline))
+    except Exception as exc:
+        return type(exc), str(exc)
+    angles = sample.angles if isinstance(sample, mod.FlatSample) \
+        else sample.edge_angles
+    return type(sample), angles.tobytes(), sample.truth, meta
+
+
+# Lines a dataset file might hold by mistake or in an unusual form; {n} is
+# the file's N or n.
+_ODD_LINES = [
+    "", "  \t", "# note", "# N=3", "# n=3", "# k=2", "# model=flat",
+    "# model=community", "# truth_subset=0,1", "# truth_theta=0.5", "1_0",
+    "+3", " nan", "inf", "0.5", "abc", "0,1", "0,1,0.5,1", "0,1,0.5",
+    "1,0,0.5", "1,1,0.5", "0,{n},0.5", "{n},1,0.5", "-1,1,0.5", "0,99,0.5",
+    f"{2 ** 70},1,0.5",
+    f"0,{-2 ** 64},0.5", "0,1,1_0", "0,1, nan", " 0 , 1 , +2 ", "1_0,2,1",
+]
+
+
+@st.composite
+def _dataset_texts(draw):
+    """A valid dataset file in an unusual but legal form, with a few lines
+    from ``_ODD_LINES`` put in or over its lines, or one deleted, and its
+    line endings."""
+    flat = draw(st.booleans())
+    size = draw(st.integers(1, 40) if flat else st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    fmt = draw(st.sampled_from(["%.17g", "%r", "%.3f", "+%.5e", " %.4g "]))
+    if flat:
+        head = ["# model=flat", f"# N={size}"]
+        body = [fmt % a for a in (rng.random(size) * TWO_PI).tolist()]
+    else:
+        head = ["# model=community", f"# n={size}"]
+        pairs = mod.edge_pairs(size)[rng.permutation(size * (size - 1) // 2)
+                                     if draw(st.booleans()) else slice(None)]
+        body = [f"{j},{i}," if rng.random() < draw(st.sampled_from([0, .3]))
+                else f"{i},{j}," for i, j in pairs]
+        body = [b + fmt % a
+                for b, a in zip(body, (rng.random(len(body)) * TWO_PI).tolist())]
+    lines = head + body if draw(st.booleans()) else body + head
+    for over, at, line in draw(st.lists(st.tuples(
+            st.booleans(), st.integers(0, 10 ** 6), st.sampled_from(_ODD_LINES)),
+            max_size=3)):
+        lines[at % len(lines):at % len(lines) + over] = [
+            line.replace("{n}", str(size))]
+    if draw(st.integers(0, 2)) == 0 and lines:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    text = "".join(line + (ends or rng.choice(["\n", "\r\n", "\r"]))
+                   for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.integers(0, 4)) == 0 else "") + text
+
+
+class TestReadDatasetBlocks:
+    """``read_dataset`` takes whole blocks of bare numbers or ``i,j,angle``
+    lines in bulk, and checks edges as arrays. It must give what reading each
+    line on its own and checking each edge with ``edge_index`` gives: the
+    same sample bits and meta, or the same exception type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_dataset_texts(), st.sampled_from([None, "", "\n"]),
+           st.integers(1, 300))
+    def test_blocks_read_as_lines_are(self, text, newline, block_chars):
+        with mock.patch.object(mod, "_BLOCK_CHARS", block_chars):
+            got = _outcome(mod.read_dataset, text, newline)
+        assert got == _outcome(_read_by_line, text, newline)
+
+    @pytest.mark.parametrize("edge", ["0,4", "4,0", "1,1", "-1,2", "2,-1",
+                                      f"{2 ** 70},1", f"1,{-2 ** 64}", "1,0",
+                                      "3,2"])
+    @pytest.mark.parametrize("row", [0, 5])
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_edges_checked_as_edge_index_checks_them(self, edge, row, loop):
+        # n = 4 with six edge lines: ``edge`` on line ``row``, and with
+        # ``loop`` a self-loop on line 4, so the first bad edge in file order
+        # must be named.
+        lines = [f"{i},{j},0.5" for i, j in mod.edge_pairs(4)]
+        if loop:
+            lines[4] = "2,2,0.5"
+        lines[row] = edge + ",0.5"
+        text = "# model=community\n# n=4\n" + "\n".join(lines) + "\n"
+        assert _outcome(mod.read_dataset, text) == \
+            _outcome(_read_by_line, text)
+
+    @pytest.mark.parametrize("bad", ["abc", "0,1", "0,1,0.5", "2,1,0.5",
+                                     "1,1,0.5", "# K=3", "", "7", "0.5"])
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_line_in_second_block(self, flat, bad):
+        # Over three blocks of 1 << 16 characters; ``bad`` opens the second.
+        rng = np.random.default_rng(11)
+        if flat:
+            lines = ["# model=flat", "# N=12000"] + [
+                "%.17g" % a for a in rng.random(12000) * TWO_PI]
+        else:
+            lines = ["# model=community", "# n=130"] + [
+                f"{i},{j},%.17g" % a for (i, j), a in
+                zip(mod.edge_pairs(130), rng.random(8385) * TWO_PI)]
+        text = "\n".join(lines) + "\n"
+        at = text.index("\n", 1 << 16) + 1
+        text = text[:at] + bad + "\n" + text[at:]
+        assert len(text) > 3 << 16
+        assert _outcome(mod.read_dataset, text) == \
+            _outcome(_read_by_line, text)
