@@ -775,7 +775,8 @@ def _parse_value(key: str, raw: str):
 def parse_config_file(path: str) -> dict:
     """Parse a flat key = value config file.
 
-    '#' starts a comment; values of keys prefixed ``sweep_`` are
+    The file is UTF-8, with or without a leading byte-order mark. '#'
+    starts a comment; values of keys prefixed ``sweep_`` are
     comma-separated axis lists (axes keep file order); unknown keys and keys
     given twice are errors. A ``gamma`` key or axis is the flat count
     threshold, so it sets ``policy`` to None; a file that also sets
@@ -785,7 +786,7 @@ def parse_config_file(path: str) -> dict:
     axes: list = []
     seen: set = set()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
@@ -868,12 +869,11 @@ class VerifyReport:
 
 def verify_specfun(seed: int = DEFAULT_VERIFY_SEED) -> VerifyReport:
     """Special-function identities, inequalities, and calibration constants."""
-    from scipy.integrate import quad
-
     rep = VerifyReport("specfun")
     for kappa in (0.1, 1.0, 5.0, 20.0, 100.0):
-        val, _ = quad(lambda t: sf.rho(kappa, t), 0.0, mod.TWO_PI, limit=400,
-                      points=[0.0, math.pi / 2, math.pi, 3 * math.pi / 2, mod.TWO_PI])
+        val, _ = sf._quad(lambda t: sf.rho(kappa, t), 0.0, mod.TWO_PI,
+                          limit=400, points=[0.0, math.pi / 2, math.pi,
+                                             3 * math.pi / 2, mod.TWO_PI])
         err = abs(val / mod.TWO_PI - 1.0)
         rep.add(f"rho_mean_one_err_kappa_{kappa:g}", err, err < 1e-8)
     xs = np.linspace(25.0, 35.0, 101)
@@ -923,8 +923,6 @@ def verify_specfun(seed: int = DEFAULT_VERIFY_SEED) -> VerifyReport:
 
 def verify_overlap(seed: int = DEFAULT_VERIFY_SEED) -> VerifyReport:
     """Overlap-law facts: convex-order domination and arc-overlap moments."""
-    from scipy.integrate import quad
-
     rep = VerifyReport("overlap")
     worst = -math.inf
     violations = 0
@@ -947,8 +945,8 @@ def verify_overlap(seed: int = DEFAULT_VERIFY_SEED) -> VerifyReport:
         kink = tau if tau <= 0.5 else 1.0 - tau  # delta is only piecewise smooth
         for j in (1, 2, 3, 5, 8):
             closed = th.delta_moment(tau, j)
-            num, _ = quad(lambda u: th.delta_overlap(tau, u) ** j, 0.0, 0.5,
-                          epsabs=1e-14, limit=200, points=[kink])
+            num, _ = sf._quad(lambda u: th.delta_overlap(tau, u) ** j, 0.0,
+                              0.5, epsabs=1e-14, limit=200, points=[kink])
             max_err = max(max_err, abs(closed - 2.0 * num))
     rep.add("delta_moment_quadrature_err", max_err, max_err < 1e-12)
     law = th.OverlapLaw(30, 7)

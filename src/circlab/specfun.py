@@ -28,10 +28,15 @@ digits of the 17-digit output. The one array evaluation, ``_log_i0`` for the
 Monte Carlo likelihood ratios, whose output is an estimate, uses
 ``scipy.special.i0e``.
 
-scipy is imported on first use, in ``_quad_checked`` and ``_log_i0``, so a
-process that never integrates or takes log I0 of an array loads none of it:
-``gen``, ``classify``, ``detect`` (except the flat ``vm`` policy) and every
-edge detector.
+Every integral goes through ``_quad``, which calls QUADPACK in scipy's
+compiled ``_quadpack`` extension directly, as ``scipy.integrate.quad`` calls
+it. The extension links only libc and libm and is loaded on first use on its
+own, so integrating never imports the scipy.integrate package (about 0.3 s
+and 45 MB of scipy.special, linalg, sparse, optimize, spatial and fft); only
+an integral that QUADPACK reports as failed calls ``quad`` itself.
+scipy.special is imported on first use in ``_log_i0``. So a process that
+never takes log I0 of an array loads neither package: ``gen``, ``classify``,
+``detect``, ``bounds`` and every edge detector.
 
 All functions are pure and safe for concurrent use.
 """
@@ -39,6 +44,8 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -203,19 +210,71 @@ def log_rho(kappa: float, theta: float) -> float:
     return _log_i0_f(2.0 * kappa * abs(math.cos(theta))) - 2.0 * _log_i0_f(kappa)
 
 
-def _quad_checked(fn, a: float, b: float, what: str, err_ok,
-                  **options) -> float:
-    """``quad(fn, a, b, **options)``; NumericError unless it converged.
+# scipy's compiled QUADPACK module, loaded once by _quadpack_module. A module
+# global, not a cache: the bench harness clears every circlab cache.
+_quadpack = None
+_quadpack_lock = threading.Lock()
 
-    It converged when quad reports no failure, the value is finite and
-    ``err_ok(value, error estimate)`` holds. With ``full_output`` quad
-    returns its failure message (ier > 0) instead of issuing an
-    IntegrationWarning, so the check needs no warning filter and holds in
-    every thread.
+
+def _quadpack_module():
+    """scipy.integrate._quadpack, loaded from its file without its package."""
+    global _quadpack
+    if _quadpack is None:
+        with _quadpack_lock:
+            if _quadpack is None:
+                from importlib import machinery, util
+
+                scipy_dir, = util.find_spec("scipy").submodule_search_locations
+                spec = machinery.FileFinder(
+                    os.path.join(scipy_dir, "integrate"),
+                    (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+                ).find_spec("scipy.integrate._quadpack")
+                module = util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                _quadpack = module
+    return _quadpack
+
+
+def _quad(fn, a: float, b: float, *, full_output=0, epsabs=1.49e-8,
+          epsrel=1.49e-8, limit=50, points=None):
+    """``scipy.integrate.quad(fn, a, b, ...)``, bit for bit, for finite a < b.
+
+    Calls QUADPACK's QAGS, or QAGP when ``points`` is given, with the
+    arguments ``quad`` passes for an integrand with no weight (the points
+    strictly inside (a, b), sorted and unique, then two zeros). When
+    QUADPACK reports a failure (ier != 0), or the interval is not finite
+    with a < b, it returns ``quad`` itself with the same arguments, so
+    failure messages, IntegrationWarnings and errors stay scipy's own.
     """
+    if math.isfinite(a) and math.isfinite(b) and a < b:
+        if points is None:
+            out = _quadpack_module()._qagse(fn, a, b, (), full_output, epsabs,
+                                            epsrel, limit)
+        else:
+            inner = np.unique(points)
+            inner = inner[(a < inner) & (inner < b)]
+            out = _quadpack_module()._qagpe(
+                fn, a, b, np.concatenate((inner, (0., 0.))), (), full_output,
+                epsabs, epsrel, limit)
+        if out[-1] == 0:
+            return out[:-1]
     from scipy.integrate import quad
 
-    val, err, _, *message = quad(fn, a, b, full_output=1, **options)
+    return quad(fn, a, b, full_output=full_output, epsabs=epsabs,
+                epsrel=epsrel, limit=limit, points=points)
+
+
+def _quad_checked(fn, a: float, b: float, what: str, err_ok,
+                  **options) -> float:
+    """``_quad(fn, a, b, **options)``; NumericError unless it converged.
+
+    It converged when QUADPACK reports no failure, the value is finite and
+    ``err_ok(value, error estimate)`` holds. With ``full_output`` a failed
+    integral returns ``quad``'s failure message (ier > 0) instead of issuing
+    an IntegrationWarning, so the check needs no warning filter and holds in
+    every thread. Only such a failure imports scipy.integrate.
+    """
+    val, err, _, *message = _quad(fn, a, b, full_output=1, **options)
     if message or not (math.isfinite(val) and err_ok(val, err)):
         reason = f" ({' '.join(message[0].split())})" if message else ""
         raise NumericError(

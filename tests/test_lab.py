@@ -1092,7 +1092,8 @@ def _scipy_after(*argvs, module="circlab.cli"):
 
 
 class TestColdStart:
-    """Only a command that integrates or takes log I0 of an array loads scipy."""
+    """Only a command that takes log I0 of an array loads scipy.special,
+    and only an integral that fails loads scipy.integrate."""
 
     @pytest.mark.parametrize("module", ["circlab", "circlab.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -1116,19 +1117,50 @@ class TestColdStart:
         ]
         assert _scipy_after(*argvs) == [""] * (1 + len(argvs))
 
-    def test_vm_policy_loads_scipy_integrate_then(self, tmp_path, capsys):
+    def test_integrating_commands_load_no_scipy_integrate(self, tmp_path,
+                                                          capsys):
+        # specfun._quad calls scipy's compiled QUADPACK extension without
+        # importing its package; the vm threshold, the von Mises miss bound,
+        # the variance bound and the exact second moments all integrate.
         flat = str(tmp_path / "flat.txt")
         vm = ["detect", "--data", flat, "--test", "interval", "--tau", "0.1",
               "--kappa", "5", "--policy", "vm"]
-        loaded = _scipy_after(
+        argvs = [
             ["gen", "--model", "flat-vm", "--N", "100", "--K", "20",
              "--kappa", "5", "--h1", "--seed", "4", "--out", flat],
-            vm[:-2] + ["--policy", "a2"], vm)
-        assert loaded[:3] == ["", "", ""]
-        assert "scipy.integrate" in loaded[3].split(",")
+            vm,
+            ["bounds", "--model", "comm-vm", "--detector", "interval",
+             "--n", "16", "--k", "8", "--kappa", "2", "--tau", "0.15"],
+            ["bounds", "--model", "comm-vm", "--detector", "variance",
+             "--n", "10", "--k", "6", "--kappa", "30", "--sigma2", "0.05"],
+            ["verify", "specfun"],
+        ]
+        assert _scipy_after(*argvs) == [""] * (1 + len(argvs))
         capsys.readouterr()
         assert cli.main(vm) == 0
         assert capsys.readouterr().out.startswith("statistic=")
+
+    def test_vm_policy_peak_rss(self, tmp_path):
+        # 81 MB when the vm threshold imported scipy.integrate; about 33 MB
+        # with QUADPACK loaded on its own. VmHWM is the peak since exec:
+        # ru_maxrss would keep this process's peak, as the child is started
+        # from its memory.
+        flat = str(tmp_path / "flat.txt")
+        argvs = [["gen", "--model", "flat-vm", "--N", "100", "--K", "20",
+                  "--kappa", "5", "--h1", "--seed", "4", "--out", flat],
+                 ["detect", "--data", flat, "--test", "interval", "--tau",
+                  "0.1", "--kappa", "5", "--policy", "vm"]]
+        code = ("import circlab.cli\n"
+                "from circlab import specfun\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert circlab.cli.main(argv) == 0, argv\n"
+                "assert specfun._quadpack is not None\n"
+                "print(open('/proc/self/status').read())\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True)
+        assert r.returncode == 0, r.stderr
+        peak_kb, = re.findall(r"^VmHWM:\s+(\d+) kB$", r.stdout, re.M)
+        assert int(peak_kb) / 1024 < 60.0
 
 
 class TestParser:
@@ -1264,6 +1296,43 @@ class TestFileErrors:
         assert captured.out == ""
         assert captured.err == \
             f"usage error: cannot write {blocked!r}: {reason}\n"
+
+
+class TestByteOrderMark:
+    """A dataset or config file saved with a UTF-8 byte-order mark, as some
+    editors write, reads as the same file without it."""
+
+    @pytest.mark.parametrize("gen,detect", [
+        (["--model", "flat-hard", "--N", "60", "--K", "6", "--tau", "0.1"],
+         ["--test", "interval", "--tau", "0.1", "--policy", "a2"]),
+        (["--model", "comm-vm", "--n", "8", "--k", "4", "--kappa", "8"],
+         ["--test", "coherence", "--kappa", "8"]),
+    ], ids=["flat", "community"])
+    def test_dataset(self, tmp_path, capsys, gen, detect):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        assert cli.main(["gen", *gen, "--h1", "--seed", "3",
+                         "--out", str(plain)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        lines = []
+        for path in (plain, marked):
+            assert cli.main(["detect", "--data", str(path), *detect]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("statistic=")
+
+    def test_config(self, tmp_path):
+        text = (b"model = flat-hard\ndetector = interval\nN = 30\nK = 3\n"
+                b"tau = 0.1\ntrials = 5\nsweep_tau = 0.1, 0.2\n")
+        rows = []
+        for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+            config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            config.write_bytes(data)
+            assert cli.main(["sweep", "--config", str(config), "--threads",
+                             "1", "--out", str(out)]) == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
+        assert rows[0].count("\n") == 3
 
 
 class TestChunkRunner:

@@ -1,14 +1,22 @@
 """Special-function unit tests against independent oracles."""
 
+import importlib.util
+import inspect
 import math
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+import scipy
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import i0e, i1e
 
 from circlab import specfun as sf
+from circlab import theory as th
 from circlab.errors import DomainError, NumericError
 
 TWO_PI = 2.0 * math.pi
@@ -260,6 +268,143 @@ class TestArcProb:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="round"):
                 sf.arc_prob(1e12, 1e-6)
+
+
+def _recorded_quads(monkeypatch, run) -> list:
+    """The (fn, a, b, options) of every ``sf._quad`` call ``run`` makes."""
+    calls = []
+    real = sf._quad
+
+    def record(fn, a, b, **options):
+        calls.append((fn, a, b, options))
+        return real(fn, a, b, **options)
+
+    monkeypatch.setattr(sf, "_quad", record)
+    run()
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def _quad_bits(integrate, fn, a, b, options):
+    """Value and error estimate in hex, the evaluation and subinterval
+    counts and any failure message; or the IntegrationWarning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, err, *rest = integrate(fn, a, b, **options)
+        except IntegrationWarning as warning:
+            return "IntegrationWarning", str(warning)
+    info = rest[0] if rest else {}
+    return (float(val).hex(), float(err).hex(), info.get("neval"),
+            info.get("last"), rest[1:])
+
+
+def _assert_quad_matches_scipy(calls):
+    """``sf._quad`` returns what ``scipy.integrate.quad`` returns for each
+    call, with and without full output, and with the breakpoints dropped
+    (or some added, duplicated and outside the interval, when there were
+    none)."""
+    for fn, a, b, options in calls:
+        other = dict(options, points=None) if options.get("points") is not None \
+            else dict(options, points=[a, b / 3, b / 2, b / 2, b, 2 * b])
+        for opts in (options, other):
+            for full in (0, 1):
+                opts = dict(opts, full_output=full)
+                assert _quad_bits(sf._quad, fn, a, b, opts) == \
+                    _quad_bits(quad, fn, a, b, opts), \
+                    f"scipy {scipy.__version__}: interval ({a}, {b}), {opts}"
+
+
+class TestQuadMatchesScipy:
+    """``sf._quad`` calls QUADPACK in scipy's private ``_quadpack`` extension
+    as ``scipy.integrate.quad`` calls it; a scipy release that changes that
+    call, or its arguments, fails here. Every call the package makes is
+    recorded and made again both ways."""
+
+    def test_defaults_are_quads(self):
+        ours = inspect.signature(sf._quad).parameters
+        theirs = inspect.signature(quad).parameters
+        for name in ("full_output", "epsabs", "epsrel", "limit", "points"):
+            assert ours[name].default == theirs[name].default, \
+                f"scipy {scipy.__version__}: default {name}"
+
+    def test_loaded_once_across_threads(self, monkeypatch):
+        # A slow load holds every thread at the first use at once.
+        loads = []
+        real = importlib.util.module_from_spec
+
+        def slow_module_from_spec(spec):
+            loads.append(spec.name)
+            time.sleep(0.05)
+            return real(spec)
+
+        monkeypatch.setattr(sf, "_quadpack", None)
+        monkeypatch.setattr(importlib.util, "module_from_spec",
+                            slow_module_from_spec)
+        start = threading.Barrier(8)
+
+        def load(_):
+            start.wait(timeout=60)
+            return sf._quadpack_module()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                modules = list(pool.map(load, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert loads == ["scipy.integrate._quadpack"]
+        assert all(module is sf._quadpack for module in modules)
+        assert modules[0]._qagse is not None
+
+    def test_arc_prob(self, monkeypatch):
+        def run():
+            for kappa in (1e-6, 0.3, 2.0, 4.0, 4.5, 30.0, 1e3, 1e6, 1e10):
+                for tau in (1e-4, 0.05, 0.3, 0.7, 0.999):
+                    sf.arc_prob(kappa, tau)
+
+        calls = _recorded_quads(monkeypatch, run)
+        assert len(calls) == 45
+        assert sum(c[3].get("points") is not None for c in calls) == 25
+        _assert_quad_matches_scipy(calls)
+
+    def test_circular_msd(self, monkeypatch):
+        def run():
+            for kappa in (1e-3, 0.5, 3.0, 30.0, 1e3, 1e5):
+                th._circular_msd(kappa, None)
+
+        _assert_quad_matches_scipy(_recorded_quads(monkeypatch, run))
+
+    def test_exact_second_moments(self, monkeypatch):
+        def run():
+            for n, k, kappa in ((8, 3, 0.8), (16, 8, 2.0), (40, 12, 0.3)):
+                th.second_moment_exact_comm_vm(n, k, kappa)
+                th.second_moment_exact_flat_vm(n, k, kappa)
+
+        _assert_quad_matches_scipy(_recorded_quads(monkeypatch, run))
+
+    def test_verify_suites(self, monkeypatch):
+        from circlab import lab
+
+        def run():
+            for name in ("specfun", "overlap"):
+                (report,) = lab.verify(name)
+                assert report.passed
+
+        _assert_quad_matches_scipy(_recorded_quads(monkeypatch, run))
+
+    def test_failing_integral_keeps_quads_message(self, monkeypatch):
+        def run():
+            with pytest.raises(NumericError, match="round"):
+                sf.arc_prob(1e12, 1e-6)
+
+        calls = _recorded_quads(monkeypatch, run)
+        fn, a, b, options = calls[0]
+        failed = _quad_bits(sf._quad, fn, a, b, options)
+        assert "roundoff error" in failed[-1][0]
+        _assert_quad_matches_scipy(calls)
 
 
 class TestGaussianTail:
