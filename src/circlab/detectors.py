@@ -49,7 +49,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -58,9 +57,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, DomainError, ParameterError
-from .models import (EdgeSample, FlatSample, _whole, canonical_angle,
-                     edge_pairs, subset_edges, vertex_bases)
+from .errors import (CapabilityError, ConfigError, ParameterError, check_bar,
+                     check_kappa, check_margin, check_size, check_sizes,
+                     check_window, finite, real)
+from .models import (EdgeSample, FlatSample, canonical_angle, edge_pairs,
+                     subset_edges, vertex_bases)
 from .specfun import TWO_PI, arc_prob, mean_resultant
 
 __all__ = [
@@ -150,24 +151,6 @@ def default_c_schedule(N: int) -> float:
     return math.log(N) ** 0.25
 
 
-def _real(value, what: str, error: type = ParameterError) -> float:
-    """``float(value)`` of a real number (NaN and +-inf included); a bool, a
-    string, None or an int beyond float range is ``error``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{what} must be a number, got {value!r}") from None
-
-
-def _finite(value, what: str) -> float:
-    value = _real(value, what, ConfigError)
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return value
-
-
 def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
                            K: Optional[int] = None,
                            kappa: Optional[float] = None,
@@ -180,10 +163,11 @@ def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
     ``fixed:<v>`` and ``custom:<v>``: v. No policy means ``gamma`` when it
     is given, else ``a1``; c_n None uses ``default_c_schedule(N)``. A
     non-finite ``gamma``, ``v`` or ``c_n``, or a missing K, is a ConfigError.
+    The recipes check (N, K), then kappa and tau, as they use them.
     """
     if policy is None:
         if gamma is not None:
-            return _finite(gamma, "gamma")
+            return finite(gamma, "gamma", ConfigError)
         policy = "a1"
     if policy.startswith(("fixed:", "custom:")):
         value = policy.split(":", 1)[1]
@@ -192,37 +176,36 @@ def resolve_flat_threshold(policy: Optional[str], N: int, tau: float,
         except ValueError as exc:
             raise ConfigError(
                 f"policy {policy!r}: bad threshold {value!r}") from exc
-        return _finite(threshold, f"policy {policy!r} threshold")
+        return finite(threshold, f"policy {policy!r} threshold", ConfigError)
     if policy not in ("a1", "a2", "vm"):
         raise ConfigError(f"unknown policy {policy!r}")
     if K is None:
         raise ConfigError(f"policy {policy} needs K")
+    N, K = check_sizes(N, K)
     if policy == "a1":
         return float(K)
-    c_n = default_c_schedule(N) if c_n is None else _finite(c_n, "c_n")
+    c_n = (default_c_schedule(N) if c_n is None
+           else finite(c_n, "c_n", ConfigError))
     if policy == "a2":
-        base = (N - K) * tau
+        base = (N - K) * check_window(tau)
         return float(base + K - c_n * math.sqrt(base))
     if kappa is None:
         raise ParameterError("policy vm needs kappa")
-    mean_h1 = N * tau + K * (arc_prob(kappa, tau) - tau)
+    mean_h1 = K * (arc_prob(kappa, tau) - tau) + N * tau
     return float(mean_h1 - c_n * math.sqrt(mean_h1))
 
 
 def coherence_threshold(k: int, kappa: float, epsilon: float = 0.5) -> float:
     """Coherence threshold beta = (1 - eps/4) C(k,2) A(kappa)."""
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be finite and > 0, got {kappa!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    kappa = check_kappa(kappa, positive=True)
+    epsilon, k = check_margin(epsilon), check_size(k, "k")
     m_edges = k * (k - 1) // 2
     return (1.0 - epsilon / 4.0) * m_edges * mean_resultant(kappa)
 
 
 def rayleigh_threshold(k: int, kappa: float) -> float:
     """Rayleigh threshold mu1 / 2; mu1 = C(k,2) A(kappa) is the planted mean."""
-    if not (kappa >= 0.0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
+    kappa, k = check_kappa(kappa), check_size(k, "k")
     mu1 = k * (k - 1) / 2.0 * mean_resultant(kappa)
     return mu1 / 2.0
 
@@ -239,7 +222,7 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     sequence counts, for each anchor point, the observations in
     [x_i, x_i + 2 pi tau]. Returns (count, anchor angle attaining it).
     """
-    tau = _window(tau)
+    tau = check_window(tau)
     angles = np.asarray(sample.angles, dtype=float)
     if angles.size == 0:
         raise ParameterError("empty sample")
@@ -255,14 +238,6 @@ def interval_stat_flat(sample: FlatSample, tau: float) -> tuple[int, float]:
     return min(int(counts[best]), n), float(xs[best])
 
 
-def _window(tau) -> float:
-    """A window fraction tau in (0, 1], as a float; else a DomainError."""
-    tau = _real(tau, "tau", DomainError)
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    return tau
-
-
 def interval_rejects_flat(rows, tau: float, gamma: float) -> np.ndarray:
     """``interval_test_flat(FlatSample(x), tau, gamma).rejected`` of each angle
     row x of ``rows`` (an iterable of 1-d arrays), as a bool array.
@@ -274,7 +249,7 @@ def interval_rejects_flat(rows, tau: float, gamma: float) -> np.ndarray:
     shifted copies ``xs + 2 pi``. One probe per anchor decides a row. Each
     row is decided before the next is taken, so the rows may share a buffer.
     """
-    tau, gamma = _window(tau), _real(gamma, "gamma")
+    tau, gamma = check_window(tau), real(gamma, "gamma")
     return np.fromiter((_flat_rejects(x, tau, gamma) for x in rows), dtype=bool)
 
 
@@ -297,7 +272,7 @@ def interval_test_flat(sample: FlatSample, tau: float, gamma: float) -> TestRepo
     """Scan test: reject H0 when some window of length 2 pi tau holds >= gamma points."""
     stat, witness = interval_stat_flat(sample, tau)
     return TestReport(
-        statistic=float(stat), threshold=_real(gamma, "gamma"),
+        statistic=float(stat), threshold=real(gamma, "gamma"),
         witness_theta=witness, work_counter=sample.n_points)
 
 
@@ -308,7 +283,7 @@ def known_theta_test_flat(sample: FlatSample, tau: float, gamma: float,
     The anchor defaults to 0; by rotational symmetry a known planted phase
     can always be rotated there.
     """
-    tau, gamma = _window(tau), _real(gamma, "gamma")
+    tau, gamma = check_window(tau), real(gamma, "gamma")
     a = _anchor(theta)
     return TestReport(
         statistic=float(_arc_count(sample.angles, tau, a)), threshold=gamma,
@@ -323,17 +298,14 @@ def known_theta_rejects_flat(rows, tau: float, gamma: float,
     ``thetas[i]`` is read after row i is taken from ``rows``, so a caller may
     fill both as it draws each trial; the rows may share a buffer.
     """
-    tau, gamma = _window(tau), _real(gamma, "gamma")
+    tau, gamma = check_window(tau), real(gamma, "gamma")
     return np.fromiter((_arc_count(x, tau, _anchor(thetas[i])) >= gamma
                         for i, x in enumerate(rows)), dtype=bool)
 
 
 def _anchor(theta) -> float:
     """A finite phase reduced into [0, 2pi); else a DomainError."""
-    theta = _real(theta, "theta", DomainError)
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
-    return canonical_angle(theta)
+    return canonical_angle(finite(theta, "theta"))
 
 
 def _arc_count(x: np.ndarray, tau: float, a: float) -> int:
@@ -430,12 +402,12 @@ def _edge_list(n: int) -> tuple:
 
 def _check_community(n: int, k, tau) -> tuple:
     """Check a community scan's k, size and window; (k, tau)."""
-    k = _check_k(n, k, 2)
+    k = check_sizes(n, k, edges=True)[1]
     if n > DEFAULT_CLIQUE_LIMIT_N:
         raise CapabilityError(
             f"exact community search is capped at n <= {DEFAULT_CLIQUE_LIMIT_N}; "
             f"got n = {n}. Use a smaller instance.")
-    return k, _window(tau)
+    return k, check_window(tau)
 
 
 def _community_windows(ang: np.ndarray, n: int, tau: float) -> tuple:
@@ -768,19 +740,9 @@ def coherence_stat(sample: EdgeSample, k: int) -> tuple[float, tuple]:
     return float(value), _door_first(subsets[values == value])
 
 
-def _check_k(n: int, k, low: int) -> int:
-    """k as an int, which must be integral with low <= k <= n (low 2 or 3)."""
-    k = _whole(k, "k")
-    if not (low <= k <= n):
-        raise ParameterError(
-            f"need 2 <= k <= n, got k={k}, n={n}" if low == 2 else
-            f"variance scan needs 3 <= k <= n, got k={k}, n={n}")
-    return k
-
-
 def _check_scan(n: int, k, low: int) -> int:
-    """Check k (``_check_k``) and the budget of an exact subset scan; k."""
-    k = _check_k(n, k, low)
+    """Check k (low <= k <= n) and the budget of an exact subset scan; k."""
+    k = check_sizes(n, k, edges=True, low=low)[1]
     total = math.comb(n, k) * math.comb(k, 2)
     if total > DEFAULT_SUBSET_BUDGET:
         raise CapabilityError(
@@ -929,7 +891,7 @@ def coherence_rejects(rows, k: int, beta: float) -> np.ndarray:
     n, rows = _edge_chunk(rows)
     if n is None:
         return np.zeros(0, dtype=bool)
-    k, beta = _check_scan(n, k, 2), _real(beta, "beta")
+    k, beta = _check_scan(n, k, 2), real(beta, "beta")
     per_block = max(1, _WITNESS_ANGLES // (n * (n - 1) // 2))
     decisions = []
     while block := list(itertools.islice(rows, per_block)):
@@ -942,7 +904,7 @@ def coherence_rejects(rows, k: int, beta: float) -> np.ndarray:
 
 def coherence_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
     """Reject H0 when the max subset coherence reaches beta (coherence_threshold)."""
-    k, beta = _check_scan(sample.n, k, 2), _real(beta, "beta")
+    k, beta = _check_scan(sample.n, k, 2), real(beta, "beta")
     value, subset = coherence_stat(sample, k)
     return TestReport(
         statistic=value, threshold=beta,
@@ -956,8 +918,8 @@ def rayleigh_test(sample: EdgeSample, k: int, beta: float) -> TestReport:
     use ``k``, but k must be an integer in [2, n], the community size the
     threshold is for. The witness angle is the direction of the resultant.
     """
-    _check_k(sample.n, k, 2)
-    beta = _real(beta, "beta")
+    check_sizes(sample.n, k, edges=True)
+    beta = real(beta, "beta")
     s = _resultant(sample.edge_angles)
     return TestReport(
         statistic=abs(s), threshold=beta,
@@ -976,8 +938,8 @@ def rayleigh_rejects(rows, k: int, beta: float) -> np.ndarray:
     n, rows = _edge_chunk(rows)
     if n is None:
         return np.zeros(0, dtype=bool)
-    _check_k(n, k, 2)
-    beta = _real(beta, "beta")
+    check_sizes(n, k, edges=True)
+    beta = real(beta, "beta")
     return np.fromiter((abs(_resultant(x)) >= beta for x in rows), dtype=bool)
 
 
@@ -1083,20 +1045,13 @@ def _variance_search(x: np.ndarray, n: int, k: int, levels: tuple,
                             in _children(z, levels, sums, offsets, live))
 
 
-def _variance_bar(sigma2) -> float:
-    sigma2 = _real(sigma2, "sigma2", DomainError)
-    if not (sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    return sigma2
-
-
 def variance_rejects(rows, k: int, sigma2: float) -> np.ndarray:
     """``variance_test(EdgeSample(n, x), k, sigma2).rejected`` of each
     edge-angle row x of ``rows``, as a bool array, without the statistic:
     the search with bar sigma2, up to the first value <= sigma2. The
     arguments are checked once, with the errors of ``variance_test``; the
     rows may share a buffer."""
-    sigma2 = _variance_bar(sigma2)
+    sigma2 = check_bar(sigma2)
     n, rows = _edge_chunk(rows)
     if n is None:
         return np.zeros(0, dtype=bool)
@@ -1110,7 +1065,7 @@ def variance_rejects(rows, k: int, sigma2: float) -> np.ndarray:
 
 def variance_test(sample: EdgeSample, k: int, sigma2: float) -> TestReport:
     """Reject H0 when some k-subset has circular sample variance <= sigma2."""
-    sigma2 = _variance_bar(sigma2)
+    sigma2 = check_bar(sigma2)
     k = _check_scan(sample.n, k, 3)
     value, subset = variance_stat(sample, k)
     return TestReport(

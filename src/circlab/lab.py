@@ -20,7 +20,6 @@ through integer counters, and a cell runs its trials in the calling thread.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -31,7 +30,7 @@ from . import models as mod
 from . import specfun as sf
 from . import theory as th
 from .errors import (CapabilityError, ConfigError, DomainError, NumericError,
-                     ParameterError)
+                     ParameterError, check_size, is_whole, number, real, whole)
 
 __all__ = [
     "ExperimentConfig",
@@ -53,7 +52,6 @@ __all__ = [
 
 _TRIAL_CHUNK = 64
 _MAX_TRIALS = 1 << 64
-_MAX_SIZE = (1 << 63) - 1
 # Subset resultants per chunk of likelihood-ratio draws: 256 KiB of float64
 # stays in cache; larger chunks were slower at C(60,3) subsets.
 _LR_CHUNK_ELEMS = 1 << 15
@@ -120,7 +118,7 @@ class ExperimentConfig:
         if self.model not in th.MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         _check_detector(self.detector, self.is_flat)
-        if not (mod._is_whole(self.trials) and self.trials >= 1):
+        if not (is_whole(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials must be an integer >= 1, "
                               f"got {self.trials!r}")
         if self.trials > _MAX_TRIALS:
@@ -128,8 +126,15 @@ class ExperimentConfig:
                               f"trial stream tags, got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
         # Any integer seeds: derive_seed keeps its low 64 bits.
-        object.__setattr__(self, "seed", mod._whole(self.seed, "seed",
-                                                    ConfigError))
+        object.__setattr__(self, "seed", whole(self.seed, "seed", ConfigError))
+        for name in ("tau", "kappa", "gamma", "sigma2", "c_n", "epsilon",
+                     "theta"):  # numbers, the first five also None
+            value = getattr(self, name)
+            if value is not None or name in ("epsilon", "theta"):
+                number(value, name, ConfigError)
+        if not (self.policy is None or isinstance(self.policy, str)):
+            raise ConfigError(f"policy must be a str or None, "
+                              f"got {self.policy!r}")
 
     def validate_complete(self) -> None:
         """Check that every parameter the model needs is present.
@@ -142,11 +147,7 @@ class ExperimentConfig:
         if None in sizes.values():
             raise ConfigError(f"model {self.model} needs {' and '.join(sizes)}")
         for name, value in sizes.items():
-            if not mod._is_whole(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value > _MAX_SIZE:  # the largest array size
-                raise ConfigError(f"{name} must be an integer of at most "
-                                  f"2^63 - 1, got {value!r}")
+            check_size(value, name, ConfigError)
         if self.model.endswith("hard") and self.tau is None:
             raise ConfigError(f"model {self.model} needs tau")
         if self.model.endswith("vm") and self.kappa is None:
@@ -257,13 +258,8 @@ def _threshold(c: ExperimentConfig) -> float:
 
     Flat tests take the policy's count (known-theta has no policy: gamma, else
     a2); edge tests take beta, sigma2, or the interval test's window tau.
-    A tau or kappa beyond float range gets its signal's DomainError first,
-    where a threshold's float arithmetic would overflow on it.
     """
     _check_call(c)
-    for value, signal in ((c.tau, mod.HardCluster), (c.kappa, mod.VonMises)):
-        if isinstance(value, int) and abs(value) > sys.float_info.max:
-            signal(value)
     if c.is_flat:
         policy = c.policy
         if c.detector == "known-theta":
@@ -490,16 +486,18 @@ def write_csv(points: Sequence[PhasePoint], path: str) -> None:
 
 
 def _grid_cells(grid: Sequence[tuple]) -> list:
-    """Cross product of axes in row-major order (last axis fastest)."""
+    """Cross product of typed axes in row-major order (last axis fastest)."""
     cells = [{}]
     for name, values in grid:
         if name not in _AXIS_PARAMS:
             raise ConfigError(f"cannot sweep over {name!r}")
         if len(values) == 0:
             raise ConfigError(f"axis {name!r} is empty")
-        if name in _INT_AXES and not all(float(v).is_integer() for v in values):
+        if name in _INT_AXES and not all(map(is_whole, values)):
             raise ConfigError(f"axis {name!r} needs integer values, got {values}")
-        cells = [dict(c, **{name: v}) for c in cells for v in values]
+        typed = [int(v) if name in _INT_AXES
+                 else real(v, f"axis {name!r}", ConfigError) for v in values]
+        cells = [dict(c, **{name: v}) for c in cells for v in typed]
     return cells
 
 
@@ -516,9 +514,7 @@ def sweep(grid: Sequence[tuple], base: ExperimentConfig,
     """
     points = []
     for idx, overrides in enumerate(_grid_cells(grid)):
-        cast = {name: (int(v) if name in _INT_AXES else float(v))
-                for name, v in overrides.items()}
-        config = replace(base, **cast)
+        config = replace(base, **overrides)
         points.append(estimate_errors(config, cell_index=idx,
                                       tunables=tunables))
     if out:
@@ -706,20 +702,13 @@ def empirical_second_moment(model: str, params: dict, trials: int,
     enumeration; the phase integral reduces to window-coverage geometry for
     hard-cluster signals and to I0 of the subset resultant for von Mises),
     and averages L^2. ``params`` holds N, K (flat) or n, k (community) and
-    tau or kappa, checked as ``th.second_moment_exact_<model>`` checks them.
+    tau or kappa, checked by ``th.check_point``.
     Requires C(N,K) (or C(n,k)) <= DEFAULT_ENUMERATION_BUDGET.
     """
-    trials = mod._whole(trials, "trials")
+    trials = whole(trials, "trials")
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if model not in th.MODELS:
-        raise ParameterError(f"unknown model {model!r}")
-    keys = (("N", "K") if model.startswith("flat") else ("n", "k")) + (
-        ("tau",) if model.endswith("hard") else ("kappa",))
-    if missing := [key for key in keys if key not in params]:
-        raise ParameterError(f"{model} needs {', '.join(missing)}")
-    x = float(params[keys[2]])
-    size, k = th.check_second_moment(model, params[keys[0]], params[keys[1]], x)
+    size, k, x = th.check_point(model, params)
     if math.comb(size, k) > DEFAULT_ENUMERATION_BUDGET:
         raise CapabilityError(f"exact enumeration needs {math.comb(size, k)} "
                               f"subsets, budget {DEFAULT_ENUMERATION_BUDGET}")

@@ -24,7 +24,6 @@ draws a chunk's samples on them as ``draw_row`` would, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,8 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import (DomainError, ParameterError, check_kappa, check_size,
+                     check_sizes, check_window, finite)
 from .specfun import TWO_PI
 
 __all__ = [
@@ -92,10 +92,7 @@ class HardCluster:
     tau: float
 
     def __post_init__(self):
-        # Comparisons, not math.isfinite: they also take an int beyond float
-        # range, and NaN fails them.
-        if not (isinstance(self.tau, (int, float)) and 0.0 < self.tau <= 1.0):
-            raise DomainError(f"tau must be in (0, 1], got {self.tau!r}")
+        check_window(self.tau)
 
 
 @dataclass(frozen=True)
@@ -105,19 +102,7 @@ class VonMises:
     kappa: float
 
     def __post_init__(self):
-        if not isinstance(self.kappa, (int, float)):
-            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa!r}")
-        _check_kappa(self.kappa)
-
-
-def _check_kappa(kappa) -> None:
-    # NaN fails; an int beyond float range, unlike in math.isfinite, does not
-    # overflow here and meets the bound below.
-    if not (kappa >= 0.0 and kappa != math.inf):
-        raise DomainError(f"kappa must be finite and >= 0, got {kappa!r}")
-    if kappa > _MAX_KAPPA:
-        raise DomainError(f"kappa must be <= {_MAX_KAPPA:g}, the largest "
-                          f"concentration the sampler draws, got {kappa!r}")
+        check_kappa(self.kappa, cap=_MAX_KAPPA)
 
 
 SignalKind = Union[HardCluster, VonMises]
@@ -125,10 +110,7 @@ SignalKind = Union[HardCluster, VonMises]
 
 def _planted_phase(theta) -> float:
     """A planted anchor phase reduced into [0, 2pi); it must be finite."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"planted phase must be finite, got {theta!r}")
-    return canonical_angle(theta)
+    return canonical_angle(finite(theta, "planted phase"))
 
 
 @dataclass(frozen=True)
@@ -488,8 +470,8 @@ def sample_von_mises(theta: float, kappa: float, rng: np.random.Generator,
     at kappa = 1e6, 0.0015 at 1e10, 0.0023 at 1e11 and 0.0053 at 1e12. At
     1e16 r rounds to 1 and no draw is ever accepted.
     """
-    _check_kappa(kappa)
-    n = 1 if size is None else int(size)
+    kappa, theta = check_kappa(kappa, cap=_MAX_KAPPA), finite(theta, "theta")
+    n = _draw_count(size)
     draws = canonical_angle(theta + _von_mises_centered(rng, kappa, n))
     return float(draws[0]) if size is None else draws
 
@@ -497,11 +479,17 @@ def sample_von_mises(theta: float, kappa: float, rng: np.random.Generator,
 def sample_arc_uniform(theta: float, tau: float, rng: np.random.Generator,
                        size: Optional[int] = None):
     """Draw uniformly from the half-open arc [theta, theta + 2 pi tau)."""
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-    n = 1 if size is None else int(size)
+    tau, theta = check_window(tau), finite(theta, "theta")
+    n = _draw_count(size)
     draws = canonical_angle(theta + TWO_PI * tau * rng.random(n))
     return float(draws[0]) if size is None else draws
+
+
+def _draw_count(size) -> int:
+    """Draws a sampler takes: 1 for size None, else an integer >= 0."""
+    if size is not None and check_size(size, "size") < 0:
+        raise ParameterError(f"size must be >= 0, got {size!r}")
+    return 1 if size is None else int(size)
 
 
 def _shuffled_prefixes(picks: np.ndarray) -> np.ndarray:
@@ -570,40 +558,6 @@ def _signal_draws(signal: SignalKind, theta: float, rng: np.random.Generator,
     if isinstance(signal, VonMises):
         return sample_von_mises(theta, signal.kappa, rng, size)
     raise DomainError(f"unknown signal kind: {signal!r}")
-
-
-def _is_whole(value) -> bool:
-    """Whether ``value`` is an integral number (10, 10.0, a numpy int); a
-    bool, a string, None, NaN or 10.5 is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or (
-        math.isfinite(value) and float(value).is_integer())
-
-
-def _whole(value, what: str, error: type = ParameterError) -> int:
-    """``int(value)`` of an integral number; any other value is ``error``,
-    never truncated."""
-    if not _is_whole(value):
-        raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_sizes(size, k, edges: bool = False) -> tuple:
-    """(N, K) of a flat sample, or (n, k) of an edge sample, as ints.
-
-    Each must be integral, with 1 <= K <= N (2 <= k <= n for edges); else a
-    ParameterError.
-    """
-    if edges:
-        n, k = _whole(size, "n"), _whole(k, "k")
-        if n < 2 or k < 2 or k > n:
-            raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
-        return n, k
-    N, K = _whole(size, "N"), _whole(k, "K")
-    if N < 1 or K < 1 or K > N:
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
-    return N, K
 
 
 def draw_row(out: np.ndarray, size: int, k: int, signal: SignalKind,

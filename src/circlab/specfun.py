@@ -17,11 +17,13 @@ that nothing overflows before x ~ 700 and log-space callers never overflow.
 One implementation runs the two loops, the power series and the asymptotic
 expansion, each keyed by the order nu (0 for I0, 1 for I1), on one Python
 float (``_series_f``, ``_asymptotic_f``), with no numpy call inside the
-loop; the quadrature integrands of the exact second moments call the public
-functions once per node. Every threshold, bound, verdict, CSV and ``detect``
-value comes from these loops, so their operation order is fixed: they square
-as ``x * x`` (CPython's ``x ** 2`` can differ in the last bit) and take the
-final log and exp with numpy (``math.log`` differs on some inputs).
+loop. The public functions check their arguments (``circlab.errors``); a
+caller with a float it has just computed, such as an exact second moment's
+quadrature integrand, calls the unchecked ``_log_i0_f`` or ``_i0e_f``.
+Every threshold, bound, verdict, CSV and ``detect`` value comes from these
+loops, so their operation order is fixed: they square as ``x * x``
+(CPython's ``x ** 2`` can differ in the last bit) and take the final log
+and exp with numpy (``math.log`` differs on some inputs).
 ``scipy.special.i0e``/``i1e`` agree with them to about 2e-15 relative and are
 the independent check in the tests; swapping them in would move the last
 digits of the 17-digit output. The one array evaluation, ``_log_i0`` for the
@@ -49,7 +51,8 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import (DomainError, NumericError, check_kappa, check_window,
+                     finite, real)
 
 __all__ = [
     "TWO_PI",
@@ -75,13 +78,6 @@ _ASYMPTOTIC_MAX_TERMS = 40
 # Default quadrature settings: Gauss-Kronrod refinement via QUADPACK.
 _QUAD_ABS_TOL = 1e-12
 _QUAD_LIMIT = 400
-
-
-def _require_nonneg(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"{name} must be finite and >= 0, got {x!r}")
-    return x
 
 
 # The power series and the asymptotic expansion of I_nu, keyed by the order nu
@@ -164,17 +160,17 @@ def _log_i0_f(x: float) -> float:
 
 def bessel_i0_scaled(x: float) -> float:
     """e^{-x} I0(x); well scaled for every nonnegative x."""
-    return _i0e_f(_require_nonneg(x, "x"))
+    return _i0e_f(check_kappa(x, what="x"))
 
 
 def log_bessel_i0(x: float) -> float:
     """log I0(x), exact in log space for every nonnegative x."""
-    return _log_i0_f(_require_nonneg(x, "x"))
+    return _log_i0_f(check_kappa(x, what="x"))
 
 
 def mean_resultant(kappa: float) -> float:
     """A(kappa) = I1(kappa)/I0(kappa): mean resultant length of vonMises(., kappa)."""
-    kappa = _require_nonneg(kappa, "kappa")
+    kappa = check_kappa(kappa)
     if kappa == 0.0:
         return 0.0
     return _i1e_f(kappa) / _i0e_f(kappa)
@@ -182,31 +178,27 @@ def mean_resultant(kappa: float) -> float:
 
 def ratio_R(kappa: float) -> float:
     """R(kappa) = I0(2 kappa)/I0(kappa)^2, formed in log space."""
-    kappa = _require_nonneg(kappa, "kappa")
     return float(math.exp(log_ratio_R(kappa)))
 
 
 def log_ratio_R(kappa: float) -> float:
     """log R(kappa); safe for large kappa (R grows like sqrt(pi kappa))."""
-    kappa = _require_nonneg(kappa, "kappa")
+    kappa = check_kappa(kappa)
     return _log_i0_f(2.0 * kappa) - 2.0 * _log_i0_f(kappa)
 
 
 def rho(kappa: float, theta: float) -> float:
     """rho_kappa(theta) = I0(2 kappa cos theta)/I0(kappa)^2.
 
-    theta may be any real; I0 is even so the |cos| form is used.
+    theta may be any finite real; I0 is even so the |cos| form is used.
     The maximum over theta is R(kappa), attained at theta = 0.
     """
-    kappa = _require_nonneg(kappa, "kappa")
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
     return float(math.exp(log_rho(kappa, theta)))
 
 
 def log_rho(kappa: float, theta: float) -> float:
-    kappa = _require_nonneg(kappa, "kappa")
+    """log rho_kappa(theta); theta must be finite."""
+    kappa, theta = check_kappa(kappa), finite(theta, "theta")
     return _log_i0_f(2.0 * kappa * abs(math.cos(theta))) - 2.0 * _log_i0_f(kappa)
 
 
@@ -289,10 +281,7 @@ def arc_prob(kappa: float, tau: float) -> float:
     Computed by adaptive quadrature of the scaled density, absolute
     tolerance 1e-10. Exact limits: p_kappa(1) = 1 and p_0(tau) = tau.
     """
-    kappa = _require_nonneg(kappa, "kappa")
-    tau = float(tau)
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    kappa, tau = check_kappa(kappa), check_window(tau)
     if tau == 1.0:
         return 1.0
     if kappa == 0.0:
@@ -311,15 +300,13 @@ def arc_prob(kappa: float, tau: float) -> float:
         scaled_density, 0.0, half, "arc_prob",
         lambda val, err: err <= 1e-7 * max(1.0, abs(val)) + 1e-9,
         epsabs=_QUAD_ABS_TOL, epsrel=1e-11, limit=_QUAD_LIMIT, points=pts)
-    denom = TWO_PI * bessel_i0_scaled(kappa)
+    denom = TWO_PI * _i0e_f(kappa)
     return min(1.0, mass / denom)
 
 
 def gaussian_upper_tail(x: float) -> float:
     """Q(x): standard normal upper-tail probability."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+    x = finite(x, "x")
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -331,10 +318,12 @@ def window_calibration_objective(c2: float) -> float:
     provably succeeds, and the minimizer is the window half-width in
     noise-standard-deviation units.
     """
-    c2 = float(c2)
+    c2 = real(c2, "c2", DomainError)
     if c2 <= 0.0:
         raise DomainError(f"c2 must be > 0, got {c2!r}")
     covered = 1.0 - 2.0 * gaussian_upper_tail(c2)
+    if covered == 0.0:  # c2 below about 1e-17, at the pole
+        return math.inf
     return (2.0 / math.pi) * c2 / (covered * covered)
 
 
@@ -347,7 +336,8 @@ def compute_c0(bracket: tuple[float, float] = (1e-4, 10.0),
     interior minimum or the first-order condition |f'(c2*)| <= 1e-6
     (central differences) fails at the result.
     """
-    a, b = float(bracket[0]), float(bracket[1])
+    a, b = (real(end, "bracket", DomainError) for end in bracket)
+    tol = real(tol, "tol", DomainError)
     if not (0.0 < a < b):
         raise DomainError(f"invalid bracket {bracket!r}")
     f = window_calibration_objective

@@ -22,17 +22,17 @@ max(1, log log size) between growing scales.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .detectors import default_c_schedule, rayleigh_threshold, resolve_flat_threshold
-from .errors import DomainError, ParameterError
-from .models import _whole
-from .specfun import (TWO_PI, _quad_checked, arc_prob, bessel_i0_scaled,
-                      log_bessel_i0, log_ratio_R, mean_resultant, ratio_R)
+from .errors import (DomainError, ParameterError, check_bar, check_kappa,
+                     check_margin, check_size, check_sizes, check_window,
+                     finite, is_whole, real, whole)
+from .specfun import (TWO_PI, _i0e_f, _log_i0_f, _quad_checked, arc_prob,
+                      log_ratio_R, mean_resultant, ratio_R)
 
 __all__ = [
     "BoundValue",
@@ -107,10 +107,8 @@ def flat_hard_bounds(N: int, K: int, tau: float, gamma: float) -> dict:
                   points); otherwise exp(-((N-K)tau-gamma+K)^2 / (2(N-K)tau))
                   valid when (N-K)tau >= gamma-K
     """
-    if not (1 <= K <= N):
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    N, K = check_sizes(N, K)
+    tau, gamma = check_window(tau), finite(gamma, "gamma", ParameterError)
     out: dict = {}
     g_int = math.ceil(gamma)
     log_union = math.log(N) + log_comb(N - 1, g_int - 1) + (g_int - 1) * math.log(tau)
@@ -144,10 +142,8 @@ def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
     exp(-(mu1 - gamma)^2 / (2 mu1)) with mu1 = N tau + g. The false alarm
     side is the same Chernoff bound as the hard-cluster case at this gamma.
     """
-    if not (1 <= K <= N):
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must be in (0, 1), got {tau!r}")
+    N, K = check_sizes(N, K)
+    tau = check_window(tau, closed=False)
     if c_n is None:
         c_n = default_c_schedule(N)
     g = K * (arc_prob(kappa, tau) - tau)
@@ -156,7 +152,7 @@ def flat_vm_bounds(N: int, K: int, kappa: float, tau: float,
         gamma = resolve_flat_threshold("vm", N, tau, K=K, kappa=kappa, c_n=c_n)
         pmiss = BoundValue(math.exp(-c_n * c_n / 2.0))
     else:
-        gamma = float(gamma)
+        gamma = finite(gamma, "gamma", ParameterError)
         ok = gamma <= mean1
         val = math.exp(-(mean1 - gamma) ** 2 / (2.0 * mean1)) if ok else math.inf
         pmiss = BoundValue(val, applicable=ok)
@@ -195,10 +191,8 @@ def comm_interval_bounds(n: int, k: int, tau: float,
            is large, so it is reported with applicable=False: an analysis
            aid, not a finite-size guarantee. Undefined at tau = 1.
     """
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
-    if not (0.0 < tau <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+    n, k = check_sizes(n, k, edges=True)
+    tau = check_window(tau)
     m = k * (k - 1) // 2
     log_pfa = (math.log(m) - math.log(tau)
                + k * (math.log(n / k) + 1.0 + (k - 1) / 2.0 * math.log(tau)))
@@ -206,25 +200,24 @@ def comm_interval_bounds(n: int, k: int, tau: float,
     if kappa is None:
         out["pmiss"] = BoundValue(0.0)
         return out
-    if not (kappa > 0.0):
-        raise DomainError(
-            f"kappa must be > 0 for the von Mises miss bound, got {kappa!r}")
+    kappa = check_kappa(kappa, positive=True)
     out["pmiss"] = BoundValue(min(m * (1.0 - arc_prob(kappa, tau)), 1.0))
     sin_term = abs(math.sin(math.pi * tau))
     if sin_term == 0.0:
         out["pmiss_asymptotic"] = BoundValue(math.inf, applicable=False)
         return out
     log_val = (math.log(m) + (math.cos(math.pi * tau) - 1.0) * kappa
-               - math.log(2.0 * math.pi ** 2) - math.log(bessel_i0_scaled(kappa))
+               - math.log(2.0 * math.pi ** 2) - math.log(_i0e_f(kappa))
                - math.log(kappa) - math.log(sin_term))
     out["pmiss_asymptotic"] = BoundValue(_safe_exp(log_val), applicable=False)
     return out
 
 
-def _check_polygon(B) -> None:
+def _check_polygon(B) -> int:
     """The inscribed B-gon of the pfa bounds needs an integer B >= 3."""
-    if not isinstance(B, numbers.Integral) or B < 3:
+    if not (is_whole(B) and B >= 3):
         raise DomainError(f"B must be an integer >= 3, got {B!r}")
+    return check_size(B, "B", DomainError)
 
 
 def comm_coherence_bounds(n: int, k: int, kappa: float, epsilon: float,
@@ -234,13 +227,9 @@ def comm_coherence_bounds(n: int, k: int, kappa: float, epsilon: float,
     pfa  : B exp( k [ log(ne/k) - (1-eps/4)^2 (k-1) A(kappa)^2 cos^2(pi/B)/2 ] )
     pmiss: exp( -eps^2 C(k,2) A(kappa)^2 / 32 )
     """
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
-    if not (kappa > 0.0):
-        raise DomainError(f"kappa must be > 0, got {kappa!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    _check_polygon(B)
+    n, k = check_sizes(n, k, edges=True)
+    kappa, epsilon = check_kappa(kappa, positive=True), check_margin(epsilon)
+    B = _check_polygon(B)
     a = mean_resultant(kappa)
     m = k * (k - 1) / 2.0
     expo = k * (math.log(n * math.e / k)
@@ -260,8 +249,7 @@ def rayleigh_bounds(n: int, k: int, kappa: float) -> dict:
     projection onto the planted direction (needs beta < mu1); the combined
     error is 5 exp(-mu1^2 / (8 N_E)) with N_E = C(n,2).
     """
-    if not (2 <= k <= n):
-        raise ParameterError(f"need 2 <= k <= n, got n={n}, k={k}")
+    n, k = check_sizes(n, k, edges=True)
     n_edges = n * (n - 1) / 2.0
     beta = rayleigh_threshold(k, kappa)
     mu1 = 2.0 * beta
@@ -278,9 +266,10 @@ def rayleigh_bounds(n: int, k: int, kappa: float) -> dict:
 def _circular_msd(kappa: Optional[float], tau: Optional[float]) -> float:
     """Mean squared angular deviation of one planted draw from its anchor."""
     if tau is not None:
-        return (math.pi * tau) ** 2 / 3.0
+        return (math.pi * check_window(tau)) ** 2 / 3.0
     if kappa is None:
         raise ParameterError("need kappa or tau")
+    kappa = check_kappa(kappa)
     if kappa == 0.0:
         return math.pi ** 2 / 3.0
 
@@ -292,7 +281,7 @@ def _circular_msd(kappa: Optional[float], tau: Optional[float]) -> float:
     val = _quad_checked(integrand, 0.0, math.pi, f"circular MSD at kappa={kappa}",
                         lambda val, err: err < val, epsabs=1e-12, epsrel=1e-10,
                         limit=200)
-    return 2.0 * val / (TWO_PI * bessel_i0_scaled(kappa))
+    return 2.0 * val / (TWO_PI * _i0e_f(kappa))
 
 
 def comm_variance_bounds(n: int, k: int, sigma2: float,
@@ -306,11 +295,8 @@ def comm_variance_bounds(n: int, k: int, sigma2: float,
     threshold. The miss side applies Hoeffding to the planted subset's
     squared deviations (values in [0, pi^2], mean from the signal law).
     """
-    if not (3 <= k <= n):
-        raise ParameterError(f"need 3 <= k <= n, got n={n}, k={k}")
-    if not (sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    _check_polygon(B)
+    n, k = check_sizes(n, k, edges=True, low=3)
+    sigma2, B = check_bar(sigma2), _check_polygon(B)
     m = k * (k - 1) / 2.0
     beta_eq = m - (m - 1.0) * sigma2 / 2.0
     out: dict = {}
@@ -339,8 +325,7 @@ def delta_overlap(tau: float, u: float) -> float:
         tau <= 1/2 : (tau - u)+
         tau >  1/2 : (2 tau - 1) + (1 - tau - u)+
     """
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must be in (0, 1), got {tau!r}")
+    tau, u = check_window(tau, closed=False), real(u, "u", DomainError)
     if not (0.0 <= u <= 0.5):
         raise DomainError(f"u must be in [0, 1/2], got {u!r}")
     if tau <= 0.5:
@@ -355,9 +340,7 @@ def delta_moment(tau: float, j: int) -> float:
         tau >  1/2 : (2/(j+1)) (tau^{j+1} - (2tau-1)^{j+1})
                      + 2 (tau - 1/2) (2tau-1)^j
     """
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must be in (0, 1), got {tau!r}")
-    j = int(j)
+    tau, j = check_window(tau, closed=False), check_size(j, "j", DomainError)
     if j < 1:
         raise DomainError(f"j must be >= 1, got {j!r}")
     if tau <= 0.5:
@@ -390,8 +373,9 @@ class OverlapLaw:
     K: int
 
     def __post_init__(self):
-        if not (0 <= self.K <= self.N):
-            raise ParameterError(f"need K <= N, got N={self.N}, K={self.K}")
+        N, K = check_sizes(self.N, self.K, low=0)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "K", K)
 
 
 def hypergeom_logpmf(law: OverlapLaw, j: int) -> float:
@@ -403,7 +387,7 @@ def hypergeom_logpmf(law: OverlapLaw, j: int) -> float:
 
 def hypergeom_pmf(law: OverlapLaw, j: int) -> float:
     """Exact overlap pmf via log-factorial differences; 0 outside the support."""
-    lp = hypergeom_logpmf(law, int(j))
+    lp = hypergeom_logpmf(law, whole(j, "j"))
     return 0.0 if lp == -math.inf else math.exp(lp)
 
 
@@ -417,18 +401,22 @@ def _logsumexp(terms) -> float:
 
 def check_second_moment(model: str, size: int, k: int, x: float) -> tuple:
     """Raise what ``second_moment_exact_<model>(size, k, x)`` raises for its
-    arguments, else return (size, k) as ints; x is tau (hard-cluster models)
-    or kappa (von Mises). A size that is not integral is a ParameterError."""
-    low, big, small = (1, "N", "K") if model.startswith("flat") else (2, "n", "k")
-    size, k = _whole(size, big), _whole(k, small)
-    if not (low <= k <= size):
-        raise ParameterError(
-            f"need {low} <= {small} <= {big}, got {big}={size}, {small}={k}")
-    if model.endswith("hard") and not (0.0 < x <= 1.0):
-        raise DomainError(f"tau must be in (0, 1], got {x!r}")
-    if model.endswith("vm") and x < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {x!r}")
-    return size, k
+    arguments, else return (size, k, x) as two ints and a float; x is tau
+    (hard-cluster models) or kappa (von Mises)."""
+    size, k = check_sizes(size, k, edges=not model.startswith("flat"))
+    return size, k, check_window(x) if model.endswith("hard") else check_kappa(x)
+
+
+def check_point(model: str, params: dict) -> tuple:
+    """(size, k, x) of ``params``, a point of ``model`` (N, K or n, k, and
+    tau or kappa), checked as ``check_second_moment`` checks it."""
+    if model not in MODELS:
+        raise ParameterError(f"unknown model {model!r}")
+    keys = (("N", "K") if model.startswith("flat") else ("n", "k")) + (
+        ("tau",) if model.endswith("hard") else ("kappa",))
+    if missing := [key for key in keys if key not in params]:
+        raise ParameterError(f"{model} needs {', '.join(missing)}")
+    return check_second_moment(model, *(params[key] for key in keys))
 
 
 def second_moment_exact_flat_hard(N: int, K: int, tau: float) -> float:
@@ -437,7 +425,7 @@ def second_moment_exact_flat_hard(N: int, K: int, tau: float) -> float:
     E_Q[L^2] = sum_j P(J=j) tau^{-2j} E[delta^j] with J ~ hypergeom(N, K, K);
     evaluated in log space, always >= 1.
     """
-    N, K = check_second_moment("flat-hard", N, K, tau)
+    N, K, tau = check_second_moment("flat-hard", N, K, tau)
     if tau == 1.0:
         return 1.0  # planted arc is the whole circle; L is identically 1
     law = OverlapLaw(N, K)
@@ -451,7 +439,7 @@ def second_moment_exact_comm_hard(n: int, k: int, tau: float) -> float:
 
     Same overlap expansion with J = C(S,2) pair overlaps, S ~ hypergeom(n,k,k).
     """
-    n, k = check_second_moment("comm-hard", n, k, tau)
+    n, k, tau = check_second_moment("comm-hard", n, k, tau)
     if tau == 1.0:
         return 1.0
     law = OverlapLaw(n, k)
@@ -462,7 +450,7 @@ def second_moment_exact_comm_hard(n: int, k: int, tau: float) -> float:
 
 def _log_mean_rho_power(kappa: float, j_of_s, k_max: int, law: OverlapLaw) -> float:
     """log E_S[ (1/2pi) int rho_kappa(phi/2)^{j(S)} dphi ] in log space."""
-    log_i0_kappa = log_bessel_i0(kappa)
+    log_i0_kappa = _log_i0_f(kappa)
     logs = []
     for s in range(0, k_max + 1):
         lp = hypergeom_logpmf(law, s)
@@ -476,7 +464,7 @@ def _log_mean_rho_power(kappa: float, j_of_s, k_max: int, law: OverlapLaw) -> fl
 
         def integrand(phi: float) -> float:
             arg = 2.0 * kappa * abs(math.cos(phi / 2.0))
-            g = j * (log_bessel_i0(arg) - 2.0 * log_i0_kappa)
+            g = j * (_log_i0_f(arg) - 2.0 * log_i0_kappa)
             return math.exp(g - g_max)
 
         # The integrand is 1 at phi = 0, so a mean of 0, or one smaller
@@ -496,7 +484,7 @@ def second_moment_exact_comm_vm(n: int, k: int, kappa: float) -> float:
     with the integral factored around its peak so arbitrarily large
     C(k,2) log R(kappa) stays in range (result may be +inf).
     """
-    n, k = check_second_moment("comm-vm", n, k, kappa)
+    n, k, kappa = check_second_moment("comm-vm", n, k, kappa)
     if kappa == 0.0:
         return 1.0
     law = OverlapLaw(n, k)
@@ -506,7 +494,7 @@ def second_moment_exact_comm_vm(n: int, k: int, kappa: float) -> float:
 
 def second_moment_exact_flat_vm(N: int, K: int, kappa: float) -> float:
     """Exact E_Q[L^2] for the von Mises flat model (overlap in index counts)."""
-    N, K = check_second_moment("flat-vm", N, K, kappa)
+    N, K, kappa = check_second_moment("flat-vm", N, K, kappa)
     if kappa == 0.0:
         return 1.0
     law = OverlapLaw(N, K)
@@ -526,33 +514,29 @@ def impossibility_functionals(model: str, **params) -> dict:
     (criterion: -> 0, or -> -inf for the flat von Mises exponent form),
     the exact Var_Q(L) = E_Q[L^2] - 1, and the implied TV bound.
     """
+    # (size, k, x) under the names of every model
+    N, K, tau = n, k, kappa = check_point(model, params)
     out: dict = {}
     if model == "flat-hard":
-        N, K, tau = params["N"], params["K"], params["tau"]
         log_f = (math.log(2.0) + math.log(N) + 2.0 * math.log(tau)
                  - 2.0 * math.log(K) + (K + 1) * math.log1p(K / (N * tau)))
         out["var_upper"] = BoundValue(_safe_exp(log_f), applicable=tau <= 0.5)
         m2 = second_moment_exact_flat_hard(N, K, tau)
     elif model == "flat-vm":
-        N, K, kappa = params["N"], params["K"], params["kappa"]
         r = ratio_R(kappa)
         out["exponent"] = BoundValue(
             K * K / N * (r - 1.0) - log_ratio_R(kappa))
         m2 = second_moment_exact_flat_vm(N, K, kappa)
     elif model == "comm-hard":
-        n, k, tau = params["n"], params["k"], params["tau"]
         log_z = (k - 1) / 2.0 * math.log(1.0 / tau)
         val = _safe_exp(math.log(k * k / n) + log_z) - k * k / n if log_z < 700 else math.inf
         out["var_upper"] = BoundValue(val)
         m2 = second_moment_exact_comm_hard(n, k, tau)
-    elif model == "comm-vm":
-        n, k, kappa = params["n"], params["k"], params["kappa"]
+    else:
         t = (k - 1) / 2.0 * log_ratio_R(kappa)
         val = k * k / n * math.expm1(t) if t < 700 else math.inf
         out["var_upper"] = BoundValue(val)
         m2 = second_moment_exact_comm_vm(n, k, kappa)
-    else:
-        raise ParameterError(f"unknown model {model!r}")
     out["var_exact"] = BoundValue(m2 - 1.0)
     out["tv_bound"] = BoundValue(tv_bound(m2))
     return out
@@ -779,9 +763,10 @@ def regime_classify(model: str, params: dict,
     Conditions are evaluated in a fixed order (achievability families first);
     the verdict cites the first that fires and reports every evaluated
     margin, any additional fired condition ids, and the slack factors used.
+    ``params`` is checked as ``check_point`` checks it: a point outside the
+    model's domain gets no verdict.
     """
-    if model not in _CONDITION_BUILDERS:
-        raise ParameterError(f"unknown model {model!r}")
+    check_point(model, params)
     tun = tunables or RegimeTunables()
     conditions = _CONDITION_BUILDERS[model](tun)
     size = params.get("N", params.get("n"))
@@ -812,8 +797,8 @@ def known_theta_regime(N: int, K: int, tau: float) -> RegimeVerdict:
     Both branches need K^2 <= N. Finite surrogates: achievable when
     tau <= K^2/(N log N); impossible when tau >= min(1, K^2 log N / N).
     """
-    if not (1 <= K <= N):
-        raise ParameterError(f"need 1 <= K <= N, got N={N}, K={K}")
+    N, K = check_sizes(N, K)
+    tau = check_window(tau)
     values = {"K2_over_N": K * K / N, "log_N": math.log(N)}
     if K * K > N:
         values["K2_le_N"] = False

@@ -829,7 +829,11 @@ class TestTypedArguments:
         test, decision, _ = EDGE_TESTS[name]
         s = mod.gen_community(8, 4, mod.VonMises(1.0), True, mod.rng_for(0, 70))
         message = self.same_error(error, test, decision, s, 4, threshold)
-        assert message.endswith(f"must be a number, got {threshold!r}")
+        if name == "interval" and threshold == 10 ** 400:
+            # A window meets (0, 1] before its float is taken.
+            assert message == f"tau must be in (0, 1], got {threshold!r}"
+        else:
+            assert message.endswith(f"must be a number, got {threshold!r}")
 
     @pytest.mark.parametrize("name", list(EDGE_TESTS))
     def test_integral_k_accepted(self, name):
@@ -1362,8 +1366,8 @@ class TestSubsetDecisions:
         ("variance", 30, 15, 0.1, CapabilityError, "budget is 1e+08"),
         ("coherence", 6, 1, 1.0, ParameterError, "need 2 <= k <= n"),
         ("coherence", 6, 7, 1.0, ParameterError, "need 2 <= k <= n"),
-        ("variance", 6, 2, 0.1, ParameterError, "variance scan needs 3"),
-        ("variance", 6, 7, 0.1, ParameterError, "variance scan needs 3"),
+        ("variance", 6, 2, 0.1, ParameterError, "need 3 <= k <= n"),
+        ("variance", 6, 7, 0.1, ParameterError, "need 3 <= k <= n"),
         ("variance", 6, 3, 0.0, DomainError, "sigma2 must be > 0"),
         ("variance", 6, 3, -1.0, DomainError, "sigma2 must be > 0"),
         ("variance", 6, 3, math.nan, DomainError, "sigma2 must be > 0"),
